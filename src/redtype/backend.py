@@ -41,6 +41,7 @@ from .store import (
     SimpleStatus,
 )
 from .syntax import (
+    COMMAND_SHAPES,
     BoolLit,
     Command,
     Expr,
@@ -121,13 +122,7 @@ RunOutcome = RunValue | RunError
 
 
 def eval_expr(e: Expr, values: Mapping[str, Any]) -> Any:
-    if isinstance(e, IntLit):
-        return e.value
-    if isinstance(e, FloatLit):
-        return e.value
-    if isinstance(e, BoolLit):
-        return e.value
-    if isinstance(e, TextLit):
+    if isinstance(e, (IntLit, FloatLit, BoolLit, TextLit)):
         return e.value
     if isinstance(e, Var):
         return values[e.name]
@@ -135,10 +130,12 @@ def eval_expr(e: Expr, values: Mapping[str, Any]) -> Any:
     return RecordValue(e.name, tuple(eval_expr(a, values) for a in e.args))
 
 
-_WIRE_NAMES = {op: op.upper().encode("ascii") for op in (
-    "ping", "set", "setnx", "get", "del", "incr", "incrbyfloat",
-    "lpush", "llen", "rpop", "sadd", "sinter", "hset", "hget",
-)}
+# Commands that take a type tag are static and have no wire name.
+_WIRE_NAMES = {
+    op: op.upper().encode("ascii")
+    for op, (_, _, _, takes_tag) in COMMAND_SHAPES.items()
+    if not takes_tag
+}
 
 
 def _wire_command(
@@ -148,9 +145,10 @@ def _wire_command(
     records: Mapping[str, RecordDecl],
 ) -> list[bytes] | None:
     """Wire form of one command; None for declare (purely static)."""
-    if cmd.opcode == "declare":
+    name = _WIRE_NAMES.get(cmd.opcode)
+    if name is None:
         return None
-    argv = [_WIRE_NAMES[cmd.opcode]]
+    argv = [name]
     argv.extend(k.encode("utf-8") for k in cmd.keys)
     if cmd.field_name is not None:
         argv.append(cmd.field_name.encode("utf-8"))

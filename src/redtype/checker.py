@@ -20,9 +20,10 @@ entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Container, Mapping
 
 from . import typedict
+from .parser import base_text, tag_text
 from .syntax import (
     BOOL,
     FLOAT,
@@ -54,7 +55,6 @@ from .typedict import Found, Stuck, TypeDict
 NOT_MEMBER = "NotMember-violated"
 LIST_OR_NX = "ListOrNX-violated"
 SET_OR_NX = "SetOrNX-violated"
-STRING_OR_NX = "StringOrNX-violated"
 HASH_OR_NX = "HashOrNX-violated"
 GET_EQUALITY = "GetEquality-failed"
 GET_STUCK = "GetStuck"
@@ -131,6 +131,11 @@ class CheckError(Exception):
         self.detail = detail
 
 
+def _fail(constraint: str, detail: str) -> CheckError:
+    """A violation not yet located; check_command adds the command's span."""
+    return CheckError(None, None, constraint, detail)
+
+
 @dataclass
 class CheckOk:
     initial: TypeDict
@@ -161,12 +166,10 @@ def infer_expr(
     if isinstance(e, Var):
         rt = env.get(e.name)
         if rt is None:
-            raise CheckError(None, None, UNKNOWN_VARIABLE, f"no binder named '{e.name}' in scope")
+            raise _fail(UNKNOWN_VARIABLE, f"no binder named '{e.name}' in scope")
         base = _SCALAR_BASES.get(type(rt))
         if base is None:
-            raise CheckError(
-                None,
-                None,
+            raise _fail(
                 ELEMENT_MISMATCH,
                 f"binder '{e.name}' has result type {result_text(rt)}, which cannot appear in an expression",
             )
@@ -174,48 +177,20 @@ def infer_expr(
     assert isinstance(e, RecordLit)
     decl = records.get(e.name)
     if decl is None:
-        raise CheckError(None, None, UNKNOWN_RECORD, f"no record named '{e.name}' is declared")
+        raise _fail(UNKNOWN_RECORD, f"no record named '{e.name}' is declared")
     if len(e.args) != len(decl.fields):
-        raise CheckError(
-            None,
-            None,
+        raise _fail(
             ARITY_MISMATCH,
             f"record '{e.name}' has {len(decl.fields)} fields but {len(e.args)} arguments were given",
         )
     for (fname, fbase), arg in zip(decl.fields, e.args):
         got = infer_expr(env, records, arg)
         if got != fbase:
-            raise CheckError(
-                None,
-                None,
+            raise _fail(
                 ELEMENT_MISMATCH,
-                f"field '{fname}' of record '{e.name}' takes {_base_name(fbase)}, got {_base_name(got)}",
+                f"field '{fname}' of record '{e.name}' takes {base_text(fbase)}, got {base_text(got)}",
             )
     return RecordRef(e.name)
-
-
-def _base_name(b: BaseType) -> str:
-    if b == INT:
-        return "int"
-    if b == FLOAT:
-        return "float"
-    if b == BOOL:
-        return "bool"
-    if b == TEXT:
-        return "text"
-    assert isinstance(b, RecordRef)
-    return b.name
-
-
-def _tag_name(tag: TypeTag) -> str:
-    if isinstance(tag, StringOf):
-        return f"string<{_base_name(tag.base)}>"
-    if isinstance(tag, ListOf):
-        return f"list<{_base_name(tag.base)}>"
-    if isinstance(tag, SetOf):
-        return f"set<{_base_name(tag.base)}>"
-    assert isinstance(tag, HashOf)
-    return "hash<" + ", ".join(f"{n}: {_tag_name(t)}" for n, t in tag.fields) + ">"
 
 
 def result_text(rt: ResultType) -> str:
@@ -231,23 +206,22 @@ def result_text(rt: ResultType) -> str:
     if isinstance(rt, UnitResult):
         return "unit"
     if isinstance(rt, MaybeResult):
-        return f"maybe<{_base_name(rt.base)}>"
+        return f"maybe<{base_text(rt.base)}>"
     assert isinstance(rt, ListResult)
-    return f"list<{_base_name(rt.base)}>"
+    return f"list<{base_text(rt.base)}>"
 
 
-def _check_tag_records(tag: TypeTag, records: Mapping[str, RecordDecl]) -> str | None:
-    """Name of the first undeclared record referenced by ``tag``, if any."""
-    if isinstance(tag, (StringOf, ListOf, SetOf)):
-        base = tag.base
-        if isinstance(base, RecordRef) and base.name not in records:
-            return base.name
+def undeclared_record(tag: TypeTag, records: Container[str]) -> str | None:
+    """Name of the first record ``tag`` refers to that is not in ``records``."""
+    if isinstance(tag, HashOf):
+        for _, ftag in tag.fields:
+            bad = undeclared_record(ftag, records)
+            if bad:
+                return bad
         return None
-    assert isinstance(tag, HashOf)
-    for _, ftag in tag.fields:
-        bad = _check_tag_records(ftag, records)
-        if bad:
-            return bad
+    base = tag.base
+    if isinstance(base, RecordRef) and base.name not in records:
+        return base.name
     return None
 
 
@@ -277,9 +251,59 @@ def check_command(
 def _found_tag(xs: TypeDict, k: str) -> TypeTag:
     look = typedict.dict_get(xs, k)
     if isinstance(look, Stuck):
-        raise CheckError(None, None, GET_STUCK, f"key '{k}' is not in the dictionary")
+        raise _fail(GET_STUCK, f"key '{k}' is not in the dictionary")
     assert isinstance(look, Found)
     return look.tag
+
+
+# A precondition on one key: raises CheckError, or returns the key's tag
+# when the key must be tracked.
+_Guard = Callable[[TypeDict, str], TypeTag | None]
+
+
+def _holds_or_nx(test: Callable[[TypeTag], bool], constraint: str, kind: str) -> _Guard:
+    """Each key holds ``kind`` if it is tracked at all; else ``constraint``."""
+
+    def guard(xs: TypeDict, k: str) -> None:
+        if not typedict.or_nx(test, xs, k):
+            raise _fail(constraint, f"key '{k}' holds {tag_text(_found_tag(xs, k))}, not {kind}")
+
+    return guard
+
+
+def _tracked_as(test: Callable[[TypeTag], bool], kind: str) -> _Guard:
+    """Each key is tracked with a tag that passes ``test``; else GetEquality-failed."""
+
+    def guard(xs: TypeDict, k: str) -> TypeTag:
+        tag = _found_tag(xs, k)
+        if not test(tag):
+            raise _fail(GET_EQUALITY, f"key '{k}' holds {tag_text(tag)}, not {kind}")
+        return tag
+
+    return guard
+
+
+# Every opcode but declare, setnx and hget, which _check_command spells
+# out: opcode -> (precondition on each key, the tag the command stores
+# under its key given the value's base type, and the result type or its
+# constructor from the keys' element type).  del and hset update the
+# dictionary in ways of their own.
+_RULES: dict[str, tuple[_Guard | None, Callable[[BaseType], TypeTag] | None, ResultType | type]] = {
+    "ping": (None, None, STATUS),
+    "set": (None, StringOf, STATUS),
+    "del": (None, None, INT_RESULT),
+    "get": (_tracked_as(typedict.is_string, "a string"), None, MaybeResult),
+    "incr": (_tracked_as(lambda tag: tag == StringOf(INT), "string<int>"), None, INT_RESULT),
+    "incrbyfloat": (_tracked_as(lambda tag: tag == StringOf(FLOAT), "string<float>"), None, FLOAT_RESULT),
+    "lpush": (_holds_or_nx(typedict.is_list, LIST_OR_NX, "a list"), ListOf, INT_RESULT),
+    "llen": (_holds_or_nx(typedict.is_list, LIST_OR_NX, "a list"), None, INT_RESULT),
+    "rpop": (_tracked_as(typedict.is_list, "a list"), None, MaybeResult),
+    "sadd": (_holds_or_nx(typedict.is_set, SET_OR_NX, "a set"), SetOf, INT_RESULT),
+    "sinter": (_tracked_as(typedict.is_set, "a set"), None, ListResult),
+    "hset": (_holds_or_nx(typedict.is_hash, HASH_OR_NX, "a hash"), None, BOOL_RESULT),
+}
+# In strict mode a tracked container must already hold the pushed type.
+_STRICT_VERBS = {ListOf: "push", SetOf: "add"}
 
 
 def _check_command(
@@ -290,195 +314,74 @@ def _check_command(
     strict: bool,
 ) -> tuple[TypeDict, ResultType]:
     op = cmd.opcode
-
-    if op == "ping":
-        return xs, STATUS
+    k = cmd.keys[0] if cmd.keys else ""
+    a = infer_expr(env, records, cmd.args[0]) if cmd.args else None
 
     if op == "declare":
-        k = cmd.keys[0]
         if typedict.dict_member(xs, k):
-            raise CheckError(
-                None, None, NOT_MEMBER, f"key '{k}' is already tracked as {_tag_name(_found_tag(xs, k))}"
-            )
+            raise _fail(NOT_MEMBER, f"key '{k}' is already tracked as {tag_text(_found_tag(xs, k))}")
         assert cmd.declared is not None
-        bad = _check_tag_records(cmd.declared, records)
+        bad = undeclared_record(cmd.declared, records)
         if bad:
-            raise CheckError(None, None, UNKNOWN_RECORD, f"no record named '{bad}' is declared")
+            raise _fail(UNKNOWN_RECORD, f"no record named '{bad}' is declared")
         return typedict.dict_set(xs, k, cmd.declared), UNIT
 
-    if op == "set":
-        k = cmd.keys[0]
-        a = infer_expr(env, records, cmd.args[0])
-        return typedict.dict_set(xs, k, StringOf(a)), STATUS
-
     if op == "setnx":
-        k = cmd.keys[0]
-        a = infer_expr(env, records, cmd.args[0])
-        if typedict.dict_member(xs, k):
-            tag = _found_tag(xs, k)
-            if tag != StringOf(a):
-                raise CheckError(
-                    None,
-                    None,
-                    GET_EQUALITY,
-                    f"key '{k}' is tracked as {_tag_name(tag)}, but setnx may write a "
-                    f"string<{_base_name(a)}> if the key is unset",
-                )
-            return xs, BOOL_RESULT
-        return typedict.dict_set(xs, k, StringOf(a)), BOOL_RESULT
-
-    if op == "get":
-        k = cmd.keys[0]
+        if not typedict.dict_member(xs, k):
+            return typedict.dict_set(xs, k, StringOf(a)), BOOL_RESULT
         tag = _found_tag(xs, k)
-        if not isinstance(tag, StringOf):
-            raise CheckError(
-                None, None, GET_EQUALITY, f"key '{k}' holds {_tag_name(tag)}, not a string"
-            )
-        return xs, MaybeResult(tag.base)
-
-    if op == "del":
-        return typedict.dict_del(xs, cmd.keys[0]), INT_RESULT
-
-    if op == "incr":
-        k = cmd.keys[0]
-        tag = _found_tag(xs, k)
-        if tag != StringOf(INT):
-            raise CheckError(
-                None, None, GET_EQUALITY, f"key '{k}' holds {_tag_name(tag)}, not string<int>"
-            )
-        return xs, INT_RESULT
-
-    if op == "incrbyfloat":
-        k = cmd.keys[0]
-        a = infer_expr(env, records, cmd.args[0])
-        if a != FLOAT:
-            raise CheckError(
-                None, None, ELEMENT_MISMATCH, f"incrbyfloat takes a float increment, got {_base_name(a)}"
-            )
-        tag = _found_tag(xs, k)
-        if tag != StringOf(FLOAT):
-            raise CheckError(
-                None, None, GET_EQUALITY, f"key '{k}' holds {_tag_name(tag)}, not string<float>"
-            )
-        return xs, FLOAT_RESULT
-
-    if op == "lpush":
-        k = cmd.keys[0]
-        a = infer_expr(env, records, cmd.args[0])
-        if not typedict.or_nx(typedict.is_list, xs, k):
-            raise CheckError(
-                None,
-                None,
-                LIST_OR_NX,
-                f"key '{k}' holds {_tag_name(_found_tag(xs, k))}, not a list",
-            )
-        if strict:
-            look = typedict.dict_get(xs, k)
-            if isinstance(look, Found) and look.tag != ListOf(a):
-                raise CheckError(
-                    None,
-                    None,
-                    ELEMENT_MISMATCH,
-                    f"key '{k}' holds {_tag_name(look.tag)}; cannot push {_base_name(a)} elements in strict mode",
-                )
-        return typedict.dict_set(xs, k, ListOf(a)), INT_RESULT
-
-    if op == "llen":
-        k = cmd.keys[0]
-        if not typedict.or_nx(typedict.is_list, xs, k):
-            raise CheckError(
-                None,
-                None,
-                LIST_OR_NX,
-                f"key '{k}' holds {_tag_name(_found_tag(xs, k))}, not a list",
-            )
-        return xs, INT_RESULT
-
-    if op == "rpop":
-        k = cmd.keys[0]
-        tag = _found_tag(xs, k)
-        if not isinstance(tag, ListOf):
-            raise CheckError(
-                None, None, GET_EQUALITY, f"key '{k}' holds {_tag_name(tag)}, not a list"
-            )
-        return xs, MaybeResult(tag.base)
-
-    if op == "sadd":
-        k = cmd.keys[0]
-        a = infer_expr(env, records, cmd.args[0])
-        if not typedict.or_nx(typedict.is_set, xs, k):
-            raise CheckError(
-                None,
-                None,
-                SET_OR_NX,
-                f"key '{k}' holds {_tag_name(_found_tag(xs, k))}, not a set",
-            )
-        if strict:
-            look = typedict.dict_get(xs, k)
-            if isinstance(look, Found) and look.tag != SetOf(a):
-                raise CheckError(
-                    None,
-                    None,
-                    ELEMENT_MISMATCH,
-                    f"key '{k}' holds {_tag_name(look.tag)}; cannot add {_base_name(a)} elements in strict mode",
-                )
-        return typedict.dict_set(xs, k, SetOf(a)), INT_RESULT
-
-    if op == "sinter":
-        k1, k2 = cmd.keys
-        tags = []
-        for k in (k1, k2):
-            tag = _found_tag(xs, k)
-            if not isinstance(tag, SetOf):
-                raise CheckError(
-                    None, None, GET_EQUALITY, f"key '{k}' holds {_tag_name(tag)}, not a set"
-                )
-            tags.append(tag)
-        if tags[0].base != tags[1].base:
-            raise CheckError(
-                None,
-                None,
+        if tag != StringOf(a):
+            raise _fail(
                 GET_EQUALITY,
-                f"keys '{k1}' and '{k2}' hold {_tag_name(tags[0])} and {_tag_name(tags[1])}; "
-                "sinter needs equal element types",
+                f"key '{k}' is tracked as {tag_text(tag)}, but setnx may write a "
+                f"string<{base_text(a)}> if the key is unset",
             )
-        return xs, ListResult(tags[0].base)
-
-    if op == "hset":
-        k = cmd.keys[0]
-        a = infer_expr(env, records, cmd.args[0])
-        if not typedict.or_nx(typedict.is_hash, xs, k):
-            raise CheckError(
-                None,
-                None,
-                HASH_OR_NX,
-                f"key '{k}' holds {_tag_name(_found_tag(xs, k))}, not a hash",
-            )
-        assert cmd.field_name is not None
-        return typedict.hash_set(xs, k, cmd.field_name, StringOf(a)), BOOL_RESULT
+        return xs, BOOL_RESULT
 
     if op == "hget":
-        k = cmd.keys[0]
         assert cmd.field_name is not None
         look = typedict.hash_get(xs, k, cmd.field_name)
         if isinstance(look, Stuck):
-            raise CheckError(
-                None,
-                None,
-                GET_STUCK,
-                f"no hash field '{cmd.field_name}' is tracked under key '{k}'",
-            )
+            raise _fail(GET_STUCK, f"no hash field '{cmd.field_name}' is tracked under key '{k}'")
         assert isinstance(look, Found)
         if not isinstance(look.tag, StringOf):
-            raise CheckError(
-                None,
-                None,
+            raise _fail(
                 GET_EQUALITY,
-                f"field '{cmd.field_name}' of '{k}' holds {_tag_name(look.tag)}, not a string",
+                f"field '{cmd.field_name}' of '{k}' holds {tag_text(look.tag)}, not a string",
             )
         return xs, MaybeResult(look.tag.base)
 
-    raise CheckError(None, None, ARITY_MISMATCH, f"unknown command '{op}'")
+    if op not in _RULES:
+        raise _fail(ARITY_MISMATCH, f"unknown command '{op}'")
+    guard, write, result = _RULES[op]
+    if op == "incrbyfloat" and a != FLOAT:
+        raise _fail(ELEMENT_MISMATCH, f"incrbyfloat takes a float increment, got {base_text(a)}")
+    tags = [guard(xs, key) for key in cmd.keys] if guard else []
+    if op == "sinter" and tags[0].base != tags[1].base:
+        raise _fail(
+            GET_EQUALITY,
+            f"keys '{cmd.keys[0]}' and '{cmd.keys[1]}' hold {tag_text(tags[0])} and {tag_text(tags[1])}; "
+            "sinter needs equal element types",
+        )
+    if isinstance(result, type):
+        result = result(tags[0].base)
+
+    if write is not None:
+        verb = _STRICT_VERBS.get(write)
+        if strict and verb:
+            look = typedict.dict_get(xs, k)
+            if isinstance(look, Found) and look.tag != write(a):
+                raise _fail(
+                    ELEMENT_MISMATCH,
+                    f"key '{k}' holds {tag_text(look.tag)}; cannot {verb} {base_text(a)} elements in strict mode",
+                )
+        xs = typedict.dict_set(xs, k, write(a))
+    elif op == "del":
+        xs = typedict.dict_del(xs, k)
+    elif op == "hset":
+        assert cmd.field_name is not None
+        xs = typedict.hash_set(xs, k, cmd.field_name, StringOf(a))
+    return xs, result
 
 
 # ---- programs ---------------------------------------------------------------

@@ -17,15 +17,19 @@ from .backend import Backend, MemoryBackend, RespBackend, RunError, RunValue, ru
 from .checker import (
     CheckError,
     CheckOk,
+    MaybeResult,
+    StatusResult,
+    UnitResult,
     check_program,
     result_text,
+    undeclared_record,
 )
 from .codec import RecordValue
 from .fuzz import FuzzConfig, run_fuzz
-from .parser import ParseError, float_text, parse_program, parse_type_tag, print_program, tag_text, text_literal
+from .parser import ParseError, parse_program, parse_type_tag, print_program, scalar_text, tag_text
 from .resp import ProtocolError
 from .store import MemoryStore
-from .syntax import Program, RecordDecl, RecordRef
+from .syntax import Program, RecordDecl, record_table
 from .typedict import TypeDict
 
 EXIT_OK = 0
@@ -69,36 +73,29 @@ def _load_assumption(path: str | None, program: Program) -> TypeDict:
     raw = _read_file(path)
     try:
         entries = json.loads(raw)
-    except ValueError as err:
+    except (ValueError, RecursionError) as err:
         raise _Bail(EXIT_PARSE_ERROR, f"{path}: not valid JSON: {err}") from None
     if not isinstance(entries, list):
         raise _Bail(EXIT_PARSE_ERROR, f"{path}: expected a JSON array of key/tag objects")
-    known = {r.name for r in program.records}
+    records = record_table(program)
+    seen: dict[str, int] = {}
     out: TypeDict = []
     for i, entry in enumerate(entries):
         if not (isinstance(entry, dict) and isinstance(entry.get("key"), str) and isinstance(entry.get("tag"), str)):
             raise _Bail(EXIT_PARSE_ERROR, f"{path}: entry {i} must be {{\"key\": ..., \"tag\": ...}}")
+        key = entry["key"]
+        if key in seen:
+            raise _Bail(EXIT_PARSE_ERROR, f"{path}: entry {i}: key '{key}' is already assumed by entry {seen[key]}")
+        seen[key] = i
         try:
             tag = parse_type_tag(entry["tag"])
         except ParseError as err:
             raise _Bail(EXIT_PARSE_ERROR, f"{path}: entry {i}: {err}") from None
-        for name in _record_names(tag):
-            if name not in known:
-                raise _Bail(EXIT_PARSE_ERROR, f"{path}: entry {i}: unknown record '{name}'")
-        out.append((entry["key"], tag))
+        name = undeclared_record(tag, records)
+        if name:
+            raise _Bail(EXIT_PARSE_ERROR, f"{path}: entry {i}: unknown record '{name}'")
+        out.append((key, tag))
     return out
-
-
-def _record_names(tag) -> list[str]:
-    from .syntax import HashOf, ListOf, SetOf, StringOf
-
-    if isinstance(tag, (StringOf, ListOf, SetOf)):
-        return [tag.base.name] if isinstance(tag.base, RecordRef) else []
-    assert isinstance(tag, HashOf)
-    names: list[str] = []
-    for _, t in tag.fields:
-        names.extend(_record_names(t))
-    return names
 
 
 def _check_json(report: CheckOk | CheckError) -> dict[str, Any]:
@@ -121,27 +118,17 @@ def _check_json(report: CheckOk | CheckError) -> dict[str, Any]:
 def _value_text(value: Any, records: Mapping[str, RecordDecl]) -> str:
     if value is None:
         return "nil"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return float_text(value)
-    if isinstance(value, str):
-        return text_literal(value)
+    if isinstance(value, (bool, int, float, str)):
+        return scalar_text(value)
     if isinstance(value, RecordValue):
-        decl = records.get(value.name)
-        names = [n for n, _ in decl.fields] if decl else [f"_{i}" for i in range(len(value.values))]
+        names = [n for n, _ in records[value.name].fields]
         inner = ", ".join(f"{n}: {_value_text(v, records)}" for n, v in zip(names, value.values))
         return f"{value.name}{{{inner}}}"
-    if isinstance(value, list):
-        return "[" + ", ".join(_value_text(v, records) for v in value) + "]"
-    return str(value)
+    assert isinstance(value, list)
+    return "[" + ", ".join(_value_text(v, records) for v in value) + "]"
 
 
 def _outcome_text(outcome: RunValue, records: Mapping[str, RecordDecl]) -> str:
-    from .checker import MaybeResult, StatusResult, UnitResult
-
     rt = outcome.result
     if isinstance(rt, StatusResult):
         return str(outcome.value)
@@ -200,7 +187,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.dump_store and args.backend != "mem":
         raise _Bail(EXIT_PARSE_ERROR, "--dump-store needs the mem backend")
     backend, store = _open_backend(args)
-    records = {r.name: r for r in program.records}
+    records = record_table(program)
     try:
         outcome = run_program(program, report, backend)
     except (OSError, ProtocolError) as err:

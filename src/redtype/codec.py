@@ -63,18 +63,26 @@ def _record_decl(base: RecordRef, records: Mapping[str, RecordDecl] | None) -> R
     return records[base.name]
 
 
-def _json_scalar(value: Any, base: BaseType) -> Any:
-    # Field payloads go into the JSON object as-is; shape was validated
-    # at construction time, so this only guards against drift.
+def canonical_int(data: bytes) -> int | None:
+    """The int ``data`` spells as a strict signed decimal (no sign-plus,
+    no blanks, no leading zeros, never "-0"), or None."""
+    try:
+        s = data.decode("ascii")
+        n = int(s)
+    except (UnicodeDecodeError, ValueError):
+        return None
+    return n if str(n) == s else None
+
+
+def _is_payload(value: Any, base: BaseType) -> bool:
+    """Whether a record field value (as JSON holds it) has scalar type ``base``."""
     if base == INT:
-        assert isinstance(value, int) and not isinstance(value, bool)
-    elif base == FLOAT:
-        assert isinstance(value, float) and math.isfinite(value)
-    elif base == BOOL:
-        assert isinstance(value, bool)
-    else:
-        assert isinstance(value, str)
-    return value
+        return isinstance(value, int) and not isinstance(value, bool)
+    if base == FLOAT:
+        return isinstance(value, float) and math.isfinite(value)
+    if base == BOOL:
+        return isinstance(value, bool)
+    return isinstance(value, str)
 
 
 def encode(v: TypedValue, records: Mapping[str, RecordDecl] | None = None) -> bytes:
@@ -90,7 +98,10 @@ def encode(v: TypedValue, records: Mapping[str, RecordDecl] | None = None) -> by
     assert isinstance(base, RecordRef)
     decl = _record_decl(base, records)
     rec: RecordValue = v.value
-    obj = {name: _json_scalar(val, fbase) for (name, fbase), val in zip(decl.fields, rec.values)}
+    # Field payloads go into the JSON object as-is; shape was validated
+    # at construction time, so this only guards against drift.
+    assert all(_is_payload(val, fbase) for (_, fbase), val in zip(decl.fields, rec.values))
+    obj = {name: val for (name, _), val in zip(decl.fields, rec.values)}
     return json.dumps(obj, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
 
 
@@ -98,13 +109,9 @@ def decode(
     data: bytes, base: BaseType, records: Mapping[str, RecordDecl] | None = None
 ) -> TypedValue:
     if base == INT:
-        try:
-            s = data.decode("ascii")
-            n = int(s)
-        except (UnicodeDecodeError, ValueError):
-            raise DecodeError("int", data) from None
-        if str(n) != s:
-            raise DecodeError("int", data, "not canonical")
+        n = canonical_int(data)
+        if n is None:
+            raise DecodeError("int", data)
         return TypedValue(INT, n)
 
     if base == FLOAT:
@@ -142,15 +149,7 @@ def decode(
         raise DecodeError(decl.name, data, "field names or order mismatch")
     values: list[Any] = []
     for (fname, fbase), (_, raw) in zip(decl.fields, pairs):
-        if fbase == INT:
-            ok = isinstance(raw, int) and not isinstance(raw, bool)
-        elif fbase == FLOAT:
-            ok = isinstance(raw, float) and math.isfinite(raw)
-        elif fbase == BOOL:
-            ok = isinstance(raw, bool)
-        else:
-            ok = isinstance(raw, str)
-        if not ok:
+        if not _is_payload(raw, fbase):
             raise DecodeError(decl.name, data, f"field '{fname}' has the wrong type")
         values.append(raw)
     out = TypedValue(base, RecordValue(decl.name, tuple(values)))

@@ -184,6 +184,16 @@ class _Generator:
             if not dict_member(self.xs, k):
                 return k
 
+    def write(self, op: str, k: str, base: BaseType) -> Command:
+        return Command(op, keys=(k,), args=(self.value(base),))
+
+    def write_any(self, op: str, k: str) -> Command:
+        """``op k v`` with a value of a random base type."""
+        return self.write(op, k, self.any_base())
+
+    def hset_any(self, k: str) -> Command:
+        return Command("hset", keys=(k,), args=(self.value(self.any_base()),), field_name=self.rng.choice(_FIELDS))
+
     # ---- well-typed steps ----
 
     def good_candidates(self) -> list[Command]:
@@ -191,17 +201,16 @@ class _Generator:
         out: list[Command] = []
         out.append(Command("ping"))
 
-        k = rng.choice(_KEYS)
-        out.append(Command("set", keys=(k,), args=(self.value(self.any_base()),)))
+        out.append(self.write_any("set", rng.choice(_KEYS)))
 
         free = self.untracked_pool_key()
         if free is not None:
-            out.append(Command("setnx", keys=(free,), args=(self.value(self.any_base()),)))
+            out.append(self.write_any("setnx", free))
             out.append(Command("declare", keys=(free,), declared=self.random_tag()))
         strings = self.tracked(lambda t: isinstance(t, StringOf))
         if strings:
             k, tag = rng.choice(strings)
-            out.append(Command("setnx", keys=(k,), args=(self.value(tag.base),)))
+            out.append(self.write("setnx", k, tag.base))
             out.append(Command("get", keys=(k,)))
 
         out.append(Command("del", keys=(rng.choice(_KEYS),)))
@@ -211,28 +220,26 @@ class _Generator:
             out.append(Command("incr", keys=(rng.choice(counters)[0],)))
         floats = self.tracked(lambda t: t == StringOf(FLOAT))
         if floats:
-            out.append(
-                Command("incrbyfloat", keys=(rng.choice(floats)[0],), args=(self.value(FLOAT),))
-            )
+            out.append(self.write("incrbyfloat", rng.choice(floats)[0], FLOAT))
 
         lists = self.tracked(lambda t: isinstance(t, ListOf))
         if lists:
             k, tag = rng.choice(lists)
             elem = tag.base if self.strict or rng.random() < 0.7 else self.any_base()
-            out.append(Command("lpush", keys=(k,), args=(self.value(elem),)))
+            out.append(self.write("lpush", k, elem))
             out.append(Command("llen", keys=(k,)))
             out.append(Command("rpop", keys=(rng.choice(lists)[0],)))
         if free is not None:
-            out.append(Command("lpush", keys=(free,), args=(self.value(self.any_base()),)))
+            out.append(self.write_any("lpush", free))
             out.append(Command("llen", keys=(free,)))
 
         sets = self.tracked(lambda t: isinstance(t, SetOf))
         if sets:
             k, tag = rng.choice(sets)
             elem = tag.base if self.strict or rng.random() < 0.7 else self.any_base()
-            out.append(Command("sadd", keys=(k,), args=(self.value(elem),)))
+            out.append(self.write("sadd", k, elem))
         if free is not None:
-            out.append(Command("sadd", keys=(free,), args=(self.value(self.any_base()),)))
+            out.append(self.write_any("sadd", free))
         by_base: dict[str, list[str]] = {}
         for k, tag in sets:
             by_base.setdefault(repr(tag.base), []).append(k)
@@ -244,26 +251,12 @@ class _Generator:
         hashes = self.tracked(lambda t: isinstance(t, HashOf))
         if hashes:
             k, tag = rng.choice(hashes)
-            out.append(
-                Command(
-                    "hset",
-                    keys=(k,),
-                    args=(self.value(self.any_base()),),
-                    field_name=rng.choice(_FIELDS),
-                )
-            )
+            out.append(self.hset_any(k))
             if tag.fields:
                 fname, _ = rng.choice(tag.fields)
                 out.append(Command("hget", keys=(k,), field_name=fname))
         if free is not None:
-            out.append(
-                Command(
-                    "hset",
-                    keys=(free,),
-                    args=(self.value(self.any_base()),),
-                    field_name=rng.choice(_FIELDS),
-                )
-            )
+            out.append(self.hset_any(free))
         return out
 
     # ---- deliberately ill-typed steps ----
@@ -290,11 +283,11 @@ class _Generator:
             if not isinstance(tag, StringOf) or tag.base != INT:
                 out.append(Command("incr", keys=(k,)))
             if not isinstance(tag, ListOf):
-                out.append(Command("lpush", keys=(k,), args=(self.value(self.any_base()),)))
+                out.append(self.write_any("lpush", k))
                 out.append(Command("llen", keys=(k,)))
                 out.append(Command("rpop", keys=(k,)))
             if not isinstance(tag, SetOf):
-                out.append(Command("sadd", keys=(k,), args=(self.value(self.any_base()),)))
+                out.append(self.write_any("sadd", k))
                 out.append(Command("sinter", keys=(k, k)))
             if not isinstance(tag, HashOf):
                 out.append(
@@ -303,7 +296,7 @@ class _Generator:
                 out.append(Command("hget", keys=(k,), field_name=rng.choice(_FIELDS)))
             if not isinstance(tag, StringOf):
                 out.append(Command("get", keys=(k,)))
-                out.append(Command("setnx", keys=(k,), args=(self.value(self.any_base()),)))
+                out.append(self.write_any("setnx", k))
 
         hashes = self.tracked(lambda t: isinstance(t, HashOf))
         if hashes:

@@ -10,9 +10,11 @@ parses back to a structurally equal tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 from .syntax import (
     BOOL,
+    COMMAND_SHAPES,
     FLOAT,
     INT,
     OPCODES,
@@ -37,8 +39,11 @@ from .syntax import (
     Var,
 )
 
+_T = TypeVar("_T")
+
 _BASE_KEYWORDS = {"int": INT, "float": FLOAT, "bool": BOOL, "text": TEXT}
-_TAG_KEYWORDS = {"string", "list", "set", "hash"}
+_CONTAINER_KEYWORDS = {"string": StringOf, "list": ListOf, "set": SetOf}
+_TAG_KEYWORDS = {*_CONTAINER_KEYWORDS, "hash"}
 
 RESERVED = frozenset(OPCODES) | _TAG_KEYWORDS | set(_BASE_KEYWORDS) | {
     "program",
@@ -46,6 +51,13 @@ RESERVED = frozenset(OPCODES) | _TAG_KEYWORDS | set(_BASE_KEYWORDS) | {
     "true",
     "false",
 }
+
+
+# Deepest nesting of record literals or hash tags the parser descends
+# into.  Records are flat and hash fields hold strings, so any nesting is
+# ill-typed already; the bound keeps hostile input from exhausting the
+# stack.
+MAX_NESTING = 64
 
 
 class ParseError(Exception):
@@ -237,6 +249,11 @@ class _Parser:
     def ident(self, expected: str) -> _Token:
         return self.expect("IDENT", expected)
 
+    def deeper(self, tok: _Token, depth: int) -> int:
+        if depth >= MAX_NESTING:
+            raise ParseError(tok.line, tok.col, f"at most {MAX_NESTING} levels of nesting", "deeper nesting")
+        return depth + 1
+
     def fresh_name(self, role: str) -> _Token:
         t = self.ident(f"{role} name")
         if t.text in RESERVED:
@@ -270,22 +287,24 @@ class _Parser:
             raise ParseError(name.line, name.col, "a new record name", f"duplicate record '{name.text}'")
         seen_records.add(name.text)
         self.expect("LBRACE", "'{'")
-        fields: list[tuple[str, BaseType]] = []
+        fields = self.fields("field name", "a new field name", lambda: self.base_type(allow_record=False))
+        self.expect("RBRACE", "'}'")
+        return RecordDecl(name.text, fields)
+
+    def fields(self, role: str, fresh: str, value: Callable[[], _T]) -> tuple[tuple[str, _T], ...]:
+        """Comma-separated ``name: value`` pairs with distinct names."""
+        out: list[tuple[str, _T]] = []
         seen: set[str] = set()
         while True:
-            fname = self.ident("field name")
+            fname = self.ident(role)
             if fname.text in seen:
-                raise ParseError(fname.line, fname.col, "a new field name", f"duplicate field '{fname.text}'")
+                raise ParseError(fname.line, fname.col, fresh, f"duplicate field '{fname.text}'")
             seen.add(fname.text)
             self.expect("COLON", "':'")
-            base = self.base_type(allow_record=False)
-            fields.append((fname.text, base))
-            if self.peek().kind == "COMMA":
-                self.advance()
-                continue
-            break
-        self.expect("RBRACE", "'}'")
-        return RecordDecl(name.text, tuple(fields))
+            out.append((fname.text, value()))
+            if self.peek().kind != "COMMA":
+                return tuple(out)
+            self.advance()
 
     def base_type(self, allow_record: bool) -> BaseType:
         t = self.ident("a base type")
@@ -297,37 +316,27 @@ class _Parser:
             raise ParseError(t.line, t.col, "a base type", f"reserved word '{t.text}'")
         return RecordRef(t.text)
 
-    def type_tag(self) -> TypeTag:
+    def type_tag(self, depth: int = 0) -> TypeTag:
         t = self.ident("a type tag (string, list, set, hash)")
-        if t.text in ("string", "list", "set"):
+        if t.text in _CONTAINER_KEYWORDS:
             self.expect("LT", "'<'")
             base = self.base_type(allow_record=True)
             self.expect("GT", "'>'")
-            return {"string": StringOf, "list": ListOf, "set": SetOf}[t.text](base)
+            return _CONTAINER_KEYWORDS[t.text](base)
         if t.text == "hash":
+            inner = self.deeper(t, depth)
             self.expect("LT", "'<'")
-            fields: list[tuple[str, TypeTag]] = []
-            seen: set[str] = set()
-            while True:
-                fname = self.ident("hash field name")
-                if fname.text in seen:
-                    raise ParseError(fname.line, fname.col, "a new hash field", f"duplicate field '{fname.text}'")
-                seen.add(fname.text)
-                self.expect("COLON", "':'")
-                ftag_tok = self.peek()
-                ftag = self.type_tag()
-                if not isinstance(ftag, StringOf):
-                    raise ParseError(
-                        ftag_tok.line, ftag_tok.col, "a string<...> field tag", tag_text(ftag)
-                    )
-                fields.append((fname.text, ftag))
-                if self.peek().kind == "COMMA":
-                    self.advance()
-                    continue
-                break
+            fields = self.fields("hash field name", "a new hash field", lambda: self.field_tag(inner))
             self.expect("GT", "'>'")
-            return HashOf(tuple(fields))
+            return HashOf(fields)
         raise ParseError(t.line, t.col, "a type tag (string, list, set, hash)", f"'{t.text}'")
+
+    def field_tag(self, depth: int) -> StringOf:
+        tok = self.peek()
+        tag = self.type_tag(depth)
+        if not isinstance(tag, StringOf):
+            raise ParseError(tok.line, tok.col, "a string<...> field tag", tag_text(tag))
+        return tag
 
     def statement(self, binders: set[str]) -> Command:
         t = self.peek()
@@ -348,37 +357,18 @@ class _Parser:
         return self.command(op_tok, binder)
 
     def command(self, op_tok: _Token, binder: str | None) -> Command:
-        op = op_tok.text
-        span = Span(op_tok.line, op_tok.col)
-        if op == "ping":
-            return Command("ping", binder=binder, span=span)
-        if op == "declare":
-            key = self.ident("a key")
+        n_keys, has_field, n_values, takes_tag = COMMAND_SHAPES[op_tok.text]
+        keys = tuple(self.ident("a key").text for _ in range(n_keys))
+        field_name = self.ident("a hash field").text if has_field else None
+        args = tuple(self.expr() for _ in range(n_values))
+        declared = None
+        if takes_tag:
             self.expect("COLON", "':'")
-            tag = self.type_tag()
-            return Command("declare", keys=(key.text,), declared=tag, binder=binder, span=span)
-        if op == "sinter":
-            k1 = self.ident("a key")
-            k2 = self.ident("a key")
-            return Command("sinter", keys=(k1.text, k2.text), binder=binder, span=span)
-        if op in ("hset", "hget"):
-            key = self.ident("a key")
-            fld = self.ident("a hash field")
-            if op == "hset":
-                value = self.expr()
-                return Command(
-                    "hset", keys=(key.text,), args=(value,), field_name=fld.text, binder=binder, span=span
-                )
-            return Command("hget", keys=(key.text,), field_name=fld.text, binder=binder, span=span)
-        if op in ("set", "setnx", "lpush", "sadd", "incrbyfloat"):
-            key = self.ident("a key")
-            value = self.expr()
-            return Command(op, keys=(key.text,), args=(value,), binder=binder, span=span)
-        # get / del / incr / llen / rpop
-        key = self.ident("a key")
-        return Command(op, keys=(key.text,), binder=binder, span=span)
+            declared = self.type_tag()
+        span = Span(op_tok.line, op_tok.col)
+        return Command(op_tok.text, keys, args, field_name, declared, binder, span)
 
-    def expr(self) -> Expr:
+    def expr(self, depth: int = 0) -> Expr:
         t = self.peek()
         if t.kind == "INT":
             self.advance()
@@ -399,11 +389,12 @@ class _Parser:
             if t.text == "false":
                 return BoolLit(False)
             if self.peek().kind == "LBRACE":
+                inner = self.deeper(t, depth)
                 self.advance()
-                args = [self.expr()]
+                args = [self.expr(inner)]
                 while self.peek().kind == "COMMA":
                     self.advance()
-                    args.append(self.expr())
+                    args.append(self.expr(inner))
                 self.expect("RBRACE", "'}'")
                 return RecordLit(t.text, tuple(args))
             return Var(t.text)
@@ -428,29 +419,19 @@ def parse_type_tag(text: str) -> TypeTag:
 # pretty printing
 
 
+_BASE_NAMES = {b: name for name, b in _BASE_KEYWORDS.items()}
+_CONTAINER_NAMES = {cls: name for name, cls in _CONTAINER_KEYWORDS.items()}
+
+
 def base_text(b: BaseType) -> str:
-    if b == INT:
-        return "int"
-    if b == FLOAT:
-        return "float"
-    if b == BOOL:
-        return "bool"
-    if b == TEXT:
-        return "text"
-    assert isinstance(b, RecordRef)
-    return b.name
+    return b.name if isinstance(b, RecordRef) else _BASE_NAMES[b]
 
 
 def tag_text(tag: TypeTag) -> str:
-    if isinstance(tag, StringOf):
-        return f"string<{base_text(tag.base)}>"
-    if isinstance(tag, ListOf):
-        return f"list<{base_text(tag.base)}>"
-    if isinstance(tag, SetOf):
-        return f"set<{base_text(tag.base)}>"
-    assert isinstance(tag, HashOf)
-    inner = ", ".join(f"{name}: {tag_text(t)}" for name, t in tag.fields)
-    return f"hash<{inner}>"
+    if isinstance(tag, HashOf):
+        inner = ", ".join(f"{name}: {tag_text(t)}" for name, t in tag.fields)
+        return f"hash<{inner}>"
+    return f"{_CONTAINER_NAMES[type(tag)]}<{base_text(tag.base)}>"
 
 
 def float_text(value: float) -> str:
@@ -466,32 +447,27 @@ def float_text(value: float) -> str:
     return s
 
 
+_ESCAPED = {c: "\\" + esc for esc, c in _ESCAPES.items()}
+
+
 def text_literal(value: str) -> str:
-    out = ['"']
-    for c in value:
-        if c == "\\":
-            out.append("\\\\")
-        elif c == '"':
-            out.append('\\"')
-        elif c == "\n":
-            out.append("\\n")
-        elif c == "\t":
-            out.append("\\t")
-        else:
-            out.append(c)
-    out.append('"')
-    return "".join(out)
+    return '"' + "".join(_ESCAPED.get(c, c) for c in value) + '"'
+
+
+def scalar_text(value: bool | int | float | str) -> str:
+    """Literal spelling of a scalar payload."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return float_text(value)
+    return text_literal(value)
 
 
 def expr_text(e: Expr) -> str:
-    if isinstance(e, IntLit):
-        return str(e.value)
-    if isinstance(e, FloatLit):
-        return float_text(e.value)
-    if isinstance(e, BoolLit):
-        return "true" if e.value else "false"
-    if isinstance(e, TextLit):
-        return text_literal(e.value)
+    if isinstance(e, (IntLit, FloatLit, BoolLit, TextLit)):
+        return scalar_text(e.value)
     if isinstance(e, Var):
         return e.name
     assert isinstance(e, RecordLit)
@@ -499,20 +475,15 @@ def expr_text(e: Expr) -> str:
 
 
 def command_text(c: Command) -> str:
+    n_keys, has_field, n_values, takes_tag = COMMAND_SHAPES[c.opcode]
+    words = [c.opcode, *c.keys[:n_keys]]
+    if has_field:
+        words.append(c.field_name)
+    words.extend(expr_text(a) for a in c.args[:n_values])
+    if takes_tag:
+        words += [":", tag_text(c.declared)]
     head = f"{c.binder} <- " if c.binder else ""
-    if c.opcode == "ping":
-        return head + "ping"
-    if c.opcode == "declare":
-        return head + f"declare {c.keys[0]} : {tag_text(c.declared)}"
-    if c.opcode == "sinter":
-        return head + f"sinter {c.keys[0]} {c.keys[1]}"
-    if c.opcode == "hset":
-        return head + f"hset {c.keys[0]} {c.field_name} {expr_text(c.args[0])}"
-    if c.opcode == "hget":
-        return head + f"hget {c.keys[0]} {c.field_name}"
-    if c.args:
-        return head + f"{c.opcode} {c.keys[0]} {expr_text(c.args[0])}"
-    return head + f"{c.opcode} {c.keys[0]}"
+    return head + " ".join(words)
 
 
 def print_program(p: Program) -> str:

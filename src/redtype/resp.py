@@ -15,6 +15,11 @@ from .store import BulkReply, ErrReply, IntReply, MultiBulk, Reply, SimpleStatus
 
 CRLF = b"\r\n"
 
+# Largest bulk string accepted, as Redis's proto-max-bulk-len default.
+MAX_BULK_LEN = 512 * 1024 * 1024
+# Largest array accepted, as hiredis's default reader limit.
+MAX_ARRAY_LEN = 2**32 - 1
+
 
 class ProtocolError(Exception):
     """Malformed or unsupported wire data; the connection is unusable."""
@@ -46,12 +51,8 @@ def encode_reply(reply: Reply) -> bytes:
             return b"$-1\r\n"
         return b"$%d\r\n" % len(reply.data) + reply.data + CRLF
     assert isinstance(reply, MultiBulk)
-    out = bytearray(b"*%d\r\n" % len(reply.items))
-    for item in reply.items:
-        out += b"$%d\r\n" % len(item)
-        out += item
-        out += CRLF
-    return bytes(out)
+    # An array of bulk strings is framed exactly as a command is.
+    return encode_command(reply.items)
 
 
 class ReplyDecoder:
@@ -98,6 +99,8 @@ class ReplyDecoder:
                 return BulkReply(None), after
             if n < 0:
                 raise ProtocolError(f"negative bulk length {n}")
+            if n > MAX_BULK_LEN:
+                raise ProtocolError(f"bulk length {n} exceeds {MAX_BULK_LEN}")
             end = after + n
             if end + 2 > len(self._buf):
                 raise _NeedMore
@@ -108,11 +111,16 @@ class ReplyDecoder:
             n = self._int(line)
             if n < 0:
                 raise ProtocolError(f"unsupported array length {n}")
+            if n > MAX_ARRAY_LEN:
+                raise ProtocolError(f"array length {n} exceeds {MAX_ARRAY_LEN}")
             items: list[bytes] = []
             cursor = after
             for _ in range(n):
+                # Checked before descending, so nested arrays cannot recurse.
+                if self._buf[cursor : cursor + 1] not in (b"$", b""):
+                    raise ProtocolError("array element is not a bulk string")
                 element, cursor = self._parse(cursor)
-                if not isinstance(element, BulkReply) or element.data is None:
+                if element.data is None:
                     raise ProtocolError("array element is not a bulk string")
                 items.append(element.data)
             return MultiBulk(tuple(items)), cursor

@@ -18,6 +18,9 @@ import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from .codec import canonical_int
+from .syntax import COMMAND_SHAPES
+
 WRONGTYPE_MSG = "WRONGTYPE Operation against a key holding the wrong kind of value"
 NOT_INT_MSG = "ERR value is not an integer or out of range"
 NOT_FLOAT_MSG = "ERR value is not a valid float"
@@ -87,16 +90,6 @@ OK = SimpleStatus("OK")
 PONG = SimpleStatus("PONG")
 
 
-def _parse_stored_int(raw: bytes) -> int | None:
-    """Strict signed decimal: no sign-plus, no blanks, no leading zeros."""
-    try:
-        s = raw.decode("ascii")
-        n = int(s)
-    except (UnicodeDecodeError, ValueError):
-        return None
-    return n if str(n) == s else None
-
-
 _FLOAT_RE = re.compile(rb"\A[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?\Z")
 
 
@@ -106,12 +99,20 @@ def _parse_stored_float(raw: bytes) -> float | None:
     return float(raw)
 
 
-def _format_float(value: float) -> bytes:
-    return repr(value).encode("ascii")
-
-
 def _key(argv: Sequence[bytes], i: int) -> str:
     return argv[i].decode("latin-1")
+
+
+class _WrongType(Exception):
+    """A command met a key holding the wrong kind of value."""
+
+
+def _holding(state: State, k: str, kind: type) -> StoreValue | None:
+    """The value at ``k`` if it is of ``kind``, None if ``k`` is absent."""
+    v = state.get(k)
+    if v is not None and not isinstance(v, kind):
+        raise _WrongType
+    return v
 
 
 def exec_command(state: Mapping[str, StoreValue], argv: Sequence[bytes]) -> tuple[State, Reply]:
@@ -129,178 +130,114 @@ def exec_command(state: Mapping[str, StoreValue], argv: Sequence[bytes]) -> tupl
         return new, ErrReply(f"ERR unknown command '{argv[0].decode('latin-1')}'")
     if len(argv) != arity:
         return new, ErrReply(f"ERR wrong number of arguments for '{name.lower()}' command")
+    try:
+        return new, _apply(new, name, argv)
+    except _WrongType:
+        return new, ErrReply(WRONGTYPE_MSG)
 
+
+def _apply(state: State, name: str, argv: Sequence[bytes]) -> Reply:
+    """Run one arity-checked command, updating ``state`` in place.
+
+    Raises _WrongType before any update.
+    """
     if name == "PING":
-        return new, PONG
+        return PONG
+    k = _key(argv, 1)
 
     if name == "SET":
-        new[_key(argv, 1)] = Str(bytes(argv[2]))
-        return new, OK
+        state[k] = Str(bytes(argv[2]))
+        return OK
 
     if name == "SETNX":
-        k = _key(argv, 1)
-        if k in new:
-            return new, IntReply(0)
-        new[k] = Str(bytes(argv[2]))
-        return new, IntReply(1)
+        if k in state:
+            return IntReply(0)
+        state[k] = Str(bytes(argv[2]))
+        return IntReply(1)
 
     if name == "GET":
-        v = new.get(_key(argv, 1))
-        if v is None:
-            return new, BulkReply(None)
-        if isinstance(v, Str):
-            return new, BulkReply(v.data)
-        return new, ErrReply(WRONGTYPE_MSG)
+        v = _holding(state, k, Str)
+        return BulkReply(None if v is None else v.data)
 
     if name == "DEL":
-        k = _key(argv, 1)
-        if k in new:
-            del new[k]
-            return new, IntReply(1)
-        return new, IntReply(0)
+        return IntReply(0 if state.pop(k, None) is None else 1)
 
     if name == "INCR":
-        k = _key(argv, 1)
-        v = new.get(k)
-        if v is None:
-            raw = b"0"
-        elif isinstance(v, Str):
-            raw = v.data
-        else:
-            return new, ErrReply(WRONGTYPE_MSG)
-        n = _parse_stored_int(raw)
+        v = _holding(state, k, Str)
+        n = canonical_int(b"0" if v is None else v.data)
         if n is None:
-            return new, ErrReply(NOT_INT_MSG)
-        new[k] = Str(str(n + 1).encode("ascii"))
-        return new, IntReply(n + 1)
+            return ErrReply(NOT_INT_MSG)
+        state[k] = Str(str(n + 1).encode("ascii"))
+        return IntReply(n + 1)
 
     if name == "INCRBYFLOAT":
-        k = _key(argv, 1)
         d = _parse_stored_float(argv[2])
         if d is None:
-            return new, ErrReply(NOT_FLOAT_MSG)
-        v = new.get(k)
-        if v is None:
-            raw = b"0"
-        elif isinstance(v, Str):
-            raw = v.data
-        else:
-            return new, ErrReply(WRONGTYPE_MSG)
-        old = _parse_stored_float(raw)
+            return ErrReply(NOT_FLOAT_MSG)
+        v = _holding(state, k, Str)
+        old = _parse_stored_float(b"0" if v is None else v.data)
         if old is None:
-            return new, ErrReply(NOT_FLOAT_MSG)
+            return ErrReply(NOT_FLOAT_MSG)
         result = old + d
         if not math.isfinite(result):
-            return new, ErrReply(NONFINITE_MSG)
-        encoded = _format_float(result)
-        new[k] = Str(encoded)
-        return new, BulkReply(encoded)
+            return ErrReply(NONFINITE_MSG)
+        encoded = repr(result).encode("ascii")
+        state[k] = Str(encoded)
+        return BulkReply(encoded)
 
     if name == "LPUSH":
-        k = _key(argv, 1)
-        v = new.get(k)
-        if v is None:
-            items = (bytes(argv[2]),)
-        elif isinstance(v, ListV):
-            items = (bytes(argv[2]),) + v.items
-        else:
-            return new, ErrReply(WRONGTYPE_MSG)
-        new[k] = ListV(items)
-        return new, IntReply(len(items))
+        v = _holding(state, k, ListV)
+        items = (bytes(argv[2]),) + (() if v is None else v.items)
+        state[k] = ListV(items)
+        return IntReply(len(items))
 
     if name == "LLEN":
-        v = new.get(_key(argv, 1))
-        if v is None:
-            return new, IntReply(0)
-        if isinstance(v, ListV):
-            return new, IntReply(len(v.items))
-        return new, ErrReply(WRONGTYPE_MSG)
+        v = _holding(state, k, ListV)
+        return IntReply(0 if v is None else len(v.items))
 
     if name == "RPOP":
-        k = _key(argv, 1)
-        v = new.get(k)
+        v = _holding(state, k, ListV)
         if v is None:
-            return new, BulkReply(None)
-        if not isinstance(v, ListV):
-            return new, ErrReply(WRONGTYPE_MSG)
-        popped = v.items[-1]
-        rest = v.items[:-1]
-        if rest:
-            new[k] = ListV(rest)
+            return BulkReply(None)
+        if len(v.items) > 1:
+            state[k] = ListV(v.items[:-1])
         else:
-            del new[k]
-        return new, BulkReply(popped)
+            del state[k]
+        return BulkReply(v.items[-1])
 
     if name == "SADD":
-        k = _key(argv, 1)
         member = bytes(argv[2])
-        v = new.get(k)
-        if v is None:
-            new[k] = SetV(frozenset((member,)))
-            return new, IntReply(1)
-        if not isinstance(v, SetV):
-            return new, ErrReply(WRONGTYPE_MSG)
-        if member in v.members:
-            return new, IntReply(0)
-        new[k] = SetV(v.members | {member})
-        return new, IntReply(1)
+        v = _holding(state, k, SetV)
+        if v is not None and member in v.members:
+            return IntReply(0)
+        state[k] = SetV(frozenset((member,)) if v is None else v.members | {member})
+        return IntReply(1)
 
     if name == "SINTER":
-        sets: list[frozenset[bytes]] = []
-        for i in (1, 2):
-            v = new.get(_key(argv, i))
-            if v is None:
-                sets.append(frozenset())
-            elif isinstance(v, SetV):
-                sets.append(v.members)
-            else:
-                return new, ErrReply(WRONGTYPE_MSG)
-        return new, MultiBulk(tuple(sorted(sets[0] & sets[1])))
+        a, b = (_holding(state, _key(argv, i), SetV) for i in (1, 2))
+        common = frozenset() if a is None or b is None else a.members & b.members
+        return MultiBulk(tuple(sorted(common)))
 
     if name == "HSET":
-        k = _key(argv, 1)
+        v = _holding(state, k, HashV)
+        fields = {} if v is None else dict(v.fields)
         f = argv[2].decode("latin-1")
-        value = bytes(argv[3])
-        v = new.get(k)
-        if v is None:
-            new[k] = HashV(((f, value),))
-            return new, IntReply(1)
-        if not isinstance(v, HashV):
-            return new, ErrReply(WRONGTYPE_MSG)
-        fields = dict(v.fields)
         created = f not in fields
-        fields[f] = value
-        new[k] = HashV(tuple(fields.items()))
-        return new, IntReply(1 if created else 0)
+        fields[f] = bytes(argv[3])
+        state[k] = HashV(tuple(fields.items()))
+        return IntReply(1 if created else 0)
 
     assert name == "HGET"
-    v = new.get(_key(argv, 1))
-    if v is None:
-        return new, BulkReply(None)
-    if not isinstance(v, HashV):
-        return new, ErrReply(WRONGTYPE_MSG)
-    f = argv[2].decode("latin-1")
-    for fname, data in v.fields:
-        if fname == f:
-            return new, BulkReply(data)
-    return new, BulkReply(None)
+    v = _holding(state, k, HashV)
+    return BulkReply(None if v is None else dict(v.fields).get(argv[2].decode("latin-1")))
 
 
+# Wire name -> argument count including the name, for every command that
+# reaches the wire (those that take a type tag are static).
 _ARITIES = {
-    "PING": 1,
-    "SET": 3,
-    "SETNX": 3,
-    "GET": 2,
-    "DEL": 2,
-    "INCR": 2,
-    "INCRBYFLOAT": 3,
-    "LPUSH": 3,
-    "LLEN": 2,
-    "RPOP": 2,
-    "SADD": 3,
-    "SINTER": 3,
-    "HSET": 4,
-    "HGET": 3,
+    op.upper(): 1 + n_keys + has_field + n_values
+    for op, (n_keys, has_field, n_values, takes_tag) in COMMAND_SHAPES.items()
+    if not takes_tag
 }
 
 

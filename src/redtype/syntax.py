@@ -163,8 +163,9 @@ class Span:
 
 
 # opcode -> (number of key arguments, has hash field, number of value
-# arguments, takes a type tag).  Single source of truth for arity; the
-# parser, checker, executor, and fuzzer all read this table.
+# arguments, takes a type tag), in the order the arguments are written.
+# The one statement of each command's layout: parser, printer, the
+# store's arity check and the backend's wire names all derive from it.
 COMMAND_SHAPES: dict[str, tuple[int, bool, int, bool]] = {
     "ping": (0, False, 0, False),
     "set": (1, False, 1, False),

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import socket
+import threading
 
 import pytest
 
@@ -260,3 +262,57 @@ def test_fuzz_deterministic_output(capsys):
     first = capsys.readouterr().out
     main(["fuzz", "--iterations", "150", "--seed", "9"])
     assert capsys.readouterr().out == first
+
+
+# ---------------------------------------------------------------------------
+# hostile input maps to documented exit codes
+
+
+def test_assume_rejects_duplicate_keys(tmp_path, capsys):
+    program = write(tmp_path, "p.rt", "program { del k }")
+    entries = [{"key": "k", "tag": "string<int>"}, {"key": "k", "tag": "list<int>"}]
+    assume = write(tmp_path, "dup.json", json.dumps(entries))
+    assert main(["check", "--assume", assume, program]) == 2
+    err = capsys.readouterr().err
+    assert "entry 1" in err and "'k'" in err
+
+
+def test_assume_deeply_nested_json_is_exit_2(tmp_path, capsys):
+    program = write(tmp_path, "p.rt", "program { ping }")
+    assume = write(tmp_path, "deep.json", "[" * 100_000 + "]" * 100_000)
+    assert main(["check", "--assume", assume, program]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_deeply_nested_record_literal_is_exit_2(tmp_path, capsys):
+    f = write(tmp_path, "deep.rt", "program { set k " + "R{" * 2000 + "1" + "}" * 2000 + " }")
+    assert main(["check", f]) == 2
+    assert "nesting" in capsys.readouterr().err
+
+
+def test_shallow_record_nesting_is_still_a_type_error(tmp_path, capsys):
+    source = 'record Message { body: text, id: int }\nprogram { set k Message{Message{"a", 1}, 2} }'
+    f = write(tmp_path, "nested.rt", source)
+    assert main(["check", "--json", f]) == 1
+    assert json.loads(capsys.readouterr().out)["constraint"] == "ElementTypeMismatch"
+
+
+def test_run_malformed_server_reply_exit_5(tmp_path, capsys):
+    listener = socket.create_server(("127.0.0.1", 0))
+    port = listener.getsockname()[1]
+
+    def serve() -> None:
+        conn, _ = listener.accept()
+        with conn:
+            conn.recv(4096)
+            conn.sendall(b"*1\r\n" * 5000)
+
+    server = threading.Thread(target=serve, daemon=True)
+    server.start()
+    f = write(tmp_path, "p.rt", "program { ping }")
+    try:
+        assert main(["run", "--backend", "resp", "--addr", f"127.0.0.1:{port}", f]) == 5
+    finally:
+        server.join(timeout=5)
+        listener.close()
+    assert "not a bulk string" in capsys.readouterr().err

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from redtype.fuzz import generate_program
 from redtype.parser import (
+    MAX_NESTING,
     ParseError,
     float_text,
     parse_program,
@@ -294,3 +295,27 @@ def test_parser_never_panics_on_binary_soup(data):
         parse_program(data.decode("latin-1"))
     except ParseError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# nesting bound
+
+
+def test_deeply_nested_record_literal_is_a_located_parse_error():
+    source = "program {\n  set k " + "R{" * 2000 + "1" + "}" * 2000 + "\n}\n"
+    with pytest.raises(ParseError) as exc:
+        parse_program(source)
+    assert (exc.value.line, exc.value.column) == (2, 9 + 2 * MAX_NESTING)
+    assert "nesting" in str(exc.value)
+
+
+def test_deeply_nested_hash_tag_is_a_parse_error():
+    text = "hash<f: " * 2000 + "string<int>" + ">" * 2000
+    with pytest.raises(ParseError, match="nesting"):
+        parse_type_tag(text)
+
+
+def test_nesting_up_to_the_bound_still_parses():
+    inner = "R{" * MAX_NESTING + "1" + "}" * MAX_NESTING
+    program = parse_program("program {\n  set k " + inner + "\n}\n")
+    assert len(program.body) == 1

@@ -5,7 +5,14 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from redtype.resp import ProtocolError, ReplyDecoder, encode_command, encode_reply
+from redtype.resp import (
+    MAX_ARRAY_LEN,
+    MAX_BULK_LEN,
+    ProtocolError,
+    ReplyDecoder,
+    encode_command,
+    encode_reply,
+)
 from redtype.store import (
     BulkReply,
     ErrReply,
@@ -160,3 +167,34 @@ def test_round_trip_replies_with_random_segmentation(replies, rng):
             out.append(r)
     assert out == replies
     assert d.pending == 0
+
+
+# ---------------------------------------------------------------------------
+# bounded decoding of hostile replies
+
+
+def test_nested_arrays_are_rejected_without_recursing():
+    d = ReplyDecoder()
+    d.feed(b"*1\r\n" * 5000)
+    with pytest.raises(ProtocolError, match="not a bulk string"):
+        d.poll()
+
+
+def test_bulk_length_is_capped_at_proto_max_bulk_len():
+    d = ReplyDecoder()
+    d.feed(b"$%d\r\n" % MAX_BULK_LEN)
+    assert d.poll() is None  # at the cap: waits for the payload
+    d = ReplyDecoder()
+    d.feed(b"$%d\r\n" % (MAX_BULK_LEN + 1))
+    with pytest.raises(ProtocolError, match="exceeds"):
+        d.poll()
+
+
+def test_array_length_is_capped():
+    d = ReplyDecoder()
+    d.feed(b"*%d\r\n" % MAX_ARRAY_LEN)
+    assert d.poll() is None
+    d = ReplyDecoder()
+    d.feed(b"*%d\r\n" % (MAX_ARRAY_LEN + 1))
+    with pytest.raises(ProtocolError, match="exceeds"):
+        d.poll()
