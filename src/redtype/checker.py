@@ -212,16 +212,17 @@ def result_text(rt: ResultType) -> str:
 
 
 def undeclared_record(tag: TypeTag, records: Container[str]) -> str | None:
-    """Name of the first record ``tag`` refers to that is not in ``records``."""
-    if isinstance(tag, HashOf):
-        for _, ftag in tag.fields:
-            bad = undeclared_record(ftag, records)
-            if bad:
-                return bad
+    """Name of the first undeclared record referenced by ``tag``, if any."""
+    if isinstance(tag, (StringOf, ListOf, SetOf)):
+        base = tag.base
+        if isinstance(base, RecordRef) and base.name not in records:
+            return base.name
         return None
-    base = tag.base
-    if isinstance(base, RecordRef) and base.name not in records:
-        return base.name
+    assert isinstance(tag, HashOf)
+    for _, ftag in tag.fields:
+        bad = undeclared_record(ftag, records)
+        if bad:
+            return bad
     return None
 
 

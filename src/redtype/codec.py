@@ -64,8 +64,7 @@ def _record_decl(base: RecordRef, records: Mapping[str, RecordDecl] | None) -> R
 
 
 def canonical_int(data: bytes) -> int | None:
-    """The int ``data`` spells as a strict signed decimal (no sign-plus,
-    no blanks, no leading zeros, never "-0"), or None."""
+    """The int ``data`` spells in the canonical form above (which INCR also uses), else None."""
     try:
         s = data.decode("ascii")
         n = int(s)
