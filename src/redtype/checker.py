@@ -258,7 +258,7 @@ def _found_tag(xs: TypeDict, k: str) -> TypeTag:
 
 
 # A precondition on one key: raises CheckError, or returns the key's tag
-# when the key must be tracked.
+# when the key must be tracked.  sinter applies its guard to both keys.
 _Guard = Callable[[TypeDict, str], TypeTag | None]
 
 
@@ -357,15 +357,17 @@ def _check_command(
     guard, write, result = _RULES[op]
     if op == "incrbyfloat" and a != FLOAT:
         raise _fail(ELEMENT_MISMATCH, f"incrbyfloat takes a float increment, got {base_text(a)}")
-    tags = [guard(xs, key) for key in cmd.keys] if guard else []
-    if op == "sinter" and tags[0].base != tags[1].base:
-        raise _fail(
-            GET_EQUALITY,
-            f"keys '{cmd.keys[0]}' and '{cmd.keys[1]}' hold {tag_text(tags[0])} and {tag_text(tags[1])}; "
-            "sinter needs equal element types",
-        )
+    tag = guard(xs, k) if guard else None
+    if op == "sinter":
+        k2 = cmd.keys[1]
+        tag2 = guard(xs, k2)
+        if tag.base != tag2.base:
+            raise _fail(
+                GET_EQUALITY,
+                f"keys '{k}' and '{k2}' hold {tag_text(tag)} and {tag_text(tag2)}; sinter needs equal element types",
+            )
     if isinstance(result, type):
-        result = result(tags[0].base)
+        result = result(tag.base)
 
     if write is not None:
         verb = _STRICT_VERBS.get(write)

@@ -358,9 +358,9 @@ class _Parser:
 
     def command(self, op_tok: _Token, binder: str | None) -> Command:
         n_keys, has_field, n_values, takes_tag = COMMAND_SHAPES[op_tok.text]
-        keys = tuple(self.ident("a key").text for _ in range(n_keys))
+        keys = tuple([self.ident("a key").text for _ in range(n_keys)])
         field_name = self.ident("a hash field").text if has_field else None
-        args = tuple(self.expr() for _ in range(n_values))
+        args = tuple([self.expr() for _ in range(n_values)])
         declared = None
         if takes_tag:
             self.expect("COLON", "':'")

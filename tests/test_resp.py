@@ -5,14 +5,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from redtype.resp import (
-    MAX_ARRAY_LEN,
-    MAX_BULK_LEN,
-    ProtocolError,
-    ReplyDecoder,
-    encode_command,
-    encode_reply,
-)
+from redtype.resp import ProtocolError, ReplyDecoder, encode_command, encode_reply
+from redtype.resp import MAX_ARRAY_LEN, MAX_BULK_LEN
 from redtype.store import (
     BulkReply,
     ErrReply,
