@@ -189,7 +189,7 @@ class _Generator:
 
     def write_any(self, op: str, k: str) -> Command:
         """``op k v`` with a value of a random base type."""
-        return self.write(op, k, self.any_base())
+        return Command(op, keys=(k,), args=(self.value(self.any_base()),))
 
     def hset_any(self, k: str) -> Command:
         return Command("hset", keys=(k,), args=(self.value(self.any_base()),), field_name=self.rng.choice(_FIELDS))
