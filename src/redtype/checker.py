@@ -141,6 +141,8 @@ class CheckOk:
     initial: TypeDict
     final: TypeDict
     result: ResultType
+    # One result type per body command, in order; the runtime decodes by them.
+    results: tuple[ResultType, ...]
 
 
 CheckReport = CheckOk | CheckError
@@ -400,12 +402,13 @@ def check_program(
     xs: TypeDict = list(initial) if initial else []
     start: TypeDict = list(xs)
     env: dict[str, ResultType] = {}
-    result: ResultType = UNIT
+    results: list[ResultType] = []
     for cmd in program.body:
         try:
             xs, result = check_command(xs, env, records, cmd, strict)
         except CheckError as err:
             return err
+        results.append(result)
         if cmd.binder is not None:
             env[cmd.binder] = result
-    return CheckOk(start, xs, result)
+    return CheckOk(start, xs, results[-1] if results else UNIT, tuple(results))

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .backend import Backend, MemoryBackend, RespBackend, RunError, RunValue, run_program
 from .checker import (
@@ -223,6 +224,21 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _number(convert: Callable[[str], Any], ok: Callable[[Any], bool], rule: str) -> Callable[[str], Any]:
+    """argparse type: ``convert`` the text and require ``ok`` of it, else exit 2 citing ``rule``."""
+
+    def parse(text: str) -> Any:
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"'{text}' is not {rule}")
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="redtype", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -238,7 +254,12 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("file")
     run.add_argument("--backend", choices=("mem", "resp"), default="mem")
     run.add_argument("--addr", help="HOST:PORT for the resp backend (default $EDIS_ADDR)")
-    run.add_argument("--timeout", type=float, default=5.0, help="reply timeout in seconds")
+    run.add_argument(
+        "--timeout",
+        type=_number(float, lambda t: math.isfinite(t) and t > 0, "a finite number of seconds above 0"),
+        default=5.0,
+        help="reply timeout in seconds (finite, > 0)",
+    )
     run.add_argument("--assume", metavar="FILE", help="initial dictionary (JSON)")
     run.add_argument("--strict", action="store_true")
     run.add_argument("--dump-store", action="store_true", help="print the final store (mem backend)")
@@ -247,7 +268,9 @@ def _build_parser() -> argparse.ArgumentParser:
     fuzz = sub.add_parser("fuzz", help="differential soundness fuzzing")
     fuzz.add_argument("--iterations", type=int, default=1000)
     fuzz.add_argument("--seed", type=int, default=0)
-    fuzz.add_argument("--max-len", type=int, default=20)
+    fuzz.add_argument(
+        "--max-len", type=_number(int, lambda n: n >= 1, "an integer of at least 1"), default=20, help="at least 1"
+    )
     fuzz.add_argument("--strict", action="store_true")
     fuzz.set_defaults(func=_cmd_fuzz)
     return top

@@ -373,15 +373,17 @@ _GATING = {
 }
 
 
-def _violation_kind(program: Program, strict: bool) -> str | None:
-    """Re-runs the program; the soundness predicate used by the shrinker."""
+def _trial(program: Program, strict: bool) -> tuple[str, str]:
+    """Check from ``[]`` and run on a fresh store if accepted: (kind, error message).
+
+    The kind is "rejected", "ok" or classify's bucket; the message is "" unless the run failed."""
     report = check_program(program, [], strict)
     if isinstance(report, CheckError):
-        return None
+        return "rejected", ""
     outcome = run_program(program, report, MemoryBackend(MemoryStore()))
-    if isinstance(outcome, RunError) and classify(outcome) in _GATING[strict]:
-        return classify(outcome)
-    return None
+    if isinstance(outcome, RunError):
+        return classify(outcome), outcome.message
+    return "ok", ""
 
 
 def shrink(program: Program, still_failing: Callable[[Program], bool]) -> Program:
@@ -405,25 +407,20 @@ def run_fuzz(config: FuzzConfig) -> FuzzResult:
     for _ in range(config.iterations):
         stats.iterations += 1
         program = generate_program(rng, config.max_len, config.strict)
-        report = check_program(program, [], config.strict)
-        if isinstance(report, CheckError):
+        kind, message = _trial(program, config.strict)
+        if kind == "rejected":
             stats.rejected += 1
             continue
         stats.accepted += 1
-        outcome = run_program(program, report, MemoryBackend(MemoryStore()))
-        if isinstance(outcome, RunError):
-            kind = classify(outcome)
-            if kind == "wrongtype":
-                stats.wrongtype += 1
-            elif kind == "parse":
-                stats.parse_errors += 1
-            elif kind == "decode":
-                stats.decode_failures += 1
-            else:
-                stats.other_errors += 1
-            if kind in _GATING[config.strict]:
-                small = shrink(
-                    program, lambda p: _violation_kind(p, config.strict) is not None
-                )
-                return FuzzResult(stats, small, outcome.message)
+        if kind == "wrongtype":
+            stats.wrongtype += 1
+        elif kind == "parse":
+            stats.parse_errors += 1
+        elif kind == "decode":
+            stats.decode_failures += 1
+        elif kind == "other":
+            stats.other_errors += 1
+        if kind in _GATING[config.strict]:
+            small = shrink(program, lambda p: _trial(p, config.strict)[0] in _GATING[config.strict])
+            return FuzzResult(stats, small, message)
     return FuzzResult(stats)

@@ -19,6 +19,9 @@ CRLF = b"\r\n"
 MAX_BULK_LEN = 512 * 1024 * 1024
 # Largest array accepted, as hiredis's default reader limit.
 MAX_ARRAY_LEN = 2**32 - 1
+# Longest header line (status, error, integer or length) accepted, as
+# Redis's PROTO_INLINE_MAX_SIZE; it also bounds each poll's CRLF search.
+MAX_LINE_LEN = 64 * 1024
 
 
 class ProtocolError(Exception):
@@ -127,8 +130,10 @@ class ReplyDecoder:
         raise ProtocolError(f"unknown reply marker {bytes(marker)!r}")
 
     def _line(self, at: int) -> tuple[bytes, int]:
-        end = self._buf.find(CRLF, at)
+        end = self._buf.find(CRLF, at, at + MAX_LINE_LEN + 2)
         if end == -1:
+            if len(self._buf) - at > MAX_LINE_LEN + 1:
+                raise ProtocolError(f"reply line longer than {MAX_LINE_LEN} bytes")
             # A CR at the very end might be half a terminator.
             raise _NeedMore
         return bytes(self._buf[at:end]), end + 2

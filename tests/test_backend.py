@@ -3,10 +3,12 @@ and memory-vs-loopback-server equivalence."""
 
 from __future__ import annotations
 
+import inspect
 import random
 
 import pytest
 
+from redtype import backend as backend_module, checker, typedict
 from redtype.backend import (
     MemoryBackend,
     RespBackend,
@@ -14,12 +16,12 @@ from redtype.backend import (
     RunValue,
     run_program,
 )
-from redtype.checker import CheckOk, check_program
+from redtype.checker import INT_RESULT, UNIT, CheckOk, MaybeResult, check_program
 from redtype.codec import RecordValue
 from redtype.fuzz import generate_program
 from redtype.parser import parse_program
 from redtype.store import MemoryStore
-from redtype.syntax import INT, ListOf, StringOf
+from redtype.syntax import FLOAT, INT, HashOf, ListOf, RecordRef, StringOf
 
 QUEUE_SOURCE = """\
 record Message { body: text, id: int }
@@ -216,3 +218,62 @@ def test_resp_backend_refuses_half_closed_connection(resp_server):
     backend.close()
     with pytest.raises(OSError):
         backend.send([b"PING"])
+
+
+# ---------------------------------------------------------------------------
+# check once: the run decodes by the checker's recorded result types
+
+
+def test_check_ok_records_one_result_type_per_command():
+    report = check_program(parse_program(QUEUE_SOURCE))
+    assert isinstance(report, CheckOk)
+    message = MaybeResult(RecordRef("Message"))
+    assert report.results == (UNIT, UNIT, INT_RESULT, INT_RESULT, INT_RESULT, INT_RESULT, message)
+    assert report.results[-1] == report.result
+    empty = check_program(parse_program("program { }"))
+    assert empty.results == () and empty.result == UNIT
+
+
+def test_run_program_makes_no_checker_or_dictionary_calls(monkeypatch):
+    rng = random.Random(7)
+    programs = [parse_program(QUEUE_SOURCE)] + [generate_program(rng, max_len=12) for _ in range(60)]
+    cases = [(p, r) for p in programs if isinstance(r := check_program(p), CheckOk)]
+    expected = [run_program(p, r, MemoryBackend()) for p, r in cases]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("run_program re-derived what the checker proved")
+
+    monkeypatch.setattr(checker, "check_command", forbidden)
+    monkeypatch.setattr(backend_module, "check_command", forbidden)
+    for name, fn in vars(typedict).items():
+        if inspect.isfunction(fn) and fn.__module__ == typedict.__name__:
+            monkeypatch.setattr(typedict, name, forbidden)
+    assert len(cases) > 20
+    assert [run_program(p, r, MemoryBackend()) for p, r in cases] == expected
+
+
+def test_run_from_an_assumed_dictionary_decodes_by_its_types():
+    source = """\
+record Message { body: text, id: int }
+program {
+  n <- incr counter
+  lpush queue Message{ "hi", n }
+  x <- hget h f
+  m <- rpop queue
+}
+"""
+    initial = [
+        ("counter", StringOf(INT)),
+        ("queue", ListOf(RecordRef("Message"))),
+        ("h", HashOf((("f", StringOf(FLOAT)),))),
+    ]
+    store = MemoryStore()
+    store.execute([b"SET", b"counter", b"41"])
+    store.execute([b"HSET", b"h", b"f", b"2.5"])
+    program = parse_program(source)
+    report = check_program(program, initial)
+    assert isinstance(report, CheckOk)
+    assert report.results[2] == MaybeResult(FLOAT)
+    outcome = run_program(program, report, MemoryBackend(store))
+    assert outcome == RunValue(MaybeResult(RecordRef("Message")), RecordValue("Message", ("hi", 42)))
+    assert store.execute([b"LLEN", b"queue"]).value == 0

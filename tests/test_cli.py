@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import socket
 import threading
@@ -316,3 +317,53 @@ def test_run_malformed_server_reply_exit_5(tmp_path, capsys):
         server.join(timeout=5)
         listener.close()
     assert "not a bulk string" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["fuzz", "--max-len", "0"],
+        ["fuzz", "--max-len", "-4"],
+        ["run", "--backend", "resp", "--timeout", "-1"],
+        ["run", "--backend", "resp", "--timeout", "0"],
+        ["run", "--backend", "resp", "--timeout", "nan"],
+        ["run", "--backend", "resp", "--timeout", "inf"],
+    ],
+)
+def test_out_of_range_flags_are_usage_errors(flags, free_port, tmp_path, capsys):
+    f = write(tmp_path, "p.rt", "program { ping }")
+    argv = flags + ([f, "--addr", f"127.0.0.1:{free_port}"] if flags[0] == "run" else [])
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert f"argument {flags[-2]}: '{flags[-1]}' is not" in capsys.readouterr().err
+
+
+def test_smallest_valid_flags_are_accepted(free_port, tmp_path, capsys):
+    assert main(["fuzz", "--iterations", "20", "--max-len", "1"]) == 0
+    f = write(tmp_path, "p.rt", "program { ping }")
+    code = main(["run", "--backend", "resp", "--timeout", "0.5", "--addr", f"127.0.0.1:{free_port}", f])
+    assert code == 5  # validated, then refused by the closed port
+    assert "cannot connect" in capsys.readouterr().err
+
+
+def test_run_overlong_server_header_line_exit_5(tmp_path, capsys):
+    listener = socket.create_server(("127.0.0.1", 0))
+    port = listener.getsockname()[1]
+
+    def serve() -> None:
+        conn, _ = listener.accept()
+        with conn:
+            conn.recv(4096)
+            with contextlib.suppress(OSError):  # the client may hang up mid-send
+                conn.sendall(b"+" + b"a" * 70_000)  # over the 64 KiB cap, no CRLF
+
+    server = threading.Thread(target=serve, daemon=True)
+    server.start()
+    f = write(tmp_path, "p.rt", "program { ping }")
+    try:
+        assert main(["run", "--backend", "resp", "--addr", f"127.0.0.1:{port}", f]) == 5
+    finally:
+        server.join(timeout=5)
+        listener.close()
+    assert "longer than" in capsys.readouterr().err

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from redtype.resp import ProtocolError, ReplyDecoder, encode_command, encode_reply
-from redtype.resp import MAX_ARRAY_LEN, MAX_BULK_LEN
+from redtype.resp import MAX_ARRAY_LEN, MAX_BULK_LEN, MAX_LINE_LEN
 from redtype.store import (
     BulkReply,
     ErrReply,
@@ -192,3 +192,18 @@ def test_array_length_is_capped():
     d.feed(b"*%d\r\n" % (MAX_ARRAY_LEN + 1))
     with pytest.raises(ProtocolError, match="exceeds"):
         d.poll()
+
+
+def test_header_line_is_capped_at_proto_inline_max_size():
+    d = ReplyDecoder()
+    d.feed(b"+")
+    chunk = b"a" * 4096
+    with pytest.raises(ProtocolError, match="longer than"):
+        for _ in range(256):  # 1 MiB in 4 KiB chunks, never terminated
+            d.feed(chunk)
+            assert d.poll() is None
+    assert d.pending < MAX_LINE_LEN + 2 * len(chunk)  # stopped soon after the cap
+    d = ReplyDecoder()
+    d.feed(b"-" + b"e" * 1024 + b"\r\n" + b"+" + b"s" * MAX_LINE_LEN + b"\r\n")
+    assert d.poll() == ErrReply("e" * 1024)
+    assert d.poll() == SimpleStatus("s" * MAX_LINE_LEN)  # at the cap: still decodes
