@@ -2,12 +2,16 @@
 
 Each command is a dictionary transformer with a precondition.  Checking
 walks the body left to right from an initial dictionary (empty unless
-the caller assumes otherwise), threading the dictionary and an
-environment of binder result types, and stops at the first violated
-precondition.  An accepted program cannot raise a WRONGTYPE or
-integer/float parse error when run against a store that matches the
-initial dictionary; that guarantee is what the differential fuzzer
-hammers on.
+the caller assumes otherwise), threading one insertion-ordered dict of
+key -> tag, which each command updates in place, and an environment of
+binder result types, and stops at the first violated precondition.  The
+dict is the duplicate-free association list of the paper, so a step's
+cost does not grow with the number of tracked keys; the list operations
+of ``typedict`` are the specification it is tested against.
+
+An accepted program cannot raise a WRONGTYPE or integer/float parse
+error when run against a store that matches the initial dictionary;
+that guarantee is what the differential fuzzer hammers on.
 
 A dictionary entry means "if this key exists in the store, it holds a
 value of this shape".  Keys can be tracked yet absent (declare writes
@@ -230,6 +234,22 @@ def undeclared_record(tag: TypeTag, records: Container[str]) -> str | None:
 
 # ---- commands ---------------------------------------------------------------
 
+# The dictionary the checker threads: key -> tag, in insertion order.  A
+# Python dict is the duplicate-free association list of typedict.py:
+# assigning to a tracked key keeps its position, and a deleted key that
+# is set again moves to the end, exactly as dict_set and dict_del do.
+_Dict = dict[str, TypeTag]
+
+
+def _as_dict(xs: TypeDict) -> _Dict:
+    """``xs`` as a dict; raises ValueError if a key occurs twice."""
+    d = dict(xs)
+    if len(d) != len(xs):
+        keys = [k for k, _ in xs]
+        twice = next(k for k in keys if keys.count(k) > 1)
+        raise ValueError(f"key '{twice}' occurs twice in the dictionary")
+    return d
+
 
 def check_command(
     xs: TypeDict,
@@ -238,10 +258,27 @@ def check_command(
     cmd: Command,
     strict: bool = False,
 ) -> tuple[TypeDict, ResultType]:
-    """Post-dictionary and result type of one command.
+    """Post-dictionary and result type of one command; ``xs`` is left as is.
 
     Raises CheckError (with the command's span attached) on the first
-    violated precondition.
+    violated precondition, and ValueError if ``xs`` tracks a key twice.
+    """
+    d = _as_dict(xs)
+    result = _step(d, env, records, cmd, strict)
+    return list(d.items()), result
+
+
+def _step(
+    xs: _Dict,
+    env: Mapping[str, ResultType],
+    records: Mapping[str, RecordDecl],
+    cmd: Command,
+    strict: bool,
+) -> ResultType:
+    """Apply one command to ``xs`` in place and return its result type.
+
+    Raises CheckError (with the command's span attached) on the first
+    violated precondition, before ``xs`` is changed.
     """
     try:
         return _check_command(xs, env, records, cmd, strict)
@@ -251,25 +288,25 @@ def check_command(
         raise
 
 
-def _found_tag(xs: TypeDict, k: str) -> TypeTag:
-    look = typedict.dict_get(xs, k)
-    if isinstance(look, Stuck):
+def _found_tag(xs: _Dict, k: str) -> TypeTag:
+    tag = xs.get(k)
+    if tag is None:
         raise _fail(GET_STUCK, f"key '{k}' is not in the dictionary")
-    assert isinstance(look, Found)
-    return look.tag
+    return tag
 
 
 # A precondition on one key: raises CheckError, or returns the key's tag
 # when the key must be tracked.  sinter applies its guard to both keys.
-_Guard = Callable[[TypeDict, str], TypeTag | None]
+_Guard = Callable[[_Dict, str], TypeTag | None]
 
 
 def _holds_or_nx(test: Callable[[TypeTag], bool], constraint: str, kind: str) -> _Guard:
     """Each key holds ``kind`` if it is tracked at all; else ``constraint``."""
 
-    def guard(xs: TypeDict, k: str) -> None:
-        if not typedict.or_nx(test, xs, k):
-            raise _fail(constraint, f"key '{k}' holds {tag_text(_found_tag(xs, k))}, not {kind}")
+    def guard(xs: _Dict, k: str) -> None:
+        tag = xs.get(k)
+        if tag is not None and not test(tag):
+            raise _fail(constraint, f"key '{k}' holds {tag_text(tag)}, not {kind}")
 
     return guard
 
@@ -277,7 +314,7 @@ def _holds_or_nx(test: Callable[[TypeTag], bool], constraint: str, kind: str) ->
 def _tracked_as(test: Callable[[TypeTag], bool], kind: str) -> _Guard:
     """Each key is tracked with a tag that passes ``test``; else GetEquality-failed."""
 
-    def guard(xs: TypeDict, k: str) -> TypeTag:
+    def guard(xs: _Dict, k: str) -> TypeTag:
         tag = _found_tag(xs, k)
         if not test(tag):
             raise _fail(GET_EQUALITY, f"key '{k}' holds {tag_text(tag)}, not {kind}")
@@ -310,40 +347,40 @@ _STRICT_VERBS = {ListOf: "push", SetOf: "add"}
 
 
 def _check_command(
-    xs: TypeDict,
+    xs: _Dict,
     env: Mapping[str, ResultType],
     records: Mapping[str, RecordDecl],
     cmd: Command,
     strict: bool,
-) -> tuple[TypeDict, ResultType]:
+) -> ResultType:
     op = cmd.opcode
     k = cmd.keys[0] if cmd.keys else ""
     a = infer_expr(env, records, cmd.args[0]) if cmd.args else None
 
     if op == "declare":
-        if typedict.dict_member(xs, k):
-            raise _fail(NOT_MEMBER, f"key '{k}' is already tracked as {tag_text(_found_tag(xs, k))}")
+        if k in xs:
+            raise _fail(NOT_MEMBER, f"key '{k}' is already tracked as {tag_text(xs[k])}")
         assert cmd.declared is not None
         bad = undeclared_record(cmd.declared, records)
         if bad:
             raise _fail(UNKNOWN_RECORD, f"no record named '{bad}' is declared")
-        return typedict.dict_set(xs, k, cmd.declared), UNIT
+        xs[k] = cmd.declared
+        return UNIT
 
     if op == "setnx":
-        if not typedict.dict_member(xs, k):
-            return typedict.dict_set(xs, k, StringOf(a)), BOOL_RESULT
-        tag = _found_tag(xs, k)
+        tag = xs.setdefault(k, StringOf(a))
         if tag != StringOf(a):
             raise _fail(
                 GET_EQUALITY,
                 f"key '{k}' is tracked as {tag_text(tag)}, but setnx may write a "
                 f"string<{base_text(a)}> if the key is unset",
             )
-        return xs, BOOL_RESULT
+        return BOOL_RESULT
 
     if op == "hget":
         assert cmd.field_name is not None
-        look = typedict.hash_get(xs, k, cmd.field_name)
+        tag = xs.get(k)
+        look = typedict.dict_get(tag.fields, cmd.field_name) if isinstance(tag, HashOf) else typedict.STUCK
         if isinstance(look, Stuck):
             raise _fail(GET_STUCK, f"no hash field '{cmd.field_name}' is tracked under key '{k}'")
         assert isinstance(look, Found)
@@ -352,7 +389,7 @@ def _check_command(
                 GET_EQUALITY,
                 f"field '{cmd.field_name}' of '{k}' holds {tag_text(look.tag)}, not a string",
             )
-        return xs, MaybeResult(look.tag.base)
+        return MaybeResult(look.tag.base)
 
     if op not in _RULES:
         raise _fail(ARITY_MISMATCH, f"unknown command '{op}'")
@@ -373,20 +410,20 @@ def _check_command(
 
     if write is not None:
         verb = _STRICT_VERBS.get(write)
-        if strict and verb:
-            look = typedict.dict_get(xs, k)
-            if isinstance(look, Found) and look.tag != write(a):
-                raise _fail(
-                    ELEMENT_MISMATCH,
-                    f"key '{k}' holds {tag_text(look.tag)}; cannot {verb} {base_text(a)} elements in strict mode",
-                )
-        xs = typedict.dict_set(xs, k, write(a))
+        old = xs.get(k)
+        if strict and verb and old is not None and old != write(a):
+            raise _fail(
+                ELEMENT_MISMATCH,
+                f"key '{k}' holds {tag_text(old)}; cannot {verb} {base_text(a)} elements in strict mode",
+            )
+        xs[k] = write(a)
     elif op == "del":
-        xs = typedict.dict_del(xs, k)
+        xs.pop(k, None)
     elif op == "hset":
         assert cmd.field_name is not None
-        xs = typedict.hash_set(xs, k, cmd.field_name, StringOf(a))
-    return xs, result
+        fields = xs[k].fields if k in xs else ()
+        xs[k] = HashOf(tuple(typedict.dict_set(fields, cmd.field_name, StringOf(a))))
+    return result
 
 
 # ---- programs ---------------------------------------------------------------
@@ -397,18 +434,21 @@ def check_program(
     initial: TypeDict | None = None,
     strict: bool = False,
 ) -> CheckReport:
-    """Check a whole program; total, returns CheckOk or the first CheckError."""
+    """Check a whole program; total, returns CheckOk or the first CheckError.
+
+    Raises ValueError if ``initial`` tracks a key twice.
+    """
     records = record_table(program)
-    xs: TypeDict = list(initial) if initial else []
-    start: TypeDict = list(xs)
+    start: TypeDict = list(initial) if initial else []
+    xs = _as_dict(start)
     env: dict[str, ResultType] = {}
     results: list[ResultType] = []
     for cmd in program.body:
         try:
-            xs, result = check_command(xs, env, records, cmd, strict)
+            result = _step(xs, env, records, cmd, strict)
         except CheckError as err:
             return err
         results.append(result)
         if cmd.binder is not None:
             env[cmd.binder] = result
-    return CheckOk(start, xs, results[-1] if results else UNIT, tuple(results))
+    return CheckOk(start, list(xs.items()), results[-1] if results else UNIT, tuple(results))

@@ -266,7 +266,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=_cmd_run)
 
     fuzz = sub.add_parser("fuzz", help="differential soundness fuzzing")
-    fuzz.add_argument("--iterations", type=int, default=1000)
+    fuzz.add_argument(
+        "--iterations", type=_number(int, lambda n: n >= 1, "an integer of at least 1"), default=1000, help="at least 1"
+    )
     fuzz.add_argument("--seed", type=int, default=0)
     fuzz.add_argument(
         "--max-len", type=_number(int, lambda n: n >= 1, "an integer of at least 1"), default=20, help="at least 1"

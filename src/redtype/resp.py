@@ -4,7 +4,8 @@ Commands go out as arrays of bulk strings.  Replies come back as one of
 the five RESP2 kinds; arrays are only expected to contain bulk strings
 (that is all the supported commands ever return).  The decoder is
 incremental so a reply split across arbitrary TCP segment boundaries,
-down to one byte at a time, decodes identically.
+down to one byte at a time, decodes identically, and a large array fed
+in chunks resumes where the last chunk ended instead of being re-parsed.
 """
 
 from __future__ import annotations
@@ -62,72 +63,90 @@ class ReplyDecoder:
     """Feed bytes in, poll complete replies out.
 
     poll() returns None while the buffered data is still a prefix of a
-    reply; it consumes exactly one reply's bytes otherwise.
+    reply; it consumes exactly one reply's bytes otherwise.  Each byte
+    is parsed once: a partial array resumes from a cursor (the items so
+    far and how many are still due), and the bytes of every parsed item
+    leave the buffer, so the next item starts at offset 0.
     """
 
     def __init__(self) -> None:
         self._buf = bytearray()
+        self._items: list[bytes] | None = None  # the array being decoded
+        self._due = 0
 
     def feed(self, data: bytes) -> None:
         self._buf += data
 
     @property
     def pending(self) -> int:
-        """Bytes buffered but not yet consumed by a completed reply."""
+        """Bytes buffered but not yet parsed."""
         return len(self._buf)
 
     def poll(self) -> Reply | None:
         try:
-            reply, used = self._parse(0)
+            if self._items is None:
+                reply = self._parse()
+                if reply is not None:
+                    return reply
+            while self._due:
+                # Checked before descending, so nested arrays cannot recurse.
+                if self._buf[:1] not in (b"$", b""):
+                    raise ProtocolError("array element is not a bulk string")
+                element = self._parse()
+                if element.data is None:
+                    raise ProtocolError("array element is not a bulk string")
+                self._items.append(element.data)
+                self._due -= 1
         except _NeedMore:
             return None
-        del self._buf[:used]
+        reply = MultiBulk(tuple(self._items))
+        self._items = None
         return reply
 
-    # returns (reply, bytes consumed from offset's reply)
-    def _parse(self, at: int) -> tuple[Reply, int]:
-        if at >= len(self._buf):
+    def _parse(self) -> Reply | None:
+        """Take one reply off the buffer's head.
+
+        An array header opens the cursor instead and returns None;
+        raises _NeedMore, consuming nothing, if the reply is incomplete.
+        """
+        if not self._buf:
             raise _NeedMore
-        marker = self._buf[at : at + 1]
-        line, after = self._line(at + 1)
+        marker = self._buf[:1]
+        line, used = self._line(1)
         if marker == b"+":
-            return SimpleStatus(line.decode("latin-1")), after
-        if marker == b"-":
-            return ErrReply(line.decode("latin-1")), after
-        if marker == b":":
-            return IntReply(self._int(line)), after
-        if marker == b"$":
+            reply: Reply = SimpleStatus(line.decode("latin-1"))
+        elif marker == b"-":
+            reply = ErrReply(line.decode("latin-1"))
+        elif marker == b":":
+            reply = IntReply(self._int(line))
+        elif marker == b"$":
             n = self._int(line)
-            if n == -1:
-                return BulkReply(None), after
-            if n < 0:
+            if n < -1:
                 raise ProtocolError(f"negative bulk length {n}")
             if n > MAX_BULK_LEN:
                 raise ProtocolError(f"bulk length {n} exceeds {MAX_BULK_LEN}")
-            end = after + n
-            if end + 2 > len(self._buf):
-                raise _NeedMore
-            if self._buf[end : end + 2] != CRLF:
-                raise ProtocolError("bulk string not terminated by CRLF")
-            return BulkReply(bytes(self._buf[after:end])), end + 2
-        if marker == b"*":
+            if n == -1:
+                reply = BulkReply(None)
+            else:
+                end = used + n
+                if end + 2 > len(self._buf):
+                    raise _NeedMore
+                if self._buf[end : end + 2] != CRLF:
+                    raise ProtocolError("bulk string not terminated by CRLF")
+                reply = BulkReply(bytes(self._buf[used:end]))
+                used = end + 2
+        elif marker == b"*":
             n = self._int(line)
             if n < 0:
                 raise ProtocolError(f"unsupported array length {n}")
             if n > MAX_ARRAY_LEN:
                 raise ProtocolError(f"array length {n} exceeds {MAX_ARRAY_LEN}")
-            items: list[bytes] = []
-            cursor = after
-            for _ in range(n):
-                # Checked before descending, so nested arrays cannot recurse.
-                if self._buf[cursor : cursor + 1] not in (b"$", b""):
-                    raise ProtocolError("array element is not a bulk string")
-                element, cursor = self._parse(cursor)
-                if element.data is None:
-                    raise ProtocolError("array element is not a bulk string")
-                items.append(element.data)
-            return MultiBulk(tuple(items)), cursor
-        raise ProtocolError(f"unknown reply marker {bytes(marker)!r}")
+            self._items, self._due = [], n
+            reply = None
+        else:
+            raise ProtocolError(f"unknown reply marker {bytes(marker)!r}")
+        del self._buf[:used]
+        return reply
 
     def _line(self, at: int) -> tuple[bytes, int]:
         end = self._buf.find(CRLF, at, at + MAX_LINE_LEN + 2)

@@ -8,13 +8,19 @@ replies, and everything else follows the real store's observable
 behavior (absent keys read as empty, RPOP deletes emptied lists, SINTER
 output is sorted bytewise, and so on).
 
-``exec_command`` never raises; malformed input comes back as ErrReply.
+``MemoryStore`` applies each command to its own state in place: a deque
+per list, a set per set and a dict per hash, so no command copies the
+state or a value it writes to.  ``exec_command`` is the pure form of the
+same step: it copies a state of frozen values, applies the command to
+the copy, and freezes the result.  Neither raises; malformed input
+comes back as ErrReply.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -107,7 +113,35 @@ class _WrongType(Exception):
     """A command met a key holding the wrong kind of value."""
 
 
-def _holding(state: State, k: str, kind: type) -> StoreValue | None:
+# What the store holds while it applies commands: strings as Str, and
+# each container as a mutable deque (head first), set or field dict, so
+# a write costs the same however large its key's value is.  The
+# documented StoreValues are frozen copies of these.
+_Live = Str | deque | set | dict
+_LiveState = dict[str, _Live]
+
+
+def _thaw(v: StoreValue) -> _Live:
+    if isinstance(v, ListV):
+        return deque(v.items)
+    if isinstance(v, SetV):
+        return set(v.members)
+    if isinstance(v, HashV):
+        return dict(v.fields)
+    return v
+
+
+def _freeze(v: _Live) -> StoreValue:
+    if isinstance(v, deque):
+        return ListV(tuple(v))
+    if isinstance(v, set):
+        return SetV(frozenset(v))
+    if isinstance(v, dict):
+        return HashV(tuple(v.items()))
+    return v
+
+
+def _holding(state: _LiveState, k: str, kind: type) -> _Live | None:
     """The value at ``k`` if it is of ``kind``, None if ``k`` is absent."""
     v = state.get(k)
     if v is not None and not isinstance(v, kind):
@@ -119,24 +153,31 @@ def exec_command(state: Mapping[str, StoreValue], argv: Sequence[bytes]) -> tupl
     """Run one wire command against ``state``; returns (new state, reply).
 
     Pure: the input state is never mutated, and equal inputs give equal
-    outputs.
+    outputs.  It copies the state, then applies the command to the copy
+    as MemoryStore does to its own.
     """
-    new: State = dict(state)
+    live = {k: _thaw(v) for k, v in state.items()}
+    reply = _execute(live, argv)
+    return {k: _freeze(v) for k, v in live.items()}, reply
+
+
+def _execute(state: _LiveState, argv: Sequence[bytes]) -> Reply:
+    """Run one wire command, updating ``state`` in place; never raises."""
     if not argv:
-        return new, ErrReply("ERR empty command")
+        return ErrReply("ERR empty command")
     name = argv[0].decode("latin-1").upper()
     arity = _ARITIES.get(name)
     if arity is None:
-        return new, ErrReply(f"ERR unknown command '{argv[0].decode('latin-1')}'")
+        return ErrReply(f"ERR unknown command '{argv[0].decode('latin-1')}'")
     if len(argv) != arity:
-        return new, ErrReply(f"ERR wrong number of arguments for '{name.lower()}' command")
+        return ErrReply(f"ERR wrong number of arguments for '{name.lower()}' command")
     try:
-        return new, _apply(new, name, argv)
+        return _apply(state, name, argv)
     except _WrongType:
-        return new, ErrReply(WRONGTYPE_MSG)
+        return ErrReply(WRONGTYPE_MSG)
 
 
-def _apply(state: State, name: str, argv: Sequence[bytes]) -> Reply:
+def _apply(state: _LiveState, name: str, argv: Sequence[bytes]) -> Reply:
     """Run one arity-checked command, updating ``state`` in place.
 
     Raises _WrongType before any update.
@@ -186,50 +227,52 @@ def _apply(state: State, name: str, argv: Sequence[bytes]) -> Reply:
         return BulkReply(encoded)
 
     if name == "LPUSH":
-        v = _holding(state, k, ListV)
-        items = (bytes(argv[2]),) + (() if v is None else v.items)
-        state[k] = ListV(items)
+        items = _holding(state, k, deque)
+        if items is None:
+            items = state[k] = deque()
+        items.appendleft(bytes(argv[2]))
         return IntReply(len(items))
 
     if name == "LLEN":
-        v = _holding(state, k, ListV)
-        return IntReply(0 if v is None else len(v.items))
+        items = _holding(state, k, deque)
+        return IntReply(0 if items is None else len(items))
 
     if name == "RPOP":
-        v = _holding(state, k, ListV)
-        if v is None:
+        items = _holding(state, k, deque)
+        if items is None:
             return BulkReply(None)
-        if len(v.items) > 1:
-            state[k] = ListV(v.items[:-1])
-        else:
+        last = items.pop()
+        if not items:
             del state[k]
-        return BulkReply(v.items[-1])
+        return BulkReply(last)
 
     if name == "SADD":
         member = bytes(argv[2])
-        v = _holding(state, k, SetV)
-        if v is not None and member in v.members:
+        members = _holding(state, k, set)
+        if members is None:
+            members = state[k] = set()
+        elif member in members:
             return IntReply(0)
-        state[k] = SetV(frozenset((member,)) if v is None else v.members | {member})
+        members.add(member)
         return IntReply(1)
 
     if name == "SINTER":
-        a, b = (_holding(state, _key(argv, i), SetV) for i in (1, 2))
-        common = frozenset() if a is None or b is None else a.members & b.members
+        a, b = (_holding(state, _key(argv, i), set) for i in (1, 2))
+        common = set() if a is None or b is None else a & b
         return MultiBulk(tuple(sorted(common)))
 
     if name == "HSET":
-        v = _holding(state, k, HashV)
-        fields = {} if v is None else dict(v.fields)
+        fields = _holding(state, k, dict)
+        if fields is None:
+            fields = state[k] = {}
         f = argv[2].decode("latin-1")
         created = f not in fields
         fields[f] = bytes(argv[3])
-        state[k] = HashV(tuple(fields.items()))
         return IntReply(1 if created else 0)
 
     assert name == "HGET"
-    v = _holding(state, k, HashV)
-    return BulkReply(None if v is None else dict(v.fields).get(argv[2].decode("latin-1")))
+    fields = _holding(state, k, dict)
+    return BulkReply(None if fields is None else fields.get(argv[2].decode("latin-1")))
 
 
 # Wire name -> argument count including the name, for every command that
@@ -242,21 +285,21 @@ _ARITIES = {
 
 
 class MemoryStore:
-    """Mutable wrapper holding one State and applying commands in order."""
+    """Mutable store applying commands to its own state in place, in order."""
 
     def __init__(self) -> None:
-        self._state: State = {}
+        self._state: _LiveState = {}
 
     def execute(self, argv: Sequence[bytes]) -> Reply:
-        self._state, reply = exec_command(self._state, argv)
-        return reply
+        return _execute(self._state, argv)
 
     def reset(self) -> None:
         self._state = {}
 
     @property
     def state(self) -> State:
-        return dict(self._state)
+        """A frozen copy: later commands do not change it."""
+        return {k: _freeze(v) for k, v in self._state.items()}
 
     def snapshot(self) -> list[dict[str, object]]:
         """Deterministic typed dump, sorted by key; used by --dump-store."""
@@ -265,14 +308,14 @@ class MemoryStore:
             v = self._state[k]
             if isinstance(v, Str):
                 entry: dict[str, object] = {"type": "string", "value": v.data.decode("latin-1")}
-            elif isinstance(v, ListV):
-                entry = {"type": "list", "value": [b.decode("latin-1") for b in v.items]}
-            elif isinstance(v, SetV):
-                entry = {"type": "set", "value": [b.decode("latin-1") for b in sorted(v.members)]}
+            elif isinstance(v, deque):
+                entry = {"type": "list", "value": [b.decode("latin-1") for b in v]}
+            elif isinstance(v, set):
+                entry = {"type": "set", "value": [b.decode("latin-1") for b in sorted(v)]}
             else:
                 entry = {
                     "type": "hash",
-                    "value": {f: data.decode("latin-1") for f, data in sorted(v.fields)},
+                    "value": {f: data.decode("latin-1") for f, data in sorted(v.items())},
                 }
             out.append({"key": k, **entry})
         return out

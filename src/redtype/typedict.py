@@ -1,11 +1,15 @@
-"""Symbolic key/type dictionaries and the operations the checker folds over.
+"""Symbolic key/type dictionaries: the paper's list operations.
 
 A dictionary is an ordered association list of (key, tag) pairs.  Order
 matters and duplicate keys are representable: every operation here is
 defined by first-match recursion over the list, and the test suite pins
-each one against an independent naive model, duplicates included.  The
-checker itself never constructs a duplicate entry, but the operations
-must not assume that.
+each one against an independent naive model, duplicates included.
+
+These operations are the specification the checker is tested against.
+The checker threads a duplicate-free dict instead, which holds the same
+entries in the same order at a cost per command that does not grow with
+the number of keys; a test folds these operations over generated
+programs and compares the final dictionaries, order included.
 
 Lookup never falls back to a default.  A missing key is ``STUCK``, a
 distinct value callers must branch on.

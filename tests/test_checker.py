@@ -21,7 +21,8 @@ from redtype.checker import (
     infer_expr,
     result_text,
 )
-from redtype.fuzz import generate_program
+from redtype import typedict
+from redtype.fuzz import _KEYS, RECORD_POOL, _Generator, generate_program
 from redtype.parser import parse_program
 from redtype.syntax import (
     BOOL,
@@ -33,6 +34,7 @@ from redtype.syntax import (
     FloatLit,
     IntLit,
     ListOf,
+    Program,
     RecordDecl,
     RecordLit,
     RecordRef,
@@ -469,3 +471,74 @@ def test_rejection_can_depend_on_prefix_at_the_same_key():
     accepted = check_program(parse_program('program { sadd k "x" }'))
     assert isinstance(rejected, CheckError)
     assert isinstance(accepted, CheckOk)
+
+
+# ---------------------------------------------------------------------------
+# the threaded dict agrees with the paper's list operations
+
+
+def _spec_fold(initial, program, results):
+    """Final dictionary by typedict's list operations, keyed by opcode."""
+    records = record_table(program)
+    xs = list(initial)
+    env: dict = {}
+    for cmd, rt in zip(program.body, results):
+        k = cmd.keys[0] if cmd.keys else None
+        a = infer_expr(env, records, cmd.args[0]) if cmd.args else None
+        if cmd.opcode == "declare":
+            xs = typedict.dict_set(xs, k, cmd.declared)
+        elif cmd.opcode == "set" or (cmd.opcode == "setnx" and not typedict.dict_member(xs, k)):
+            xs = typedict.dict_set(xs, k, StringOf(a))
+        elif cmd.opcode == "lpush":
+            xs = typedict.dict_set(xs, k, ListOf(a))
+        elif cmd.opcode == "sadd":
+            xs = typedict.dict_set(xs, k, SetOf(a))
+        elif cmd.opcode == "del":
+            xs = typedict.dict_del(xs, k)
+        elif cmd.opcode == "hset":
+            xs = typedict.hash_set(xs, k, cmd.field_name, StringOf(a))
+        if cmd.binder is not None:
+            env[cmd.binder] = rt
+    return xs
+
+
+def _random_start(gen: _Generator, rng: random.Random):
+    if rng.random() < 0.3:
+        return []
+    keys = rng.sample(_KEYS + tuple(f"k{i}" for i in range(12)), rng.randint(1, 12))
+    return [(k, gen.random_tag()) for k in keys]
+
+
+def test_check_program_final_equals_the_typedict_fold_in_order():
+    rng = random.Random(404)
+    starts_nonempty = 0
+    for _ in range(1200):
+        gen = _Generator(rng, strict=rng.random() < 0.3)
+        initial = _random_start(gen, rng)
+        starts_nonempty += bool(initial)
+        gen.xs = list(initial)
+        body = []
+        for _ in range(rng.randint(1, 16)):
+            cmd, _ = gen.step(ill_typed=False)
+            before = list(gen.xs)
+            xs, rt = check_command(gen.xs, gen.env, gen.records, cmd, gen.strict)
+            assert gen.xs == before, "check_command must not mutate its input"
+            gen.xs = xs
+            if cmd.binder is not None:
+                gen.env[cmd.binder] = rt
+            body.append(cmd)
+        program = Program(RECORD_POOL, tuple(body))
+        report = check_program(program, initial, strict=gen.strict)
+        assert isinstance(report, CheckOk), report
+        assert report.initial == initial
+        assert report.final == _spec_fold(initial, program, report.results)
+        assert report.final == gen.xs
+    assert starts_nonempty > 600
+
+
+def test_duplicate_keyed_dictionary_raises_value_error():
+    twice = [("k", StringOf(INT)), ("j", SetOf(TEXT)), ("k", ListOf(INT))]
+    with pytest.raises(ValueError, match="'k' occurs twice"):
+        check_program(parse_program("program { del k }"), twice)
+    with pytest.raises(ValueError, match="'k' occurs twice"):
+        check1(twice, Command("ping"))

@@ -324,6 +324,8 @@ def test_run_malformed_server_reply_exit_5(tmp_path, capsys):
     [
         ["fuzz", "--max-len", "0"],
         ["fuzz", "--max-len", "-4"],
+        ["fuzz", "--iterations", "0"],
+        ["fuzz", "--iterations", "-5"],
         ["run", "--backend", "resp", "--timeout", "-1"],
         ["run", "--backend", "resp", "--timeout", "0"],
         ["run", "--backend", "resp", "--timeout", "nan"],

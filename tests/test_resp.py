@@ -207,3 +207,71 @@ def test_header_line_is_capped_at_proto_inline_max_size():
     d.feed(b"-" + b"e" * 1024 + b"\r\n" + b"+" + b"s" * MAX_LINE_LEN + b"\r\n")
     assert d.poll() == ErrReply("e" * 1024)
     assert d.poll() == SimpleStatus("s" * MAX_LINE_LEN)  # at the cap: still decodes
+
+
+# ---------------------------------------------------------------------------
+# the partial-array cursor
+
+
+def _decode_in_chunks(wire: bytes, size: int) -> list:
+    d = ReplyDecoder()
+    out = []
+    for i in range(0, len(wire), size):
+        d.feed(wire[i : i + size])
+        while (r := d.poll()) is not None:
+            out.append(r)
+    assert d.pending == 0
+    return out
+
+
+def test_cursor_resets_between_replies_at_every_split():
+    replies = [MultiBulk((b"a", b"", b"c\r\n")), MultiBulk((b"dd",)), SimpleStatus("OK")]
+    wire = b"".join(encode_reply(r) for r in replies)
+    for cut in range(len(wire) + 1):
+        d = ReplyDecoder()
+        out = []
+        for part in (wire[:cut], wire[cut:]):
+            d.feed(part)
+            while (r := d.poll()) is not None:
+                out.append(r)
+        assert out == replies, cut
+        assert d.pending == 0
+
+
+def test_large_array_in_4k_chunks_equals_one_shot_decode():
+    wire = encode_reply(MultiBulk(tuple(b"member-%d" % i for i in range(4000))))
+    assert _decode_in_chunks(wire, 4096) == _decode_in_chunks(wire, len(wire))
+
+
+def test_non_bulk_element_in_a_later_chunk_is_still_rejected():
+    d = ReplyDecoder()
+    d.feed(b"*3\r\n$1\r\na\r\n")
+    assert d.poll() is None
+    d.feed(b":5\r\n$1\r\nb\r\n")
+    with pytest.raises(ProtocolError, match="not a bulk string"):
+        d.poll()
+    d = ReplyDecoder()
+    d.feed(b"*2\r\n$1\r\na\r\n")
+    assert d.poll() is None
+    d.feed(b"$-1\r\n")
+    with pytest.raises(ProtocolError, match="not a bulk string"):
+        d.poll()
+
+
+def test_each_array_item_is_parsed_once(monkeypatch):
+    calls = 0
+    parse = ReplyDecoder._parse
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return parse(self)
+
+    monkeypatch.setattr(ReplyDecoder, "_parse", counted)
+    items = 4000
+    wire = encode_reply(MultiBulk(tuple(b"%d" % i for i in range(items))))
+    chunks = -(-len(wire) // 4096)
+    assert len(_decode_in_chunks(wire, 4096)[0].items) == items
+    # Each poll parses its complete items once and fails at most once on
+    # the incomplete one; re-parsing from the start would cost items**2.
+    assert calls <= items + chunks + 2

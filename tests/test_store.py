@@ -365,3 +365,56 @@ def test_store_value_types_are_as_documented():
     assert isinstance(st["b"], ListV)
     assert isinstance(st["c"], SetV)
     assert isinstance(st["d"], HashV)
+
+
+def test_state_taken_earlier_is_unchanged_by_later_commands():
+    store = MemoryStore()
+    store.execute([b"SADD", b"s", b"a"])
+    store.execute([b"LPUSH", b"l", b"x"])
+    store.execute([b"LPUSH", b"l", b"y"])
+    store.execute([b"HSET", b"h", b"f", b"1"])
+    before = store.state
+    store.execute([b"SADD", b"s", b"b"])
+    store.execute([b"LPUSH", b"l", b"z"])
+    store.execute([b"RPOP", b"l"])
+    store.execute([b"HSET", b"h", b"g", b"2"])
+    assert before["s"] == SetV(frozenset({b"a"}))
+    assert before["l"] == ListV((b"y", b"x"))
+    assert before["h"] == HashV((("f", b"1"),))
+    assert store.state["l"] == ListV((b"z", b"y"))
+
+
+CONTAINERS = [
+    [b"SADD", b"s", b"a"],
+    [b"LPUSH", b"l", b"x"],
+    [b"LPUSH", b"l", b"y"],
+    [b"LPUSH", b"one", b"x"],
+    [b"HSET", b"h", b"f", b"1"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [b"SADD", b"s", b"b"],
+        [b"SADD", b"s", b"a"],
+        [b"LPUSH", b"l", b"z"],
+        [b"RPOP", b"l"],
+        [b"RPOP", b"one"],
+        [b"HSET", b"h", b"g", b"2"],
+        [b"HSET", b"h", b"f", b"3"],
+    ],
+)
+def test_exec_command_on_containers_is_pure_and_agrees_with_the_store(argv):
+    store = MemoryStore()
+    for setup in CONTAINERS:
+        store.execute(setup)
+    state = store.state
+    assert state["l"] == ListV((b"y", b"x"))
+    before = dict(state)
+    new1, r1 = exec_command(state, argv)
+    new2, r2 = exec_command(dict(state), argv)
+    assert state == before
+    assert (new1, r1) == (new2, r2)
+    assert store.execute(argv) == r1
+    assert store.state == new1
