@@ -15,7 +15,7 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
 
 import run  # noqa: E402
-from tracing import Tracer  # noqa: E402
+from tracing import PHASES, Tracer  # noqa: E402
 
 
 def _redtype() -> SimpleNamespace:
@@ -54,3 +54,20 @@ def test_tracer_installs_on_every_traced_name_and_restores_the_originals(tmp_pat
     for old, new in zip(before, after):
         assert new.keys() == old.keys()
         assert all(new[name] is old[name] for name in old)
+
+
+def test_tracer_records_the_fuzz_spans_the_benchmark_reads():
+    rt = _redtype()
+    tracer = Tracer()
+    try:
+        tracer.install(rt)
+        tracer.set_phase("fuzz")
+        result = rt.fuzz.run_fuzz(rt.fuzz.FuzzConfig(iterations=30, seed=3))
+        tracer.set_phase(None)
+    finally:
+        tracer.remove()
+    assert result.stats.iterations == 30 and result.stats.accepted > 0
+    # bench/layers.py reads these names from spans recorded in the fuzz phase
+    fuzz = PHASES.index("fuzz")
+    spans = {tracer.names[n] for n, ph in zip(tracer.name, tracer.phase_of) if ph == fuzz}
+    assert {"fuzz.gen", "fuzz.check", "fuzz.run"} <= spans

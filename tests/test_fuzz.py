@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from redtype.backend import RunError
 from redtype.checker import CheckError, CheckOk, check_program
 from redtype.fuzz import (
@@ -15,7 +17,7 @@ from redtype.fuzz import (
     shrink,
 )
 from redtype.parser import parse_program, print_program
-from redtype.syntax import Span
+from redtype.syntax import OPCODES, Span
 
 
 def test_same_seed_same_programs():
@@ -144,3 +146,34 @@ def test_shrink_respects_an_arbitrary_predicate():
     has_del = lambda p: any(c.opcode == "del" for c in p.body)
     small = shrink(program, has_del)
     assert [c.opcode for c in small.body] == ["del"]
+
+
+_CONSTRAINTS = {
+    "NotMember-violated",
+    "ListOrNX-violated",
+    "SetOrNX-violated",
+    "HashOrNX-violated",
+    "GetEquality-failed",
+    "GetStuck",
+    "ElementTypeMismatch",
+    "UnknownRecord",
+    "UnknownVariable",
+    "ArityMismatch",
+}
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_generator_covers_every_opcode_and_constraint(strict):
+    # The generator's reach is the fuzzer's evidence: a seeded batch must
+    # emit every opcode and provoke every constraint the checker can raise.
+    rng = random.Random(1234)
+    opcodes: set[str] = set()
+    constraints: set[str] = set()
+    for _ in range(3000):
+        program = generate_program(rng, strict=strict)
+        opcodes.update(c.opcode for c in program.body)
+        report = check_program(program, [], strict)
+        if isinstance(report, CheckError):
+            constraints.add(report.constraint)
+    assert opcodes == OPCODES
+    assert constraints == _CONSTRAINTS
