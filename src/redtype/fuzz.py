@@ -20,10 +20,8 @@ from typing import Callable
 
 from .backend import MemoryBackend, RunError, run_program
 from .checker import (
-    BoolResult,
+    _SCALAR_BASES,
     CheckError,
-    FloatResult,
-    IntResult,
     MaybeResult,
     ResultType,
     check_command,
@@ -68,8 +66,6 @@ _KEYS = ("alpha", "beta", "gamma", "delta", "some-key", "cache_0")
 _FIELDS = ("f0", "f1", "f2")
 _TEXT_ALPHABET = "abdeghjkmpqsuwyz 0159_-#é日\"\\\n\t"
 
-_SCALARS: tuple[BaseType, ...] = (INT, FLOAT, BOOL, TEXT)
-
 
 @dataclass
 class FuzzConfig:
@@ -111,6 +107,17 @@ class FuzzResult:
 # program generation
 
 
+# A step's candidates are plain data, (opcode, keys, value, field), and only
+# the drawn one is built into a Command.  ``value`` is None (no argument), a
+# base type (a literal or binder of it), _ANY (of a random base type), or a
+# fixed ill-typed Expr.
+_ANY = object()
+_Candidate = tuple[str, tuple[str, ...], object, "str | None"]
+
+# Well-typed on a pool key that is not tracked yet.
+_ON_FREE_KEY = (("setnx", _ANY), ("declare", None), ("lpush", _ANY), ("llen", None), ("sadd", _ANY))
+
+
 class _Generator:
     def __init__(self, rng: random.Random, strict: bool):
         self.rng = rng
@@ -119,17 +126,21 @@ class _Generator:
         self.xs: TypeDict = []
         self.env: dict[str, ResultType] = {}
         self.binder_count = 0
-        self.missing_count = 0
 
     # ---- small pieces ----
 
     def any_base(self) -> BaseType:
         if self.rng.random() < 0.25:
             return RecordRef(self.rng.choice(RECORD_POOL).name)
-        return self.rng.choice(_SCALARS)
+        return self.rng.choice((INT, FLOAT, BOOL, TEXT))
 
-    def literal(self, base: BaseType) -> Expr:
+    def value(self, base: BaseType) -> Expr:
+        """Expression of the given base type: a usable binder or a literal."""
         rng = self.rng
+        if rng.random() < 0.3:
+            names = [n for n, rt in self.env.items() if _SCALAR_BASES.get(type(rt)) == base]
+            if names:
+                return Var(rng.choice(names))
         if base == INT:
             return IntLit(rng.randint(-(10**9), 10**9))
         if base == FLOAT:
@@ -137,197 +148,143 @@ class _Generator:
         if base == BOOL:
             return BoolLit(rng.random() < 0.5)
         if base == TEXT:
-            n = rng.randint(0, 8)
-            return TextLit("".join(rng.choice(_TEXT_ALPHABET) for _ in range(n)))
+            return TextLit("".join(rng.choices(_TEXT_ALPHABET, k=rng.randint(0, 8))))
         assert isinstance(base, RecordRef)
         decl = self.records[base.name]
         return RecordLit(base.name, tuple(self.value(fb) for _, fb in decl.fields))
 
-    def value(self, base: BaseType) -> Expr:
-        """Expression of the given base type: literal or a usable binder."""
-        wanted = {INT: IntResult, FLOAT: FloatResult, BOOL: BoolResult}.get(base)
-        if wanted is not None and self.rng.random() < 0.3:
-            names = [n for n, rt in self.env.items() if isinstance(rt, wanted)]
-            if names:
-                return Var(self.rng.choice(names))
-        return self.literal(base)
-
     def random_tag(self) -> TypeTag:
-        kind = self.rng.choices(("string", "list", "set", "hash"), weights=(4, 3, 3, 2))[0]
-        if kind == "string":
-            # string<int> keys keep incr in play
-            base = INT if self.rng.random() < 0.4 else self.any_base()
-            return StringOf(base)
-        if kind == "list":
-            return ListOf(self.any_base())
-        if kind == "set":
-            return SetOf(self.any_base())
-        n = self.rng.randint(1, 2)
-        fields = tuple(
-            (f, StringOf(self.any_base())) for f in self.rng.sample(_FIELDS, n)
-        )
-        return HashOf(fields)
-
-    def tracked(self, want=None) -> list[tuple[str, TypeTag]]:
-        if want is None:
-            return list(self.xs)
-        return [(k, t) for k, t in self.xs if want(t)]
-
-    def untracked_pool_key(self) -> str | None:
-        free = [k for k in _KEYS if not dict_member(self.xs, k)]
-        return self.rng.choice(free) if free else None
+        kind = self.rng.choices((StringOf, ListOf, SetOf, HashOf), weights=(4, 3, 3, 2))[0]
+        if kind is HashOf:
+            names = self.rng.sample(_FIELDS, self.rng.randint(1, 2))
+            return HashOf(tuple((f, StringOf(self.any_base())) for f in names))
+        # string<int> keys keep incr in play
+        if kind is StringOf and self.rng.random() < 0.4:
+            return StringOf(INT)
+        return kind(self.any_base())
 
     def missing_key(self) -> str:
-        while True:
-            self.missing_count += 1
-            k = f"missing-{self.missing_count}"
-            if not dict_member(self.xs, k):
-                return k
+        n = 1
+        while dict_member(self.xs, f"missing-{n}"):
+            n += 1
+        return f"missing-{n}"
 
-    def write(self, op: str, k: str, base: BaseType) -> Command:
-        return Command(op, keys=(k,), args=(self.value(base),))
-
-    def write_any(self, op: str, k: str) -> Command:
-        """``op k v`` with a value of a random base type."""
-        return Command(op, keys=(k,), args=(self.value(self.any_base()),))
-
-    def hset_any(self, k: str) -> Command:
-        return Command("hset", keys=(k,), args=(self.value(self.any_base()),), field_name=self.rng.choice(_FIELDS))
+    def build(self, candidate: _Candidate, binder: str | None) -> Command:
+        op, keys, value, field = candidate
+        if op == "declare":
+            return Command(op, keys=keys, declared=self.random_tag(), binder=binder)
+        if value is _ANY:
+            value = self.any_base()
+        if isinstance(value, BaseType):
+            value = self.value(value)
+        args = () if value is None else (value,)
+        return Command(op, keys=keys, args=args, field_name=field, binder=binder)
 
     # ---- well-typed steps ----
 
-    def good_candidates(self) -> list[Command]:
+    def good_candidates(self, kinds: dict[type, TypeDict]) -> list[_Candidate]:
         rng = self.rng
-        out: list[Command] = []
-        out.append(Command("ping"))
+        key = (rng.choice(_KEYS),)
+        out: list[_Candidate] = [("ping", (), None, None), ("set", key, _ANY, None), ("del", key, None, None)]
 
-        out.append(self.write_any("set", rng.choice(_KEYS)))
+        free = [k for k in _KEYS if not dict_member(self.xs, k)]
+        if free:
+            k = rng.choice(free)
+            out += [(op, (k,), value, None) for op, value in _ON_FREE_KEY]
+            out.append(("hset", (k,), _ANY, rng.choice(_FIELDS)))
 
-        free = self.untracked_pool_key()
-        if free is not None:
-            out.append(self.write_any("setnx", free))
-            out.append(Command("declare", keys=(free,), declared=self.random_tag()))
-        strings = self.tracked(lambda t: isinstance(t, StringOf))
+        strings = kinds[StringOf]
         if strings:
             k, tag = rng.choice(strings)
-            out.append(self.write("setnx", k, tag.base))
-            out.append(Command("get", keys=(k,)))
-
-        out.append(Command("del", keys=(rng.choice(_KEYS),)))
-
-        counters = self.tracked(lambda t: t == StringOf(INT))
+            out += [("setnx", (k,), tag.base, None), ("get", (k,), None, None)]
+        counters = [k for k, tag in strings if tag.base == INT]
         if counters:
-            out.append(Command("incr", keys=(rng.choice(counters)[0],)))
-        floats = self.tracked(lambda t: t == StringOf(FLOAT))
+            out.append(("incr", (rng.choice(counters),), None, None))
+        floats = [k for k, tag in strings if tag.base == FLOAT]
         if floats:
-            out.append(self.write("incrbyfloat", rng.choice(floats)[0], FLOAT))
+            out.append(("incrbyfloat", (rng.choice(floats),), FLOAT, None))
 
-        lists = self.tracked(lambda t: isinstance(t, ListOf))
-        if lists:
-            k, tag = rng.choice(lists)
-            elem = tag.base if self.strict or rng.random() < 0.7 else self.any_base()
-            out.append(self.write("lpush", k, elem))
-            out.append(Command("llen", keys=(k,)))
-            out.append(Command("rpop", keys=(rng.choice(lists)[0],)))
-        if free is not None:
-            out.append(self.write_any("lpush", free))
-            out.append(Command("llen", keys=(free,)))
+        for op, group in (("lpush", kinds[ListOf]), ("sadd", kinds[SetOf])):
+            if group:
+                k, tag = rng.choice(group)
+                # default mode may push other element types: reading them back
+                # is a counted decode failure, not a violation
+                elem = tag.base if self.strict or rng.random() < 0.7 else _ANY
+                out.append((op, (k,), elem, None))
+                if op == "lpush":
+                    out += [("llen", (k,), None, None), ("rpop", (rng.choice(group)[0],), None, None)]
+        by_base: dict[BaseType, list[str]] = {}
+        for k, tag in kinds[SetOf]:
+            by_base.setdefault(tag.base, []).append(k)
+        if by_base:
+            ks = rng.choice(list(by_base.values()))
+            out.append(("sinter", (rng.choice(ks), rng.choice(ks)), None, None))
 
-        sets = self.tracked(lambda t: isinstance(t, SetOf))
-        if sets:
-            k, tag = rng.choice(sets)
-            elem = tag.base if self.strict or rng.random() < 0.7 else self.any_base()
-            out.append(self.write("sadd", k, elem))
-        if free is not None:
-            out.append(self.write_any("sadd", free))
-        by_base: dict[str, list[str]] = {}
-        for k, tag in sets:
-            by_base.setdefault(repr(tag.base), []).append(k)
-        pairs = [ks for ks in by_base.values()]
-        if pairs:
-            ks = rng.choice(pairs)
-            out.append(Command("sinter", keys=(rng.choice(ks), rng.choice(ks))))
-
-        hashes = self.tracked(lambda t: isinstance(t, HashOf))
-        if hashes:
-            k, tag = rng.choice(hashes)
-            out.append(self.hset_any(k))
+        if kinds[HashOf]:
+            k, tag = rng.choice(kinds[HashOf])
+            out.append(("hset", (k,), _ANY, rng.choice(_FIELDS)))
             if tag.fields:
-                fname, _ = rng.choice(tag.fields)
-                out.append(Command("hget", keys=(k,), field_name=fname))
-        if free is not None:
-            out.append(self.hset_any(free))
+                out.append(("hget", (k,), None, rng.choice(tag.fields)[0]))
         return out
 
     # ---- deliberately ill-typed steps ----
 
-    def bad_candidates(self) -> list[Command]:
+    def bad_candidates(self, kinds: dict[type, TypeDict]) -> list[_Candidate]:
         rng = self.rng
-        out: list[Command] = []
+        missing = (self.missing_key(),)
+        key = (rng.choice(_KEYS),)
+        out: list[_Candidate] = [
+            ("incr", missing, None, None),
+            ("get", missing, None, None),
+            ("rpop", missing, None, None),
+            ("set", key, Var("nope"), None),
+            ("set", key, RecordLit("Ghost", (IntLit(1),)), None),
+            ("set", key, RecordLit("Pair", (IntLit(1),)), None),
+            ("set", key, RecordLit("Pair", (IntLit(0), IntLit(0))), None),
+            ("incrbyfloat", key, IntLit(1), None),
+        ]
 
-        out.append(Command("incr", keys=(self.missing_key(),)))
-        out.append(Command("get", keys=(self.missing_key(),)))
-        out.append(Command("rpop", keys=(self.missing_key(),)))
-        out.append(Command("set", keys=(rng.choice(_KEYS),), args=(Var(f"nope{self.missing_count}"),)))
-        out.append(Command("set", keys=(rng.choice(_KEYS),), args=(RecordLit("Ghost", (IntLit(1),)),)))
-        out.append(Command("set", keys=(rng.choice(_KEYS),), args=(RecordLit("Pair", (IntLit(1),)),)))
-        out.append(
-            Command("set", keys=(rng.choice(_KEYS),), args=(RecordLit("Pair", (IntLit(0), IntLit(0))),))
-        )
-        out.append(Command("incrbyfloat", keys=(rng.choice(_KEYS),), args=(IntLit(1),)))
-
-        tracked = self.tracked()
-        if tracked:
-            k, tag = rng.choice(tracked)
-            out.append(Command("declare", keys=(k,), declared=self.random_tag()))
-            if not isinstance(tag, StringOf) or tag.base != INT:
-                out.append(Command("incr", keys=(k,)))
+        if self.xs:
+            k, tag = rng.choice(self.xs)
+            out.append(("declare", (k,), None, None))
+            if tag != StringOf(INT):
+                out.append(("incr", (k,), None, None))
             if not isinstance(tag, ListOf):
-                out.append(self.write_any("lpush", k))
-                out.append(Command("llen", keys=(k,)))
-                out.append(Command("rpop", keys=(k,)))
+                out += [("lpush", (k,), _ANY, None), ("llen", (k,), None, None), ("rpop", (k,), None, None)]
             if not isinstance(tag, SetOf):
-                out.append(self.write_any("sadd", k))
-                out.append(Command("sinter", keys=(k, k)))
+                out += [("sadd", (k,), _ANY, None), ("sinter", (k, k), None, None)]
             if not isinstance(tag, HashOf):
-                out.append(
-                    Command("hset", keys=(k,), args=(IntLit(7),), field_name=rng.choice(_FIELDS))
-                )
-                out.append(Command("hget", keys=(k,), field_name=rng.choice(_FIELDS)))
+                out += [("hset", (k,), IntLit(7), rng.choice(_FIELDS)), ("hget", (k,), None, rng.choice(_FIELDS))]
             if not isinstance(tag, StringOf):
-                out.append(Command("get", keys=(k,)))
-                out.append(self.write_any("setnx", k))
+                out += [("get", (k,), None, None), ("setnx", (k,), _ANY, None)]
 
-        hashes = self.tracked(lambda t: isinstance(t, HashOf))
-        if hashes:
-            k, tag = rng.choice(hashes)
-            known = {f for f, _ in tag.fields}
-            unknown = [f for f in _FIELDS if f not in known]
+        if kinds[HashOf]:
+            k, tag = rng.choice(kinds[HashOf])
+            unknown = [f for f in _FIELDS if f not in dict(tag.fields)]
             if unknown:
-                out.append(Command("hget", keys=(k,), field_name=rng.choice(unknown)))
+                out.append(("hget", (k,), None, rng.choice(unknown)))
 
         maybe_binders = [n for n, rt in self.env.items() if isinstance(rt, MaybeResult)]
         if maybe_binders:
-            out.append(
-                Command("set", keys=(rng.choice(_KEYS),), args=(Var(rng.choice(maybe_binders)),))
-            )
+            out.append(("set", key, Var(rng.choice(maybe_binders)), None))
 
-        if self.strict:
-            lists = self.tracked(lambda t: isinstance(t, ListOf))
-            if lists:
-                k, tag = rng.choice(lists)
-                other = INT if tag.base != INT else TEXT
-                out.append(Command("lpush", keys=(k,), args=(self.literal(other),)))
+        if self.strict and kinds[ListOf]:
+            k, tag = rng.choice(kinds[ListOf])
+            out.append(("lpush", (k,), IntLit(7) if tag.base != INT else TextLit("7"), None))
         return out
 
     def step(self, ill_typed: bool) -> tuple[Command, bool]:
         """Produce the next command; returns (command, was_ill_typed)."""
-        pool = self.bad_candidates() if ill_typed else self.good_candidates()
-        cmd = self.rng.choice(pool)
+        kinds: dict[type, TypeDict] = {StringOf: [], ListOf: [], SetOf: [], HashOf: []}
+        for entry in self.xs:
+            kinds[type(entry[1])].append(entry)
+        pool = self.bad_candidates(kinds) if ill_typed else self.good_candidates(kinds)
+        candidate = self.rng.choice(pool)
+        binder = None
         if not ill_typed and self.rng.random() < 0.4:
             self.binder_count += 1
-            cmd = replace(cmd, binder=f"v{self.binder_count}")
-        return cmd, ill_typed
+            binder = f"v{self.binder_count}"
+        return self.build(candidate, binder), ill_typed
 
 
 def generate_program(
@@ -345,8 +302,7 @@ def generate_program(
         body.append(cmd)
         if was_bad:
             break
-        xs, rt = check_command(gen.xs, gen.env, gen.records, cmd, strict)
-        gen.xs = xs
+        gen.xs, rt = check_command(gen.xs, gen.env, gen.records, cmd, strict)
         if cmd.binder is not None:
             gen.env[cmd.binder] = rt
     return Program(RECORD_POOL, tuple(body))

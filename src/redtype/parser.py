@@ -372,7 +372,12 @@ class _Parser:
         t = self.peek()
         if t.kind == "INT":
             self.advance()
-            return IntLit(int(t.text))
+            # Redis integers are signed 64-bit; counting digits first keeps
+            # int() off unbounded text
+            value = int(t.text) if len(t.text.lstrip("-0")) <= 19 else 2**63
+            if not -(2**63) <= value < 2**63:
+                raise ParseError(t.line, t.col, "a signed 64-bit integer", "literal out of range")
+            return IntLit(value)
         if t.kind == "FLOAT":
             self.advance()
             value = float(t.text)

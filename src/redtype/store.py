@@ -30,6 +30,7 @@ from .syntax import COMMAND_SHAPES
 WRONGTYPE_MSG = "WRONGTYPE Operation against a key holding the wrong kind of value"
 NOT_INT_MSG = "ERR value is not an integer or out of range"
 NOT_FLOAT_MSG = "ERR value is not a valid float"
+OVERFLOW_MSG = "ERR increment or decrement would overflow"
 NONFINITE_MSG = "ERR increment would produce NaN or Infinity"
 
 
@@ -206,8 +207,10 @@ def _apply(state: _LiveState, name: str, argv: Sequence[bytes]) -> Reply:
     if name == "INCR":
         v = _holding(state, k, Str)
         n = canonical_int(b"0" if v is None else v.data)
-        if n is None:
+        if n is None or not -(2**63) <= n < 2**63:
             return ErrReply(NOT_INT_MSG)
+        if n == 2**63 - 1:
+            return ErrReply(OVERFLOW_MSG)
         state[k] = Str(str(n + 1).encode("ascii"))
         return IntReply(n + 1)
 

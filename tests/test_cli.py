@@ -85,6 +85,14 @@ def test_check_parse_error_exit_2(tmp_path, capsys):
     assert main(["check", "--json", f]) == 2
 
 
+def test_check_huge_int_literal_exit_2(tmp_path, capsys):
+    f = write(tmp_path, "huge.rt", "program { set k " + "7" * 5000 + " }")
+    assert main(["check", f]) == 2
+    err = capsys.readouterr().err
+    assert "literal out of range" in err
+    assert "Traceback" not in err
+
+
 def test_check_missing_file_exit_3(capsys):
     assert main(["check", "/no/such/file.rt"]) == 3
     assert "cannot read" in capsys.readouterr().err

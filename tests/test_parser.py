@@ -182,6 +182,20 @@ def test_nonfinite_float_literal_rejected():
     assert "out of range" in exc.value.found
 
 
+def test_int_literal_outside_int64_rejected_at_its_position():
+    for literal in (str(2**63), str(-(2**63) - 1), "9" * 5000):
+        with pytest.raises(ParseError) as exc:
+            parse_program(f"program {{ ping\n  set k {literal} }}")
+        assert (exc.value.line, exc.value.column) == (2, 9)
+        assert exc.value.expected == "a signed 64-bit integer"
+        assert exc.value.found == "literal out of range"
+
+
+def test_int_literals_at_the_int64_bounds_parse():
+    p = parse_program(f"program {{ set lo {-(2**63)}  set hi {2**63 - 1}  set z -0000000000000000000000001 }}")
+    assert [c.args[0] for c in p.body] == [IntLit(-(2**63)), IntLit(2**63 - 1), IntLit(-1)]
+
+
 def test_parse_type_tag_standalone():
     assert parse_type_tag("string<int>") == StringOf(INT)
     assert parse_type_tag("set<Message>") == SetOf(RecordRef("Message"))

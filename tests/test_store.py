@@ -7,6 +7,7 @@ import pytest
 from redtype.store import (
     NOT_FLOAT_MSG,
     NOT_INT_MSG,
+    OVERFLOW_MSG,
     WRONGTYPE_MSG,
     BulkReply,
     ErrReply,
@@ -163,6 +164,20 @@ def test_incr_handles_negatives_and_wide_values():
     big = str(2**63 - 2).encode()
     replies = run_all([[b"SET", b"c", big], [b"INCR", b"c"]])
     assert replies[1] == IntReply(2**63 - 1)
+
+
+def test_incr_rejects_stored_values_outside_int64():
+    for stored in (2**63, -(2**63) - 1, 10**30):
+        replies = run_all([[b"SET", b"c", str(stored).encode()], [b"INCR", b"c"], [b"GET", b"c"]])
+        assert replies[1:] == [ErrReply(NOT_INT_MSG), BulkReply(str(stored).encode())], stored
+    replies = run_all([[b"SET", b"c", str(-(2**63)).encode()], [b"INCR", b"c"]])
+    assert replies[1] == IntReply(-(2**63) + 1)
+
+
+def test_incr_at_int64_max_overflows_and_keeps_the_value():
+    top = str(2**63 - 1).encode()
+    replies = run_all([[b"SET", b"c", top], [b"INCR", b"c"], [b"GET", b"c"]])
+    assert replies[1:] == [ErrReply(OVERFLOW_MSG), BulkReply(top)]
 
 
 def test_incr_wrongtype_on_container():
