@@ -7,6 +7,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+from redtype import parser
 from redtype.fuzz import generate_program
 from redtype.parser import (
     MAX_NESTING,
@@ -333,3 +335,52 @@ def test_nesting_up_to_the_bound_still_parses():
     inner = "R{" * MAX_NESTING + "1" + "}" * MAX_NESTING
     program = parse_program("program {\n  set k " + inner + "\n}\n")
     assert len(program.body) == 1
+
+
+# ---------------------------------------------------------------------------
+# the lexer against the character-at-a-time reference in tests/oracles.py
+
+
+def _package_tokens(source):
+    """The package lexer's tokens as ``(kind, text, line, col)``."""
+    out = []
+    for t in parser._lex(source):
+        if hasattr(t, "pos"):  # located by offset: line and column are derived
+            line = source.count("\n", 0, t.pos) + 1
+            out.append((t.kind, t.text, line, t.pos - source.rfind("\n", 0, t.pos)))
+        else:
+            out.append((t.kind, t.text, t.line, t.col))
+    return out
+
+
+_FRAGMENTS = [
+    "program", "record", "set", "k", "x-1", "_a", "{", "}", "<", ">", ":", ",", "<-", "-", "-x",
+    "0", "-7", "12", "1.5", "-2.25", "1.5e", "1.5e3e", "1.5E+3", "1.5e-", "1.", ".5", "1e5",
+    '"', '"a"', '"a\\nb\\t\\"\\\\"', '"\\q"', '"\\', '"raw\nnewline"', "\\",
+    "#c", "#c\n", "\n", " ", "\t", "\r", "\x0b", "@", ".", "é", "٣", "²", "ｋ",
+]
+
+
+def _assert_lexes_like_the_reference(source):
+    try:
+        expected = oracles.lex(source)
+    except ParseError as ref:
+        where = (ref.line, ref.column, ref.expected, ref.found)
+        for run in (parser._lex, parse_program):
+            with pytest.raises(ParseError) as exc:
+                run(source)
+            assert (exc.value.line, exc.value.column, exc.value.expected, exc.value.found) == where
+        return
+    assert _package_tokens(source) == expected
+
+
+@settings(max_examples=1000)
+@given(st.text(max_size=80) | st.text(alphabet="\"\\nte1.5-<#\n {}", max_size=40))
+def test_lexer_agrees_with_the_reference_on_arbitrary_text(source):
+    _assert_lexes_like_the_reference(source)
+
+
+@settings(max_examples=1000)
+@given(st.lists(st.sampled_from(_FRAGMENTS), max_size=20), st.sampled_from(["", " ", "\n"]))
+def test_lexer_agrees_with_the_reference_on_token_soup(fragments, sep):
+    _assert_lexes_like_the_reference(sep.join(fragments))
