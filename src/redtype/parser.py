@@ -9,8 +9,9 @@ parses back to a structurally equal tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, TypeVar
+import re
+from bisect import bisect_right
+from typing import Callable, NamedTuple, TypeVar
 
 from .syntax import (
     BOOL,
@@ -69,158 +70,112 @@ class ParseError(Exception):
         self.found = found
 
 
-@dataclass(frozen=True)
-class _Token:
+# Longest stretch of token text an error message quotes.
+_QUOTE_MAX = 40
+
+
+def _clip(text: str) -> str:
+    return text if len(text) <= _QUOTE_MAX else text[:_QUOTE_MAX] + "..."
+
+
+class _Token(NamedTuple):
     kind: str  # IDENT INT FLOAT STRING LBRACE RBRACE LT GT COLON COMMA ARROW EOF
     text: str
-    line: int
-    col: int
+    pos: int  # offset of the first character in the source
 
     def describe(self) -> str:
         if self.kind == "EOF":
             return "end of input"
         if self.kind == "STRING":
             return "text literal"
-        return f"'{self.text}'"
-
-
-def _ident_start(c: str) -> bool:
-    return c.isascii() and (c.isalpha() or c == "_")
-
-
-def _ident_cont(c: str) -> bool:
-    return c.isascii() and (c.isalnum() or c in "_-")
-
-
-def _digit(c: str) -> bool:
-    # Not str.isdigit(): that accepts superscripts and other Unicode
-    # digits that int()/float() reject.
-    return "0" <= c <= "9"
+        return f"'{_clip(self.text)}'"
 
 
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
 
-_PUNCT = {"{": "LBRACE", "}": "RBRACE", "<": "LT", ">": "GT", ":": "COLON", ",": "COMMA"}
+# A text literal as far as it is well formed, without its closing quote.
+# The possessive quantifiers (Python 3.11) keep no backtracking state, so
+# a literal of a million escapes costs no more memory to match than its
+# own text.
+_OPEN_TEXT = r'"[^"\\]*+(?:\\["\\nt][^"\\]*+)*+'
+
+# Blanks and comments are a skipped prefix of each match.  Then one group
+# per token kind, in priority order; character classes are spelled out
+# because \d and \w admit Unicode digits and letters.  EOF matches only at
+# the end and BAD takes any other character, so the matches tile the source.
+_TOKEN = re.compile(
+    r"(?:[ \t\r\n]++|#[^\n]*+)*+(?:"
+    r"(?P<IDENT>[A-Za-z_][A-Za-z0-9_-]*)"
+    r"|(?P<FLOAT>-?[0-9]+\.[0-9]+(?:[eE][+-]?[0-9]*)?)"
+    r"|(?P<INT>-?[0-9]+)"
+    rf'|(?P<STRING>{_OPEN_TEXT}")'
+    r"|(?P<ARROW><-)"
+    r"|(?P<LBRACE>\{)|(?P<RBRACE>\})|(?P<LT><)|(?P<GT>>)|(?P<COLON>:)|(?P<COMMA>,)"
+    r"|(?P<EOF>\Z)|(?P<BAD>.))",
+    re.DOTALL,
+)
+_OPEN_TEXT_RE = re.compile(_OPEN_TEXT)
+_ESCAPE = re.compile(r'\\(["\\nt])')
+
+
+def _unescape(m: re.Match[str]) -> str:
+    return _ESCAPES[m[1]]
+
+
+def _line_starts(source: str) -> list[int]:
+    """Offset of the first character of each line."""
+    return [0, *(m.end() for m in re.finditer("\n", source))]
+
+
+def _where(starts: list[int], pos: int) -> tuple[int, int]:
+    """1-based line and column of a source offset."""
+    line = bisect_right(starts, pos)
+    return line, pos - starts[line - 1] + 1
+
+
+def _located(starts: list[int], pos: int, expected: str, found: str) -> ParseError:
+    return ParseError(*_where(starts, pos), expected, found)
+
+
+def _bad_token(source: str, pos: int) -> ParseError:
+    """The error for a character that starts no token."""
+    starts = _line_starts(source)
+    if source[pos] != '"':
+        return _located(starts, pos, "a token", f"character {source[pos]!r}")
+    # the literal stops short at a bad escape or at the end of input
+    end = _OPEN_TEXT_RE.match(source, pos).end()
+    if end == len(source):
+        return _located(starts, pos, "closing '\"'", "end of input")
+    if end + 1 == len(source):
+        return _located(starts, end, "escape character", "end of input")
+    return _located(starts, end, "one of \\\" \\\\ \\n \\t", f"'\\{source[end + 1]}'")
 
 
 def _lex(source: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(source)
-
-    def bump(text: str) -> None:
-        nonlocal line, col
-        for c in text:
-            if c == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-
-    while i < n:
-        c = source[i]
-        if c in " \t\r\n":
-            bump(c)
-            i += 1
-            continue
-        if c == "#":
-            j = source.find("\n", i)
-            if j == -1:
-                j = n
-            bump(source[i:j])
-            i = j
-            continue
-
-        start_line, start_col = line, col
-
-        if _ident_start(c):
-            j = i + 1
-            while j < n and _ident_cont(source[j]):
-                j += 1
-            text = source[i:j]
-            tokens.append(_Token("IDENT", text, start_line, start_col))
-            bump(text)
-            i = j
-            continue
-
-        if _digit(c) or (c == "-" and i + 1 < n and _digit(source[i + 1])):
-            j = i + 1
-            while j < n and _digit(source[j]):
-                j += 1
-            kind = "INT"
-            if j < n and source[j] == "." and j + 1 < n and _digit(source[j + 1]):
-                kind = "FLOAT"
-                j += 1
-                while j < n and _digit(source[j]):
-                    j += 1
-                if j < n and source[j] in "eE":
-                    k = j + 1
-                    if k < n and source[k] in "+-":
-                        k += 1
-                    if k < n and _digit(source[k]):
-                        while k < n and _digit(source[k]):
-                            k += 1
-                        j = k
-                    else:
-                        raise ParseError(start_line, start_col, "exponent digits", "malformed float literal")
-            text = source[i:j]
-            tokens.append(_Token(kind, text, start_line, start_col))
-            bump(text)
-            i = j
-            continue
-
-        if c == '"':
-            bump(c)
-            i += 1
-            chars: list[str] = []
-            while True:
-                if i >= n:
-                    raise ParseError(start_line, start_col, "closing '\"'", "end of input")
-                c = source[i]
-                if c == '"':
-                    bump(c)
-                    i += 1
-                    break
-                if c == "\\":
-                    if i + 1 >= n:
-                        raise ParseError(line, col, "escape character", "end of input")
-                    esc = source[i + 1]
-                    if esc not in _ESCAPES:
-                        raise ParseError(line, col, "one of \\\" \\\\ \\n \\t", f"'\\{esc}'")
-                    chars.append(_ESCAPES[esc])
-                    bump(source[i : i + 2])
-                    i += 2
-                    continue
-                chars.append(c)
-                bump(c)
-                i += 1
-            tokens.append(_Token("STRING", "".join(chars), start_line, start_col))
-            continue
-
-        if c == "<" and i + 1 < n and source[i + 1] == "-":
-            tokens.append(_Token("ARROW", "<-", start_line, start_col))
-            bump("<-")
-            i += 2
-            continue
-
-        if c in _PUNCT:
-            tokens.append(_Token(_PUNCT[c], c, start_line, start_col))
-            bump(c)
-            i += 1
-            continue
-
-        raise ParseError(start_line, start_col, "a token", f"character {c!r}")
-
-    tokens.append(_Token("EOF", "", line, col))
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        pos = m.start(kind)
+        text = m[kind]
+        if kind == "STRING":
+            text = text[1:-1]
+            if "\\" in text:
+                text = _ESCAPE.sub(_unescape, text)
+        elif kind == "FLOAT" and text[-1] in "eE+-":  # an exponent without digits
+            raise _located(_line_starts(source), pos, "exponent digits", "malformed float literal")
+        elif kind == "BAD":
+            raise _bad_token(source, pos)
+        tokens.append(_Token(kind, text, pos))
+        if kind == "EOF":
+            break
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, source: str):
+        self.tokens = _lex(source)
         self.pos = 0
+        self.starts = _line_starts(source)
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -231,9 +186,12 @@ class _Parser:
             self.pos += 1
         return t
 
-    def fail(self, expected: str, tok: _Token | None = None) -> ParseError:
-        tok = tok or self.peek()
-        return ParseError(tok.line, tok.col, expected, tok.describe())
+    def error(self, tok: _Token, expected: str, found: str) -> ParseError:
+        return _located(self.starts, tok.pos, expected, found)
+
+    def fail(self, expected: str) -> ParseError:
+        tok = self.peek()
+        return self.error(tok, expected, tok.describe())
 
     def expect(self, kind: str, expected: str) -> _Token:
         if self.peek().kind != kind:
@@ -251,13 +209,13 @@ class _Parser:
 
     def deeper(self, tok: _Token, depth: int) -> int:
         if depth >= MAX_NESTING:
-            raise ParseError(tok.line, tok.col, f"at most {MAX_NESTING} levels of nesting", "deeper nesting")
+            raise self.error(tok, f"at most {MAX_NESTING} levels of nesting", "deeper nesting")
         return depth + 1
 
     def fresh_name(self, role: str) -> _Token:
         t = self.ident(f"{role} name")
         if t.text in RESERVED:
-            raise ParseError(t.line, t.col, f"{role} name", f"reserved word '{t.text}'")
+            raise self.error(t, f"{role} name", f"reserved word '{t.text}'")
         return t
 
     # ---- grammar productions ------------------------------------------
@@ -284,7 +242,7 @@ class _Parser:
         self.expect_word("record")
         name = self.fresh_name("record")
         if name.text in seen_records:
-            raise ParseError(name.line, name.col, "a new record name", f"duplicate record '{name.text}'")
+            raise self.error(name, "a new record name", f"duplicate record '{_clip(name.text)}'")
         seen_records.add(name.text)
         self.expect("LBRACE", "'{'")
         fields = self.fields("field name", "a new field name", lambda: self.base_type(allow_record=False))
@@ -298,7 +256,7 @@ class _Parser:
         while True:
             fname = self.ident(role)
             if fname.text in seen:
-                raise ParseError(fname.line, fname.col, fresh, f"duplicate field '{fname.text}'")
+                raise self.error(fname, fresh, f"duplicate field '{_clip(fname.text)}'")
             seen.add(fname.text)
             self.expect("COLON", "':'")
             out.append((fname.text, value()))
@@ -311,9 +269,9 @@ class _Parser:
         if t.text in _BASE_KEYWORDS:
             return _BASE_KEYWORDS[t.text]
         if not allow_record:
-            raise ParseError(t.line, t.col, "a scalar base type (int, float, bool, text)", f"'{t.text}'")
+            raise self.error(t, "a scalar base type (int, float, bool, text)", t.describe())
         if t.text in RESERVED:
-            raise ParseError(t.line, t.col, "a base type", f"reserved word '{t.text}'")
+            raise self.error(t, "a base type", f"reserved word '{t.text}'")
         return RecordRef(t.text)
 
     def type_tag(self, depth: int = 0) -> TypeTag:
@@ -329,13 +287,13 @@ class _Parser:
             fields = self.fields("hash field name", "a new hash field", lambda: self.field_tag(inner))
             self.expect("GT", "'>'")
             return HashOf(fields)
-        raise ParseError(t.line, t.col, "a type tag (string, list, set, hash)", f"'{t.text}'")
+        raise self.error(t, "a type tag (string, list, set, hash)", t.describe())
 
     def field_tag(self, depth: int) -> StringOf:
         tok = self.peek()
         tag = self.type_tag(depth)
         if not isinstance(tag, StringOf):
-            raise ParseError(tok.line, tok.col, "a string<...> field tag", tag_text(tag))
+            raise self.error(tok, "a string<...> field tag", _clip(tag_text(tag)))
         return tag
 
     def statement(self, binders: set[str]) -> Command:
@@ -346,7 +304,7 @@ class _Parser:
         if t.text not in OPCODES:
             name = self.fresh_name("binder")
             if name.text in binders:
-                raise ParseError(name.line, name.col, "a new binder name", f"duplicate binder '{name.text}'")
+                raise self.error(name, "a new binder name", f"duplicate binder '{_clip(name.text)}'")
             binders.add(name.text)
             binder = name.text
             self.expect("ARROW", "'<-'")
@@ -365,7 +323,7 @@ class _Parser:
         if takes_tag:
             self.expect("COLON", "':'")
             declared = self.type_tag()
-        span = Span(op_tok.line, op_tok.col)
+        span = Span(*_where(self.starts, op_tok.pos))
         return Command(op_tok.text, keys, args, field_name, declared, binder, span)
 
     def expr(self, depth: int = 0) -> Expr:
@@ -376,13 +334,13 @@ class _Parser:
             # int() off unbounded text
             value = int(t.text) if len(t.text.lstrip("-0")) <= 19 else 2**63
             if not -(2**63) <= value < 2**63:
-                raise ParseError(t.line, t.col, "a signed 64-bit integer", "literal out of range")
+                raise self.error(t, "a signed 64-bit integer", "literal out of range")
             return IntLit(value)
         if t.kind == "FLOAT":
             self.advance()
             value = float(t.text)
             if value in (float("inf"), float("-inf")):
-                raise ParseError(t.line, t.col, "a representable float", "literal out of range")
+                raise self.error(t, "a representable float", "literal out of range")
             return FloatLit(value)
         if t.kind == "STRING":
             self.advance()
@@ -408,12 +366,12 @@ class _Parser:
 
 def parse_program(source: str) -> Program:
     """Parse a full source file.  Raises ParseError with line/column."""
-    return _Parser(_lex(source)).program()
+    return _Parser(source).program()
 
 
 def parse_type_tag(text: str) -> TypeTag:
     """Parse a standalone type tag, e.g. from an assumption file."""
-    p = _Parser(_lex(text))
+    p = _Parser(text)
     tag = p.type_tag()
     if p.peek().kind != "EOF":
         raise p.fail("end of input")

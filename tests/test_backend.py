@@ -4,6 +4,7 @@ and memory-vs-loopback-server equivalence."""
 from __future__ import annotations
 
 import inspect
+import itertools
 import random
 
 import pytest
@@ -236,8 +237,13 @@ def test_check_ok_records_one_result_type_per_command():
 
 def test_run_program_makes_no_checker_or_dictionary_calls(monkeypatch):
     rng = random.Random(7)
-    programs = [parse_program(QUEUE_SOURCE)] + [generate_program(rng, max_len=12) for _ in range(60)]
-    cases = [(p, r) for p in programs if isinstance(r := check_program(p), CheckOk)]
+    drawn = (generate_program(rng, max_len=12) for _ in range(1000))
+    cases = []
+    for p in itertools.chain([parse_program(QUEUE_SOURCE)], drawn):
+        if isinstance(r := check_program(p), CheckOk):
+            cases.append((p, r))
+            if len(cases) == 21:
+                break
     expected = [run_program(p, r, MemoryBackend()) for p, r in cases]
 
     def forbidden(*args, **kwargs):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -384,3 +385,57 @@ def test_lexer_agrees_with_the_reference_on_arbitrary_text(source):
 @given(st.lists(st.sampled_from(_FRAGMENTS), max_size=20), st.sampled_from(["", " ", "\n"]))
 def test_lexer_agrees_with_the_reference_on_token_soup(fragments, sep):
     _assert_lexes_like_the_reference(sep.join(fragments))
+
+
+# ---------------------------------------------------------------------------
+# bounded work on hostile source
+
+
+def _parse_within(source, seconds=5.0):
+    """parse_program's result or ParseError, asserting the time budget."""
+    t0 = time.perf_counter()
+    try:
+        outcome = parse_program(source)
+    except ParseError as err:
+        outcome = err
+    assert time.perf_counter() - t0 < seconds
+    return outcome
+
+
+@pytest.mark.parametrize(
+    "source, where",
+    [
+        ('program { set k "' + "a" * 2_000_000, (1, 17, "closing '\"'", "end of input")),
+        ('program { set k "' + "\\n" * 1_000_000, (1, 17, "closing '\"'", "end of input")),
+        ('program { set k "' + "\\n" * 1_000_000 + "\\", (1, 2_000_018, "escape character", "end of input")),
+        (" " * 2_000_000, (1, 2_000_001, "'program'", "end of input")),
+        ("\n" * 1_000_000 + "@", (1_000_001, 1, "a token", "character '@'")),
+    ],
+    ids=["2MB-unterminated-literal", "1M-escapes-unterminated", "1M-escapes-then-backslash", "2MB-blanks", "1M-newlines"],
+)
+def test_hostile_source_gives_its_located_error_in_bounded_time(source, where):
+    err = _parse_within(source)
+    assert isinstance(err, ParseError)
+    assert (err.line, err.column, err.expected, err.found) == where
+
+
+def test_hostile_source_a_200k_command_program_parses_in_bounded_time():
+    n = 200_000
+    program = _parse_within("program {\n" + "".join(f"  set k{i} {i}\n" for i in range(n)) + "}\n")
+    assert len(program.body) == n
+    assert program.body[-1].span == Span(n + 1, 3)
+
+
+def test_parse_error_quotes_at_most_40_characters_of_a_token():
+    long = "x" * 200_000
+    for source, found in [
+        (f"program {{ ping }} {long}", f"'{'x' * 40}...'"),
+        (f"program {{ {long} <- incr a  {long} <- incr b }}", f"duplicate binder '{'x' * 40}...'"),
+        (f"record {long} {{ f: int }} record {long} {{ f: int }} program {{ ping }}", f"duplicate record '{'x' * 40}...'"),
+        (f"record M {{ {long}: int, {long}: int }} program {{ ping }}", f"duplicate field '{'x' * 40}...'"),
+        ("program { ping } " + "y" * 40, f"'{'y' * 40}'"),
+    ]:
+        with pytest.raises(ParseError) as exc:
+            parse_program(source)
+        assert exc.value.found == found
+        assert len(str(exc.value)) < 120
