@@ -439,3 +439,6 @@ def test_parse_error_quotes_at_most_40_characters_of_a_token():
             parse_program(source)
         assert exc.value.found == found
         assert len(str(exc.value)) < 120
+    with pytest.raises(ParseError) as exc:
+        parse_type_tag(f"hash<f: list<{long}>>")
+    assert exc.value.found == "list<" + "x" * 35 + "..."
