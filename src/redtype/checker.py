@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Container, Mapping
 
 from . import typedict
-from .parser import base_text, tag_text
+from .parser import _clip, base_text, tag_text
 from .syntax import (
     BOOL,
     FLOAT,
@@ -172,29 +172,31 @@ def infer_expr(
     if isinstance(e, Var):
         rt = env.get(e.name)
         if rt is None:
-            raise _fail(UNKNOWN_VARIABLE, f"no binder named '{e.name}' in scope")
+            raise _fail(UNKNOWN_VARIABLE, f"no binder named '{_clip(e.name)}' in scope")
         base = _SCALAR_BASES.get(type(rt))
         if base is None:
             raise _fail(
                 ELEMENT_MISMATCH,
-                f"binder '{e.name}' has result type {result_text(rt)}, which cannot appear in an expression",
+                f"binder '{_clip(e.name)}' has result type {_clip(result_text(rt))}, "
+                "which cannot appear in an expression",
             )
         return base
     assert isinstance(e, RecordLit)
     decl = records.get(e.name)
     if decl is None:
-        raise _fail(UNKNOWN_RECORD, f"no record named '{e.name}' is declared")
+        raise _fail(UNKNOWN_RECORD, f"no record named '{_clip(e.name)}' is declared")
     if len(e.args) != len(decl.fields):
         raise _fail(
             ARITY_MISMATCH,
-            f"record '{e.name}' has {len(decl.fields)} fields but {len(e.args)} arguments were given",
+            f"record '{_clip(e.name)}' has {len(decl.fields)} fields but {len(e.args)} arguments were given",
         )
     for (fname, fbase), arg in zip(decl.fields, e.args):
         got = infer_expr(env, records, arg)
         if got != fbase:
             raise _fail(
                 ELEMENT_MISMATCH,
-                f"field '{fname}' of record '{e.name}' takes {base_text(fbase)}, got {base_text(got)}",
+                f"field '{_clip(fname)}' of record '{_clip(e.name)}' takes {_clip(base_text(fbase))}, "
+                f"got {_clip(base_text(got))}",
             )
     return RecordRef(e.name)
 
@@ -247,7 +249,7 @@ def _as_dict(xs: TypeDict) -> _Dict:
     if len(d) != len(xs):
         keys = [k for k, _ in xs]
         twice = next(k for k in keys if keys.count(k) > 1)
-        raise ValueError(f"key '{twice}' occurs twice in the dictionary")
+        raise ValueError(f"key '{_clip(twice)}' occurs twice in the dictionary")
     return d
 
 
@@ -291,7 +293,7 @@ def _step(
 def _found_tag(xs: _Dict, k: str) -> TypeTag:
     tag = xs.get(k)
     if tag is None:
-        raise _fail(GET_STUCK, f"key '{k}' is not in the dictionary")
+        raise _fail(GET_STUCK, f"key '{_clip(k)}' is not in the dictionary")
     return tag
 
 
@@ -306,7 +308,7 @@ def _holds_or_nx(test: Callable[[TypeTag], bool], constraint: str, kind: str) ->
     def guard(xs: _Dict, k: str) -> None:
         tag = xs.get(k)
         if tag is not None and not test(tag):
-            raise _fail(constraint, f"key '{k}' holds {tag_text(tag)}, not {kind}")
+            raise _fail(constraint, f"key '{_clip(k)}' holds {_clip(tag_text(tag))}, not {kind}")
 
     return guard
 
@@ -317,7 +319,7 @@ def _tracked_as(test: Callable[[TypeTag], bool], kind: str) -> _Guard:
     def guard(xs: _Dict, k: str) -> TypeTag:
         tag = _found_tag(xs, k)
         if not test(tag):
-            raise _fail(GET_EQUALITY, f"key '{k}' holds {tag_text(tag)}, not {kind}")
+            raise _fail(GET_EQUALITY, f"key '{_clip(k)}' holds {_clip(tag_text(tag))}, not {kind}")
         return tag
 
     return guard
@@ -359,11 +361,11 @@ def _check_command(
 
     if op == "declare":
         if k in xs:
-            raise _fail(NOT_MEMBER, f"key '{k}' is already tracked as {tag_text(xs[k])}")
+            raise _fail(NOT_MEMBER, f"key '{_clip(k)}' is already tracked as {_clip(tag_text(xs[k]))}")
         assert cmd.declared is not None
         bad = undeclared_record(cmd.declared, records)
         if bad:
-            raise _fail(UNKNOWN_RECORD, f"no record named '{bad}' is declared")
+            raise _fail(UNKNOWN_RECORD, f"no record named '{_clip(bad)}' is declared")
         xs[k] = cmd.declared
         return UNIT
 
@@ -372,8 +374,8 @@ def _check_command(
         if tag != StringOf(a):
             raise _fail(
                 GET_EQUALITY,
-                f"key '{k}' is tracked as {tag_text(tag)}, but setnx may write a "
-                f"string<{base_text(a)}> if the key is unset",
+                f"key '{_clip(k)}' is tracked as {_clip(tag_text(tag))}, but setnx may write a "
+                f"string<{_clip(base_text(a))}> if the key is unset",
             )
         return BOOL_RESULT
 
@@ -382,12 +384,12 @@ def _check_command(
         tag = xs.get(k)
         look = typedict.dict_get(tag.fields, cmd.field_name) if isinstance(tag, HashOf) else typedict.STUCK
         if isinstance(look, Stuck):
-            raise _fail(GET_STUCK, f"no hash field '{cmd.field_name}' is tracked under key '{k}'")
+            raise _fail(GET_STUCK, f"no hash field '{_clip(cmd.field_name)}' is tracked under key '{_clip(k)}'")
         assert isinstance(look, Found)
         if not isinstance(look.tag, StringOf):
             raise _fail(
                 GET_EQUALITY,
-                f"field '{cmd.field_name}' of '{k}' holds {tag_text(look.tag)}, not a string",
+                f"field '{_clip(cmd.field_name)}' of '{_clip(k)}' holds {_clip(tag_text(look.tag))}, not a string",
             )
         return MaybeResult(look.tag.base)
 
@@ -395,7 +397,7 @@ def _check_command(
         raise _fail(ARITY_MISMATCH, f"unknown command '{op}'")
     guard, write, result = _RULES[op]
     if op == "incrbyfloat" and a != FLOAT:
-        raise _fail(ELEMENT_MISMATCH, f"incrbyfloat takes a float increment, got {base_text(a)}")
+        raise _fail(ELEMENT_MISMATCH, f"incrbyfloat takes a float increment, got {_clip(base_text(a))}")
     tag = guard(xs, k) if guard else None
     if op == "sinter":
         k2 = cmd.keys[1]
@@ -403,7 +405,8 @@ def _check_command(
         if tag.base != tag2.base:
             raise _fail(
                 GET_EQUALITY,
-                f"keys '{k}' and '{k2}' hold {tag_text(tag)} and {tag_text(tag2)}; sinter needs equal element types",
+                f"keys '{_clip(k)}' and '{_clip(k2)}' hold {_clip(tag_text(tag))} and {_clip(tag_text(tag2))}; "
+                "sinter needs equal element types",
             )
     if isinstance(result, type):
         result = result(tag.base)
@@ -414,7 +417,8 @@ def _check_command(
         if strict and verb and old is not None and old != write(a):
             raise _fail(
                 ELEMENT_MISMATCH,
-                f"key '{k}' holds {tag_text(old)}; cannot {verb} {base_text(a)} elements in strict mode",
+                f"key '{_clip(k)}' holds {_clip(tag_text(old))}; "
+                f"cannot {verb} {_clip(base_text(a))} elements in strict mode",
             )
         xs[k] = write(a)
     elif op == "del":

@@ -1,12 +1,16 @@
 """Differential fuzzing: checker verdicts vs. simulator behavior.
 
-Programs are built forward against the evolving symbolic dictionary, so
-every step knows which commands are currently well-typed; 20% of steps
-deliberately violate a precondition instead (those programs must be
-rejected).  Accepted programs run on a fresh in-memory store, and any
-runtime WRONGTYPE or integer/float parse error is a soundness violation
-of the checker (in strict mode, decode failures are violations too).
-A violation is shrunk by command removal before being reported.
+Programs are built forward against the evolving symbolic dictionary.  Each
+step draws random commands (an opcode, keys the dictionary mostly already
+tracks, arguments mostly of their base type, now and then a malformed
+one) and lets the checker classify each draw, until it gives the verdict
+the step asked for.  20% of steps ask for a rejected command, which ends
+the program; such programs must be rejected.  Accepted programs run on a
+fresh in-memory store, and any runtime WRONGTYPE or integer/float parse
+error is a soundness violation of the checker (in strict mode, decode
+failures are violations too), as is a reply that does not fit the result
+type the checker gave.  A violation is shrunk by command removal before
+being reported.
 
 Generation is driven entirely by one seeded Random, so equal configs
 give byte-identical statistics and programs.
@@ -15,21 +19,17 @@ give byte-identical statistics and programs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
+from . import checker
 from .backend import MemoryBackend, RunError, run_program
-from .checker import (
-    _SCALAR_BASES,
-    CheckError,
-    MaybeResult,
-    ResultType,
-    check_command,
-    check_program,
-)
+from .checker import _SCALAR_BASES, CheckError, ResultType, check_program
+from .resp import ProtocolError
 from .store import MemoryStore, NOT_FLOAT_MSG, NOT_INT_MSG
 from .syntax import (
     BOOL,
+    COMMAND_SHAPES,
     FLOAT,
     INT,
     TEXT,
@@ -52,7 +52,7 @@ from .syntax import (
     TypeTag,
     Var,
 )
-from .typedict import TypeDict, dict_member
+from .typedict import TypeDict
 
 ILL_TYPED_RATE = 0.2
 
@@ -93,6 +93,7 @@ class FuzzStats:
             f"runtime WRONGTYPE errors: {self.wrongtype}",
             f"runtime parse errors: {self.parse_errors}",
             f"decode failures: {self.decode_failures}",
+            f"other errors: {self.other_errors}",
         ]
 
 
@@ -107,15 +108,21 @@ class FuzzResult:
 # program generation
 
 
-# A step's candidates are plain data, (opcode, keys, value, field), and only
-# the drawn one is built into a Command.  ``value`` is None (no argument), a
-# base type (a literal or binder of it), _ANY (of a random base type), or a
-# fixed ill-typed Expr.
-_ANY = object()
-_Candidate = tuple[str, tuple[str, ...], object, "str | None"]
+# Each step draws commands until the checker gives the verdict asked
+# for; after this many draws it keeps the last, so a checker that accepts
+# or rejects everything cannot hang generation.
+_DRAW_CAP = 64
 
-# Well-typed on a pool key that is not tracked yet.
-_ON_FREE_KEY = (("setnx", _ANY), ("declare", None), ("lpush", _ANY), ("llen", None), ("sadd", _ANY))
+_OPCODES = tuple(COMMAND_SHAPES)
+
+# Arguments no dictionary makes well typed: an unbound name, an undeclared
+# record, a record of the wrong arity and one with a wrongly typed field.
+_MALFORMED: tuple[Expr, ...] = (
+    Var("nope"),
+    RecordLit("Ghost", (IntLit(1),)),
+    RecordLit("Pair", (IntLit(1),)),
+    RecordLit("Pair", (IntLit(0), IntLit(0))),
+)
 
 
 class _Generator:
@@ -125,7 +132,9 @@ class _Generator:
         self.records = {r.name: r for r in RECORD_POOL}
         self.xs: TypeDict = []
         self.env: dict[str, ResultType] = {}
-        self.binder_count = 0
+        self.steps = 0
+        # the last accepted draw's dictionary after it, and its result type
+        self.accepted: tuple[dict[str, TypeTag], ResultType] | None = None
 
     # ---- small pieces ----
 
@@ -163,128 +172,71 @@ class _Generator:
             return StringOf(INT)
         return kind(self.any_base())
 
-    def missing_key(self) -> str:
-        n = 1
-        while dict_member(self.xs, f"missing-{n}"):
-            n += 1
-        return f"missing-{n}"
+    def key(self, d: dict[str, TypeTag]) -> str:
+        if d and self.rng.random() < 0.75:
+            return self.rng.choice(list(d))
+        return self.rng.choice(_KEYS)
 
-    def build(self, candidate: _Candidate, binder: str | None) -> Command:
-        op, keys, value, field = candidate
-        if op == "declare":
-            return Command(op, keys=keys, declared=self.random_tag(), binder=binder)
-        if value is _ANY:
-            value = self.any_base()
-        if isinstance(value, BaseType):
-            value = self.value(value)
-        args = () if value is None else (value,)
-        return Command(op, keys=keys, args=args, field_name=field, binder=binder)
+    def field(self, tag: TypeTag | None) -> str:
+        if isinstance(tag, HashOf) and tag.fields and self.rng.random() < 0.75:
+            return self.rng.choice(tag.fields)[0]
+        return self.rng.choice(_FIELDS)
 
-    # ---- well-typed steps ----
-
-    def good_candidates(self, kinds: dict[type, TypeDict]) -> list[_Candidate]:
+    def arg(self, tag: TypeTag | None) -> Expr:
+        """An argument, mostly of ``tag``'s base type; now and then a malformed one."""
         rng = self.rng
-        key = (rng.choice(_KEYS),)
-        out: list[_Candidate] = [("ping", (), None, None), ("set", key, _ANY, None), ("del", key, None, None)]
+        if rng.random() < 0.05:
+            # a malformed argument, or a binder whose result type cannot
+            # appear in an expression
+            unusable = [Var(n) for n, rt in self.env.items() if type(rt) not in _SCALAR_BASES]
+            return rng.choice(_MALFORMED + tuple(unusable))
+        if isinstance(tag, StringOf | ListOf | SetOf) and rng.random() < 0.6:
+            return self.value(tag.base)
+        return self.value(self.any_base())
 
-        free = [k for k in _KEYS if not dict_member(self.xs, k)]
-        if free:
-            k = rng.choice(free)
-            out += [(op, (k,), value, None) for op, value in _ON_FREE_KEY]
-            out.append(("hset", (k,), _ANY, rng.choice(_FIELDS)))
-
-        strings = kinds[StringOf]
-        if strings:
-            k, tag = rng.choice(strings)
-            out += [("setnx", (k,), tag.base, None), ("get", (k,), None, None)]
-        counters = [k for k, tag in strings if tag.base == INT]
-        if counters:
-            out.append(("incr", (rng.choice(counters),), None, None))
-        floats = [k for k, tag in strings if tag.base == FLOAT]
-        if floats:
-            out.append(("incrbyfloat", (rng.choice(floats),), FLOAT, None))
-
-        for op, group in (("lpush", kinds[ListOf]), ("sadd", kinds[SetOf])):
-            if group:
-                k, tag = rng.choice(group)
-                # default mode may push other element types: reading them back
-                # is a counted decode failure, not a violation
-                elem = tag.base if self.strict or rng.random() < 0.7 else _ANY
-                out.append((op, (k,), elem, None))
-                if op == "lpush":
-                    out += [("llen", (k,), None, None), ("rpop", (rng.choice(group)[0],), None, None)]
-        by_base: dict[BaseType, list[str]] = {}
-        for k, tag in kinds[SetOf]:
-            by_base.setdefault(tag.base, []).append(k)
-        if by_base:
-            ks = rng.choice(list(by_base.values()))
-            out.append(("sinter", (rng.choice(ks), rng.choice(ks)), None, None))
-
-        if kinds[HashOf]:
-            k, tag = rng.choice(kinds[HashOf])
-            out.append(("hset", (k,), _ANY, rng.choice(_FIELDS)))
-            if tag.fields:
-                out.append(("hget", (k,), None, rng.choice(tag.fields)[0]))
-        return out
-
-    # ---- deliberately ill-typed steps ----
-
-    def bad_candidates(self, kinds: dict[type, TypeDict]) -> list[_Candidate]:
+    def draw(self, d: dict[str, TypeTag], span: Span) -> Command:
+        """A random command laid out as COMMAND_SHAPES says, aimed at the keys in ``d``."""
         rng = self.rng
-        missing = (self.missing_key(),)
-        key = (rng.choice(_KEYS),)
-        out: list[_Candidate] = [
-            ("incr", missing, None, None),
-            ("get", missing, None, None),
-            ("rpop", missing, None, None),
-            ("set", key, Var("nope"), None),
-            ("set", key, RecordLit("Ghost", (IntLit(1),)), None),
-            ("set", key, RecordLit("Pair", (IntLit(1),)), None),
-            ("set", key, RecordLit("Pair", (IntLit(0), IntLit(0))), None),
-            ("incrbyfloat", key, IntLit(1), None),
-        ]
-
-        if self.xs:
-            k, tag = rng.choice(self.xs)
-            out.append(("declare", (k,), None, None))
-            if tag != StringOf(INT):
-                out.append(("incr", (k,), None, None))
-            if not isinstance(tag, ListOf):
-                out += [("lpush", (k,), _ANY, None), ("llen", (k,), None, None), ("rpop", (k,), None, None)]
-            if not isinstance(tag, SetOf):
-                out += [("sadd", (k,), _ANY, None), ("sinter", (k, k), None, None)]
-            if not isinstance(tag, HashOf):
-                out += [("hset", (k,), IntLit(7), rng.choice(_FIELDS)), ("hget", (k,), None, rng.choice(_FIELDS))]
-            if not isinstance(tag, StringOf):
-                out += [("get", (k,), None, None), ("setnx", (k,), _ANY, None)]
-
-        if kinds[HashOf]:
-            k, tag = rng.choice(kinds[HashOf])
-            unknown = [f for f in _FIELDS if f not in dict(tag.fields)]
-            if unknown:
-                out.append(("hget", (k,), None, rng.choice(unknown)))
-
-        maybe_binders = [n for n, rt in self.env.items() if isinstance(rt, MaybeResult)]
-        if maybe_binders:
-            out.append(("set", key, Var(rng.choice(maybe_binders)), None))
-
-        if self.strict and kinds[ListOf]:
-            k, tag = rng.choice(kinds[ListOf])
-            out.append(("lpush", (k,), IntLit(7) if tag.base != INT else TextLit("7"), None))
-        return out
+        op = rng.choice(_OPCODES)
+        n_keys, has_field, n_values, takes_tag = COMMAND_SHAPES[op]
+        keys = [self.key(d) for _ in range(n_keys)]
+        if n_keys > 1 and rng.random() < 0.5:
+            keys[1] = keys[0]
+        tag = d.get(keys[0]) if keys else None
+        field = self.field(tag) if has_field else None
+        if field is not None and isinstance(tag, HashOf):
+            tag = dict(tag.fields).get(field)
+        return Command(
+            op,
+            tuple(keys),
+            tuple([self.arg(tag) for _ in range(n_values)]),
+            field,
+            self.random_tag() if takes_tag else None,
+            f"v{self.steps}" if rng.random() < 0.4 else None,
+            span,
+        )
 
     def step(self, ill_typed: bool) -> tuple[Command, bool]:
-        """Produce the next command; returns (command, was_ill_typed)."""
-        kinds: dict[type, TypeDict] = {StringOf: [], ListOf: [], SetOf: [], HashOf: []}
-        for entry in self.xs:
-            kinds[type(entry[1])].append(entry)
-        pool = self.bad_candidates(kinds) if ill_typed else self.good_candidates(kinds)
-        candidate = self.rng.choice(pool)
-        binder = None
-        if not ill_typed and self.rng.random() < 0.4:
-            self.binder_count += 1
-            binder = f"v{self.binder_count}"
-        return self.build(candidate, binder), ill_typed
+        """Draw until the checker rejects (``ill_typed``) or accepts a command.
+
+        Returns (command, rejected); ``.xs`` is left as is.  After at most
+        _DRAW_CAP draws the last is kept, whatever its verdict.  The checker is reached through the module so that a
+        wrapped ``checker._step`` is what classifies the draws.
+        """
+        self.steps += 1
+        span = Span(self.steps + 1, 3)
+        d = dict(self.xs)
+        for _ in range(_DRAW_CAP):
+            cmd = self.draw(d, span)
+            after = dict(d)
+            try:
+                self.accepted = after, checker._step(after, self.env, self.records, cmd, self.strict)
+                rejected = False
+            except CheckError:
+                rejected = True
+            if rejected == ill_typed:
+                break
+        return cmd, rejected
 
 
 def generate_program(
@@ -294,15 +246,15 @@ def generate_program(
     ill_typed_rate: float = ILL_TYPED_RATE,
 ) -> Program:
     gen = _Generator(rng, strict)
-    length = rng.randint(1, max_len)
     body: list[Command] = []
-    for i in range(length):
-        cmd, was_bad = gen.step(rng.random() < ill_typed_rate)
-        cmd = replace(cmd, span=Span(i + 2, 3))
+    for _ in range(rng.randint(1, max_len)):
+        cmd, rejected = gen.step(rng.random() < ill_typed_rate)
         body.append(cmd)
-        if was_bad:
+        if rejected:
             break
-        gen.xs, rt = check_command(gen.xs, gen.env, gen.records, cmd, strict)
+        assert gen.accepted is not None
+        after, rt = gen.accepted
+        gen.xs = list(after.items())
         if cmd.binder is not None:
             gen.env[cmd.binder] = rt
     return Program(RECORD_POOL, tuple(body))
@@ -324,19 +276,24 @@ def classify(outcome: RunError) -> str:
 
 
 _GATING = {
-    False: ("wrongtype", "parse"),
-    True: ("wrongtype", "parse", "decode"),
+    False: ("wrongtype", "parse", "unfit"),
+    True: ("wrongtype", "parse", "decode", "unfit"),
 }
 
 
 def _trial(program: Program, strict: bool) -> tuple[str, str]:
     """Check from ``[]`` and run on a fresh store if accepted: (kind, error message).
 
-    The kind is "rejected", "ok" or classify's bucket; the message is "" unless the run failed."""
+    The kind is "rejected", "ok", classify's bucket, or "unfit" when a reply
+    or an argument does not fit the types the checker gave; the message is
+    "" unless the run failed."""
     report = check_program(program, [], strict)
     if isinstance(report, CheckError):
         return "rejected", ""
-    outcome = run_program(program, report, MemoryBackend(MemoryStore()))
+    try:
+        outcome = run_program(program, report, MemoryBackend(MemoryStore()))
+    except (ProtocolError, CheckError) as err:
+        return "unfit", str(err)
     if isinstance(outcome, RunError):
         return classify(outcome), outcome.message
     return "ok", ""
@@ -374,7 +331,7 @@ def run_fuzz(config: FuzzConfig) -> FuzzResult:
             stats.parse_errors += 1
         elif kind == "decode":
             stats.decode_failures += 1
-        elif kind == "other":
+        elif kind != "ok":
             stats.other_errors += 1
         if kind in _GATING[config.strict]:
             small = shrink(program, lambda p: _trial(p, config.strict)[0] in _GATING[config.strict])

@@ -76,6 +76,26 @@ def test_check_type_error_exit_and_json(tmp_path, capsys):
     assert "sadd" in report["message"]
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        "set {long} 1  sadd {long} 2",
+        "hset h f 1  x <- hget h {long}",
+        "hset h {long} 1  incr h",
+        "set j {long}",
+    ],
+)
+def test_check_errors_quote_long_names_clipped(tmp_path, capsys, body):
+    long = "K" * 200_000
+    f = write(tmp_path, "long.rt", "program { " + body.format(long=long) + " }")
+    assert main(["check", f]) == 1
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 1024 and "KKK..." in err
+    assert main(["check", "--json", f]) == 1
+    out = capsys.readouterr().out
+    assert len(out.encode()) < 1024 and "KKK..." in json.loads(out)["message"]
+
+
 def test_check_parse_error_exit_2(tmp_path, capsys):
     f = write(tmp_path, "broken.rt", "program {")
     assert main(["check", f]) == 2

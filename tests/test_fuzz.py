@@ -6,11 +6,13 @@ import random
 
 import pytest
 
+from redtype import checker
 from redtype.backend import RunError
-from redtype.checker import CheckError, CheckOk, check_program
+from redtype.checker import BOOL_RESULT, GET_STUCK, STATUS, CheckError, CheckOk, check_program
 from redtype.fuzz import (
     FuzzConfig,
     FuzzStats,
+    _trial,
     classify,
     generate_program,
     run_fuzz,
@@ -85,7 +87,7 @@ def test_strict_run_has_no_decode_failures():
 
 def test_default_mode_decode_failures_are_counted_not_fatal():
     # Large enough runs hit the lpush/sadd element-retype path.
-    result = run_fuzz(FuzzConfig(iterations=2000, seed=7))
+    result = run_fuzz(FuzzConfig(iterations=10000, seed=7))
     assert result.counterexample is None
     assert result.stats.decode_failures > 0
 
@@ -99,6 +101,7 @@ def test_stats_lines_shape():
         "runtime WRONGTYPE errors: 0",
         "runtime parse errors: 0",
         "decode failures: 0",
+        "other errors: 0",
     ]
 
 
@@ -177,3 +180,90 @@ def test_generator_covers_every_opcode_and_constraint(strict):
             constraints.add(report.constraint)
     assert opcodes == OPCODES
     assert constraints == _CONSTRAINTS
+
+
+# ---------------------------------------------------------------------------
+# mutants: a checker with one fault injected by wrapping checker._step, which
+# both check_program and the generator's draws reach at call time
+
+
+def _setnx_unchecked(real):
+    """setnx without its equality check: a tracked key keeps its tag."""
+
+    def step(xs, env, records, cmd, strict):
+        if cmd.opcode == "setnx" and cmd.keys[0] in xs:
+            real({}, env, records, cmd, strict)  # the argument is still checked
+            return BOOL_RESULT
+        return real(xs, env, records, cmd, strict)
+
+    return step
+
+
+def _push_unchecked(real):
+    """Strict mode without its push/add element check."""
+
+    def step(xs, env, records, cmd, strict):
+        return real(xs, env, records, cmd, strict and cmd.opcode not in ("lpush", "sadd"))
+
+    return step
+
+
+def _rejecting(opcodes):
+    def make(real):
+        def step(xs, env, records, cmd, strict):
+            if opcodes is None or cmd.opcode in opcodes:
+                raise CheckError(cmd.span, cmd.opcode, GET_STUCK, "rejected by the mutant")
+            return real(xs, env, records, cmd, strict)
+
+        return step
+
+    return make
+
+
+def _accepting_everything(real):
+    return lambda xs, env, records, cmd, strict: STATUS
+
+
+def _fuzz_under(monkeypatch, mutant, iterations, strict=False):
+    monkeypatch.setattr(checker, "_step", mutant(checker._step))
+    return run_fuzz(FuzzConfig(iterations=iterations, seed=1, strict=strict))
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_fuzz_finds_a_dropped_setnx_equality_check(monkeypatch, strict):
+    result = _fuzz_under(monkeypatch, _setnx_unchecked, 5000, strict)
+    assert result.counterexample is not None
+    assert any(c.opcode == "setnx" for c in result.counterexample.body)
+
+
+def test_fuzz_finds_a_dropped_strict_element_check(monkeypatch):
+    result = _fuzz_under(monkeypatch, _push_unchecked, 5000, strict=True)
+    assert result.counterexample is not None
+    assert result.failure.startswith("DECODE")
+
+
+def test_fuzz_survives_a_checker_that_rejects_every_incr(monkeypatch):
+    result = _fuzz_under(monkeypatch, _rejecting({"incr"}), 500)
+    assert result.stats.iterations == 500
+    assert result.stats.accepted > 0
+
+
+def test_fuzz_survives_a_checker_that_rejects_everything(monkeypatch):
+    result = _fuzz_under(monkeypatch, _rejecting(None), 100)
+    assert result.stats.iterations == 100
+    assert result.stats.accepted == 0
+    assert result.counterexample is None
+
+
+def test_a_reply_that_does_not_fit_the_result_type_is_a_violation(monkeypatch):
+    result = _fuzz_under(monkeypatch, _accepting_everything, 100)
+    assert result.counterexample is not None
+    assert "does not fit result type" in result.failure
+    assert result.stats.other_errors == 1
+
+
+def test_an_argument_the_runtime_cannot_type_is_a_violation(monkeypatch):
+    monkeypatch.setattr(checker, "_step", _accepting_everything(checker._step))
+    kind, message = _trial(parse_program("program { set k nope }"), strict=False)
+    assert kind == "unfit"
+    assert "UnknownVariable" in message
