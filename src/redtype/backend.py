@@ -187,7 +187,19 @@ def _decode_reply(
     elif isinstance(rt, ListResult):
         if isinstance(reply, MultiBulk):
             return [codec.decode(item, rt.base, records).value for item in reply.items]
-    raise ProtocolError(f"reply {reply!r} does not fit result type {rt!r}")
+    raise ProtocolError(f"reply {_reply_text(reply)} does not fit result type {rt!r}")
+
+
+def _reply_text(reply: Reply) -> str:
+    """The reply's kind and at most 64 bytes of its payload, as codec.DecodeError shows data."""
+    if isinstance(reply, MultiBulk):
+        return f"MultiBulk of {len(reply.items)} items"
+    (payload,) = vars(reply).values()  # the other kinds carry one value each
+    if isinstance(payload, bytes) and len(payload) > 64:
+        payload = payload[:64] + b"..."
+    elif isinstance(payload, str) and len(payload) > 64:
+        payload = payload[:64] + "..."
+    return f"{type(reply).__name__}({payload!r})"
 
 
 def run_program(program: Program, report: CheckOk, backend: Backend) -> RunOutcome:

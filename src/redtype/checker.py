@@ -126,13 +126,17 @@ class CheckError(Exception):
     """A violated precondition, located at one command."""
 
     def __init__(self, span: Span | None, opcode: str | None, constraint: str, detail: str):
-        at = f"{span.line}:{span.col}: " if span else ""
-        op = f"{opcode}: " if opcode else ""
-        super().__init__(f"{at}{constraint}: {op}{detail}")
+        super().__init__(constraint, detail)  # not span and opcode, which _step may fill in
         self.span = span
         self.opcode = opcode
         self.constraint = constraint
         self.detail = detail
+
+    def __str__(self) -> str:
+        # formatted when read, so that _step can locate the error in place
+        at = f"{self.span.line}:{self.span.col}: " if self.span else ""
+        op = f"{self.opcode}: " if self.opcode else ""
+        return f"{at}{self.constraint}: {op}{self.detail}"
 
 
 def _fail(constraint: str, detail: str) -> CheckError:
@@ -286,7 +290,7 @@ def _step(
         return _check_command(xs, env, records, cmd, strict)
     except CheckError as err:
         if err.span is None:
-            raise CheckError(cmd.span, cmd.opcode, err.constraint, err.detail) from None
+            err.span, err.opcode = cmd.span, cmd.opcode
         raise
 
 

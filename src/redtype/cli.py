@@ -27,7 +27,7 @@ from .checker import (
 )
 from .codec import RecordValue
 from .fuzz import FuzzConfig, run_fuzz
-from .parser import ParseError, parse_program, parse_type_tag, print_program, scalar_text, tag_text
+from .parser import ParseError, _clip, parse_program, parse_type_tag, print_program, scalar_text, tag_text
 from .resp import ProtocolError
 from .store import MemoryStore
 from .syntax import Program, RecordDecl, record_table
@@ -86,7 +86,7 @@ def _load_assumption(path: str | None, program: Program) -> TypeDict:
             raise _Bail(EXIT_PARSE_ERROR, f"{path}: entry {i} must be {{\"key\": ..., \"tag\": ...}}")
         key = entry["key"]
         if key in seen:
-            raise _Bail(EXIT_PARSE_ERROR, f"{path}: entry {i}: key '{key}' is already assumed by entry {seen[key]}")
+            raise _Bail(EXIT_PARSE_ERROR, f"{path}: entry {i}: key '{_clip(key)}' is already assumed by entry {seen[key]}")
         seen[key] = i
         try:
             tag = parse_type_tag(entry["tag"])
@@ -94,7 +94,7 @@ def _load_assumption(path: str | None, program: Program) -> TypeDict:
             raise _Bail(EXIT_PARSE_ERROR, f"{path}: entry {i}: {err}") from None
         name = undeclared_record(tag, records)
         if name:
-            raise _Bail(EXIT_PARSE_ERROR, f"{path}: entry {i}: unknown record '{name}'")
+            raise _Bail(EXIT_PARSE_ERROR, f"{path}: entry {i}: unknown record '{_clip(name)}'")
         out.append((key, tag))
     return out
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from typing import Callable, NamedTuple, TypeVar
+from typing import Callable, TypeVar
 
 from .syntax import (
     BOOL,
@@ -78,19 +78,6 @@ def _clip(text: str) -> str:
     return text if len(text) <= _QUOTE_MAX else text[:_QUOTE_MAX] + "..."
 
 
-class _Token(NamedTuple):
-    kind: str  # IDENT INT FLOAT STRING LBRACE RBRACE LT GT COLON COMMA ARROW EOF
-    text: str
-    pos: int  # offset of the first character in the source
-
-    def describe(self) -> str:
-        if self.kind == "EOF":
-            return "end of input"
-        if self.kind == "STRING":
-            return "text literal"
-        return f"'{_clip(self.text)}'"
-
-
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
 
 # A text literal as far as it is well formed, without its closing quote.
@@ -151,8 +138,15 @@ def _bad_token(source: str, pos: int) -> ParseError:
     return _located(starts, end, "one of \\\" \\\\ \\n \\t", f"'\\{source[end + 1]}'")
 
 
-def _lex(source: str) -> list[_Token]:
-    tokens: list[_Token] = []
+def _lex(source: str) -> tuple[list[str], list[str], list[int]]:
+    """The tokens of ``source`` as parallel lists, ending with one EOF token.
+
+    Each token has a kind (IDENT INT FLOAT STRING LBRACE RBRACE LT GT COLON
+    COMMA ARROW EOF), a text, and the offset of its first character.
+    """
+    kinds: list[str] = []
+    texts: list[str] = []
+    offsets: list[int] = []
     for m in _TOKEN.finditer(source):
         kind = m.lastgroup
         pos = m.start(kind)
@@ -165,203 +159,226 @@ def _lex(source: str) -> list[_Token]:
             raise _located(_line_starts(source), pos, "exponent digits", "malformed float literal")
         elif kind == "BAD":
             raise _bad_token(source, pos)
-        tokens.append(_Token(kind, text, pos))
+        kinds.append(kind)
+        texts.append(text)
+        offsets.append(pos)
         if kind == "EOF":
             break
-    return tokens
+    return kinds, texts, offsets
 
 
 class _Parser:
+    """Recursive descent over the token lists; ``i`` indexes the next token.
+
+    The command productions read the lists through a local index and store
+    it back in ``i`` when they hand over, so a well-formed command costs no
+    call per token.  ``i`` never moves past the EOF token.
+    """
+
     def __init__(self, source: str):
-        self.tokens = _lex(source)
-        self.pos = 0
+        self.kinds, self.texts, self.offsets = _lex(source)
+        self.i = 0
         self.starts = _line_starts(source)
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def error(self, i: int, expected: str, found: str) -> ParseError:
+        return _located(self.starts, self.offsets[i], expected, found)
 
-    def advance(self) -> _Token:
-        t = self.tokens[self.pos]
-        if t.kind != "EOF":
-            self.pos += 1
-        return t
+    def describe(self, i: int) -> str:
+        kind = self.kinds[i]
+        if kind == "EOF":
+            return "end of input"
+        if kind == "STRING":
+            return "text literal"
+        return f"'{_clip(self.texts[i])}'"
 
-    def error(self, tok: _Token, expected: str, found: str) -> ParseError:
-        return _located(self.starts, tok.pos, expected, found)
+    def fail(self, i: int, expected: str) -> ParseError:
+        return self.error(i, expected, self.describe(i))
 
-    def fail(self, expected: str) -> ParseError:
-        tok = self.peek()
-        return self.error(tok, expected, tok.describe())
+    def expect(self, kind: str, expected: str) -> int:
+        """Moves past the next token, which must be a ``kind``; returns its index."""
+        i = self.i
+        if self.kinds[i] != kind:
+            raise self.fail(i, expected)
+        self.i = i + 1
+        return i
 
-    def expect(self, kind: str, expected: str) -> _Token:
-        if self.peek().kind != kind:
-            raise self.fail(expected)
-        return self.advance()
-
-    def expect_word(self, word: str) -> _Token:
-        t = self.peek()
-        if t.kind != "IDENT" or t.text != word:
-            raise self.fail(f"'{word}'")
-        return self.advance()
-
-    def ident(self, expected: str) -> _Token:
-        return self.expect("IDENT", expected)
-
-    def deeper(self, tok: _Token, depth: int) -> int:
+    def deeper(self, i: int, depth: int) -> int:
         if depth >= MAX_NESTING:
-            raise self.error(tok, f"at most {MAX_NESTING} levels of nesting", "deeper nesting")
+            raise self.error(i, f"at most {MAX_NESTING} levels of nesting", "deeper nesting")
         return depth + 1
 
-    def fresh_name(self, role: str) -> _Token:
-        t = self.ident(f"{role} name")
-        if t.text in RESERVED:
-            raise self.error(t, f"{role} name", f"reserved word '{t.text}'")
-        return t
+    def unreserved(self, i: int, role: str) -> str:
+        """The text of name token ``i``, which must not be a reserved word."""
+        name = self.texts[i]
+        if name in RESERVED:
+            raise self.error(i, f"{role} name", f"reserved word '{name}'")
+        return name
 
     # ---- grammar productions ------------------------------------------
 
     def program(self) -> Program:
+        kinds, texts = self.kinds, self.texts
         records: list[RecordDecl] = []
         seen_records: set[str] = set()
-        while self.peek().kind == "IDENT" and self.peek().text == "record":
+        while kinds[self.i] == "IDENT" and texts[self.i] == "record":
             records.append(self.record_decl(seen_records))
-        self.expect_word("program")
+        if kinds[self.i] != "IDENT" or texts[self.i] != "program":
+            raise self.fail(self.i, "'program'")
+        self.i += 1
         self.expect("LBRACE", "'{'")
         body: list[Command] = []
         binders: set[str] = set()
-        while not (self.peek().kind == "RBRACE"):
-            if self.peek().kind == "EOF":
-                raise self.fail("'}'")
+        while kinds[self.i] != "RBRACE":
+            if kinds[self.i] == "EOF":
+                raise self.fail(self.i, "'}'")
             body.append(self.statement(binders))
-        self.advance()  # RBRACE
-        if self.peek().kind != "EOF":
-            raise self.fail("end of input")
+        self.i += 1
+        if kinds[self.i] != "EOF":
+            raise self.fail(self.i, "end of input")
         return Program(tuple(records), tuple(body))
 
     def record_decl(self, seen_records: set[str]) -> RecordDecl:
-        self.expect_word("record")
-        name = self.fresh_name("record")
-        if name.text in seen_records:
-            raise self.error(name, "a new record name", f"duplicate record '{_clip(name.text)}'")
-        seen_records.add(name.text)
+        self.i += 1  # the word 'record'
+        i = self.expect("IDENT", "record name")
+        name = self.unreserved(i, "record")
+        if name in seen_records:
+            raise self.error(i, "a new record name", f"duplicate record '{_clip(name)}'")
+        seen_records.add(name)
         self.expect("LBRACE", "'{'")
         fields = self.fields("field name", "a new field name", lambda: self.base_type(allow_record=False))
         self.expect("RBRACE", "'}'")
-        return RecordDecl(name.text, fields)
+        return RecordDecl(name, fields)
 
     def fields(self, role: str, fresh: str, value: Callable[[], _T]) -> tuple[tuple[str, _T], ...]:
         """Comma-separated ``name: value`` pairs with distinct names."""
         out: list[tuple[str, _T]] = []
         seen: set[str] = set()
         while True:
-            fname = self.ident(role)
-            if fname.text in seen:
-                raise self.error(fname, fresh, f"duplicate field '{_clip(fname.text)}'")
-            seen.add(fname.text)
+            i = self.expect("IDENT", role)
+            fname = self.texts[i]
+            if fname in seen:
+                raise self.error(i, fresh, f"duplicate field '{_clip(fname)}'")
+            seen.add(fname)
             self.expect("COLON", "':'")
-            out.append((fname.text, value()))
-            if self.peek().kind != "COMMA":
+            out.append((fname, value()))
+            if self.kinds[self.i] != "COMMA":
                 return tuple(out)
-            self.advance()
+            self.i += 1
 
     def base_type(self, allow_record: bool) -> BaseType:
-        t = self.ident("a base type")
-        if t.text in _BASE_KEYWORDS:
-            return _BASE_KEYWORDS[t.text]
+        i = self.expect("IDENT", "a base type")
+        word = self.texts[i]
+        if word in _BASE_KEYWORDS:
+            return _BASE_KEYWORDS[word]
         if not allow_record:
-            raise self.error(t, "a scalar base type (int, float, bool, text)", t.describe())
-        if t.text in RESERVED:
-            raise self.error(t, "a base type", f"reserved word '{t.text}'")
-        return RecordRef(t.text)
+            raise self.fail(i, "a scalar base type (int, float, bool, text)")
+        if word in RESERVED:
+            raise self.error(i, "a base type", f"reserved word '{word}'")
+        return RecordRef(word)
 
     def type_tag(self, depth: int = 0) -> TypeTag:
-        t = self.ident("a type tag (string, list, set, hash)")
-        if t.text in _CONTAINER_KEYWORDS:
+        i = self.expect("IDENT", "a type tag (string, list, set, hash)")
+        word = self.texts[i]
+        if word in _CONTAINER_KEYWORDS:
             self.expect("LT", "'<'")
             base = self.base_type(allow_record=True)
             self.expect("GT", "'>'")
-            return _CONTAINER_KEYWORDS[t.text](base)
-        if t.text == "hash":
-            inner = self.deeper(t, depth)
+            return _CONTAINER_KEYWORDS[word](base)
+        if word == "hash":
+            inner = self.deeper(i, depth)
             self.expect("LT", "'<'")
             fields = self.fields("hash field name", "a new hash field", lambda: self.field_tag(inner))
             self.expect("GT", "'>'")
             return HashOf(fields)
-        raise self.error(t, "a type tag (string, list, set, hash)", t.describe())
+        raise self.fail(i, "a type tag (string, list, set, hash)")
 
     def field_tag(self, depth: int) -> StringOf:
-        tok = self.peek()
+        i = self.i
         tag = self.type_tag(depth)
         if not isinstance(tag, StringOf):
-            raise self.error(tok, "a string<...> field tag", _clip(tag_text(tag)))
+            raise self.error(i, "a string<...> field tag", _clip(tag_text(tag)))
         return tag
 
     def statement(self, binders: set[str]) -> Command:
-        t = self.peek()
-        if t.kind != "IDENT":
-            raise self.fail("a command")
+        kinds, texts = self.kinds, self.texts
+        i = self.i
+        if kinds[i] != "IDENT":
+            raise self.fail(i, "a command")
         binder: str | None = None
-        if t.text not in OPCODES:
-            name = self.fresh_name("binder")
-            if name.text in binders:
-                raise self.error(name, "a new binder name", f"duplicate binder '{_clip(name.text)}'")
-            binders.add(name.text)
-            binder = name.text
-            self.expect("ARROW", "'<-'")
-            t = self.peek()
-            if t.kind != "IDENT" or t.text not in OPCODES:
-                raise self.fail("a command")
-        op_tok = self.advance()
-        return self.command(op_tok, binder)
+        if texts[i] not in OPCODES:
+            binder = self.unreserved(i, "binder")
+            if binder in binders:
+                raise self.error(i, "a new binder name", f"duplicate binder '{_clip(binder)}'")
+            binders.add(binder)
+            i += 1
+            if kinds[i] != "ARROW":
+                raise self.fail(i, "'<-'")
+            i += 1
+            if kinds[i] != "IDENT" or texts[i] not in OPCODES:
+                raise self.fail(i, "a command")
+        self.i = i
+        return self.command(binder)
 
-    def command(self, op_tok: _Token, binder: str | None) -> Command:
-        n_keys, has_field, n_values, takes_tag = COMMAND_SHAPES[op_tok.text]
-        keys = tuple([self.ident("a key").text for _ in range(n_keys)])
-        field_name = self.ident("a hash field").text if has_field else None
-        args = tuple([self.expr() for _ in range(n_values)])
+    def command(self, binder: str | None) -> Command:
+        kinds, texts = self.kinds, self.texts
+        i = self.i
+        opcode = texts[i]
+        n_keys, has_field, n_values, takes_tag = COMMAND_SHAPES[opcode]
+        span = Span(*_where(self.starts, self.offsets[i]))
+        i += 1
+        end = i + n_keys + has_field
+        for j in range(i, end):  # stops at the EOF token at the latest
+            if kinds[j] != "IDENT":
+                raise self.fail(j, "a key" if j < i + n_keys else "a hash field")
+        keys = tuple(texts[i : i + n_keys])
+        field_name = texts[end - 1] if has_field else None
+        self.i = end
+        # one value is the common case; a comprehension costs a call
+        args = (self.expr(),) if n_values == 1 else tuple([self.expr() for _ in range(n_values)])
         declared = None
         if takes_tag:
             self.expect("COLON", "':'")
             declared = self.type_tag()
-        span = Span(*_where(self.starts, op_tok.pos))
-        return Command(op_tok.text, keys, args, field_name, declared, binder, span)
+        return Command(opcode, keys, args, field_name, declared, binder, span)
 
     def expr(self, depth: int = 0) -> Expr:
-        t = self.peek()
-        if t.kind == "INT":
-            self.advance()
+        i = self.i
+        kind = self.kinds[i]
+        text = self.texts[i]
+        if kind == "INT":
             # Redis integers are signed 64-bit; counting digits first keeps
             # int() off unbounded text
-            value = int(t.text) if len(t.text.lstrip("-0")) <= 19 else 2**63
+            value = int(text) if len(text.lstrip("-0")) <= 19 else 2**63
             if not -(2**63) <= value < 2**63:
-                raise self.error(t, "a signed 64-bit integer", "literal out of range")
+                raise self.error(i, "a signed 64-bit integer", "literal out of range")
+            self.i = i + 1
             return IntLit(value)
-        if t.kind == "FLOAT":
-            self.advance()
-            value = float(t.text)
+        if kind == "FLOAT":
+            value = float(text)
             if value in (float("inf"), float("-inf")):
-                raise self.error(t, "a representable float", "literal out of range")
+                raise self.error(i, "a representable float", "literal out of range")
+            self.i = i + 1
             return FloatLit(value)
-        if t.kind == "STRING":
-            self.advance()
-            return TextLit(t.text)
-        if t.kind == "IDENT":
-            self.advance()
-            if t.text == "true":
-                return BoolLit(True)
-            if t.text == "false":
-                return BoolLit(False)
-            if self.peek().kind == "LBRACE":
-                inner = self.deeper(t, depth)
-                self.advance()
-                args = [self.expr(inner)]
-                while self.peek().kind == "COMMA":
-                    self.advance()
-                    args.append(self.expr(inner))
-                self.expect("RBRACE", "'}'")
-                return RecordLit(t.text, tuple(args))
-            return Var(t.text)
-        raise self.fail("an expression")
+        if kind == "STRING":
+            self.i = i + 1
+            return TextLit(text)
+        if kind != "IDENT":
+            raise self.fail(i, "an expression")
+        self.i = i + 1
+        if text == "true":
+            return BoolLit(True)
+        if text == "false":
+            return BoolLit(False)
+        if self.kinds[i + 1] != "LBRACE":
+            return Var(text)
+        inner = self.deeper(i, depth)
+        self.i = i + 2
+        args = [self.expr(inner)]
+        while self.kinds[self.i] == "COMMA":
+            self.i += 1
+            args.append(self.expr(inner))
+        self.expect("RBRACE", "'}'")
+        return RecordLit(text, tuple(args))
 
 
 def parse_program(source: str) -> Program:
@@ -373,8 +390,8 @@ def parse_type_tag(text: str) -> TypeTag:
     """Parse a standalone type tag, e.g. from an assumption file."""
     p = _Parser(text)
     tag = p.type_tag()
-    if p.peek().kind != "EOF":
-        raise p.fail("end of input")
+    if p.kinds[p.i] != "EOF":
+        raise p.fail(p.i, "end of input")
     return tag
 
 

@@ -1,17 +1,56 @@
-"""Naive reference models for the dictionary operations and the lexer.
+"""Naive reference models for the dictionary operations, the lexer and the parser.
 
 Written independently of the package implementation, in a deliberately
 different style (index arithmetic and list comprehensions instead of
 first-match recursion; a character-at-a-time scanner that tracks line and
 column as it goes instead of one compiled pattern), so agreement between
-the two is meaningful.  Kept in its own module because both the unit tests
-and the acceptance sweep drive it.
+the two is meaningful.  The reference parser is the package's earlier
+token-object parser, kept verbatim.  Kept in its own module because both
+the unit tests and the acceptance sweep drive it.
 """
 
 from __future__ import annotations
 
-from redtype.parser import ParseError
-from redtype.syntax import HashOf, TypeTag
+from typing import Callable, NamedTuple, TypeVar
+
+from redtype.parser import (
+    _BASE_KEYWORDS,
+    _CONTAINER_KEYWORDS,
+    _ESCAPE,
+    _TOKEN,
+    MAX_NESTING,
+    RESERVED,
+    ParseError,
+    _bad_token,
+    _clip,
+    _line_starts,
+    _located,
+    _unescape,
+    _where,
+    tag_text,
+)
+from redtype.syntax import (
+    COMMAND_SHAPES,
+    OPCODES,
+    BaseType,
+    BoolLit,
+    Command,
+    Expr,
+    FloatLit,
+    HashOf,
+    IntLit,
+    Program,
+    RecordDecl,
+    RecordLit,
+    RecordRef,
+    Span,
+    StringOf,
+    TextLit,
+    TypeTag,
+    Var,
+)
+
+_T = TypeVar("_T")
 from redtype.typedict import STUCK, Found
 
 
@@ -221,3 +260,254 @@ def lex(source):
 
     tokens.append(("EOF", "", line, col))
     return tokens
+
+
+# ---------------------------------------------------------------------------
+# parser
+#
+# The package parser as it was before it walked flat token lists: one
+# ``_Token`` per token, and peek/advance/expect calls for each.  It shares
+# the package's token pattern and error helpers, which the reference lexer
+# above checks, so what it pins down is the grammar walk: which tree, which
+# spans and which ParseError each input gives.
+
+
+class _Token(NamedTuple):
+    kind: str  # IDENT INT FLOAT STRING LBRACE RBRACE LT GT COLON COMMA ARROW EOF
+    text: str
+    pos: int  # offset of the first character in the source
+
+    def describe(self) -> str:
+        if self.kind == "EOF":
+            return "end of input"
+        if self.kind == "STRING":
+            return "text literal"
+        return f"'{_clip(self.text)}'"
+
+
+
+def _lex(source: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        pos = m.start(kind)
+        text = m[kind]
+        if kind == "STRING":
+            text = text[1:-1]
+            if "\\" in text:
+                text = _ESCAPE.sub(_unescape, text)
+        elif kind == "FLOAT" and text[-1] in "eE+-":  # an exponent without digits
+            raise _located(_line_starts(source), pos, "exponent digits", "malformed float literal")
+        elif kind == "BAD":
+            raise _bad_token(source, pos)
+        tokens.append(_Token(kind, text, pos))
+        if kind == "EOF":
+            break
+    return tokens
+
+
+class _Parser:
+    def __init__(self, source: str):
+        self.tokens = _lex(source)
+        self.pos = 0
+        self.starts = _line_starts(source)
+
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def advance(self) -> _Token:
+        t = self.tokens[self.pos]
+        if t.kind != "EOF":
+            self.pos += 1
+        return t
+
+    def error(self, tok: _Token, expected: str, found: str) -> ParseError:
+        return _located(self.starts, tok.pos, expected, found)
+
+    def fail(self, expected: str) -> ParseError:
+        tok = self.peek()
+        return self.error(tok, expected, tok.describe())
+
+    def expect(self, kind: str, expected: str) -> _Token:
+        if self.peek().kind != kind:
+            raise self.fail(expected)
+        return self.advance()
+
+    def expect_word(self, word: str) -> _Token:
+        t = self.peek()
+        if t.kind != "IDENT" or t.text != word:
+            raise self.fail(f"'{word}'")
+        return self.advance()
+
+    def ident(self, expected: str) -> _Token:
+        return self.expect("IDENT", expected)
+
+    def deeper(self, tok: _Token, depth: int) -> int:
+        if depth >= MAX_NESTING:
+            raise self.error(tok, f"at most {MAX_NESTING} levels of nesting", "deeper nesting")
+        return depth + 1
+
+    def fresh_name(self, role: str) -> _Token:
+        t = self.ident(f"{role} name")
+        if t.text in RESERVED:
+            raise self.error(t, f"{role} name", f"reserved word '{t.text}'")
+        return t
+
+    # ---- grammar productions ------------------------------------------
+
+    def program(self) -> Program:
+        records: list[RecordDecl] = []
+        seen_records: set[str] = set()
+        while self.peek().kind == "IDENT" and self.peek().text == "record":
+            records.append(self.record_decl(seen_records))
+        self.expect_word("program")
+        self.expect("LBRACE", "'{'")
+        body: list[Command] = []
+        binders: set[str] = set()
+        while not (self.peek().kind == "RBRACE"):
+            if self.peek().kind == "EOF":
+                raise self.fail("'}'")
+            body.append(self.statement(binders))
+        self.advance()  # RBRACE
+        if self.peek().kind != "EOF":
+            raise self.fail("end of input")
+        return Program(tuple(records), tuple(body))
+
+    def record_decl(self, seen_records: set[str]) -> RecordDecl:
+        self.expect_word("record")
+        name = self.fresh_name("record")
+        if name.text in seen_records:
+            raise self.error(name, "a new record name", f"duplicate record '{_clip(name.text)}'")
+        seen_records.add(name.text)
+        self.expect("LBRACE", "'{'")
+        fields = self.fields("field name", "a new field name", lambda: self.base_type(allow_record=False))
+        self.expect("RBRACE", "'}'")
+        return RecordDecl(name.text, fields)
+
+    def fields(self, role: str, fresh: str, value: Callable[[], _T]) -> tuple[tuple[str, _T], ...]:
+        """Comma-separated ``name: value`` pairs with distinct names."""
+        out: list[tuple[str, _T]] = []
+        seen: set[str] = set()
+        while True:
+            fname = self.ident(role)
+            if fname.text in seen:
+                raise self.error(fname, fresh, f"duplicate field '{_clip(fname.text)}'")
+            seen.add(fname.text)
+            self.expect("COLON", "':'")
+            out.append((fname.text, value()))
+            if self.peek().kind != "COMMA":
+                return tuple(out)
+            self.advance()
+
+    def base_type(self, allow_record: bool) -> BaseType:
+        t = self.ident("a base type")
+        if t.text in _BASE_KEYWORDS:
+            return _BASE_KEYWORDS[t.text]
+        if not allow_record:
+            raise self.error(t, "a scalar base type (int, float, bool, text)", t.describe())
+        if t.text in RESERVED:
+            raise self.error(t, "a base type", f"reserved word '{t.text}'")
+        return RecordRef(t.text)
+
+    def type_tag(self, depth: int = 0) -> TypeTag:
+        t = self.ident("a type tag (string, list, set, hash)")
+        if t.text in _CONTAINER_KEYWORDS:
+            self.expect("LT", "'<'")
+            base = self.base_type(allow_record=True)
+            self.expect("GT", "'>'")
+            return _CONTAINER_KEYWORDS[t.text](base)
+        if t.text == "hash":
+            inner = self.deeper(t, depth)
+            self.expect("LT", "'<'")
+            fields = self.fields("hash field name", "a new hash field", lambda: self.field_tag(inner))
+            self.expect("GT", "'>'")
+            return HashOf(fields)
+        raise self.error(t, "a type tag (string, list, set, hash)", t.describe())
+
+    def field_tag(self, depth: int) -> StringOf:
+        tok = self.peek()
+        tag = self.type_tag(depth)
+        if not isinstance(tag, StringOf):
+            raise self.error(tok, "a string<...> field tag", _clip(tag_text(tag)))
+        return tag
+
+    def statement(self, binders: set[str]) -> Command:
+        t = self.peek()
+        if t.kind != "IDENT":
+            raise self.fail("a command")
+        binder: str | None = None
+        if t.text not in OPCODES:
+            name = self.fresh_name("binder")
+            if name.text in binders:
+                raise self.error(name, "a new binder name", f"duplicate binder '{_clip(name.text)}'")
+            binders.add(name.text)
+            binder = name.text
+            self.expect("ARROW", "'<-'")
+            t = self.peek()
+            if t.kind != "IDENT" or t.text not in OPCODES:
+                raise self.fail("a command")
+        op_tok = self.advance()
+        return self.command(op_tok, binder)
+
+    def command(self, op_tok: _Token, binder: str | None) -> Command:
+        n_keys, has_field, n_values, takes_tag = COMMAND_SHAPES[op_tok.text]
+        keys = tuple([self.ident("a key").text for _ in range(n_keys)])
+        field_name = self.ident("a hash field").text if has_field else None
+        args = tuple([self.expr() for _ in range(n_values)])
+        declared = None
+        if takes_tag:
+            self.expect("COLON", "':'")
+            declared = self.type_tag()
+        span = Span(*_where(self.starts, op_tok.pos))
+        return Command(op_tok.text, keys, args, field_name, declared, binder, span)
+
+    def expr(self, depth: int = 0) -> Expr:
+        t = self.peek()
+        if t.kind == "INT":
+            self.advance()
+            # Redis integers are signed 64-bit; counting digits first keeps
+            # int() off unbounded text
+            value = int(t.text) if len(t.text.lstrip("-0")) <= 19 else 2**63
+            if not -(2**63) <= value < 2**63:
+                raise self.error(t, "a signed 64-bit integer", "literal out of range")
+            return IntLit(value)
+        if t.kind == "FLOAT":
+            self.advance()
+            value = float(t.text)
+            if value in (float("inf"), float("-inf")):
+                raise self.error(t, "a representable float", "literal out of range")
+            return FloatLit(value)
+        if t.kind == "STRING":
+            self.advance()
+            return TextLit(t.text)
+        if t.kind == "IDENT":
+            self.advance()
+            if t.text == "true":
+                return BoolLit(True)
+            if t.text == "false":
+                return BoolLit(False)
+            if self.peek().kind == "LBRACE":
+                inner = self.deeper(t, depth)
+                self.advance()
+                args = [self.expr(inner)]
+                while self.peek().kind == "COMMA":
+                    self.advance()
+                    args.append(self.expr(inner))
+                self.expect("RBRACE", "'}'")
+                return RecordLit(t.text, tuple(args))
+            return Var(t.text)
+        raise self.fail("an expression")
+
+
+def parse(source: str) -> Program:
+    """The reference parser's tree for ``source``, or its ParseError."""
+    return _Parser(source).program()
+
+
+def parse_tag(text: str) -> TypeTag:
+    """The reference parser's tag for ``text``, or its ParseError."""
+    p = _Parser(text)
+    tag = p.type_tag()
+    if p.peek().kind != "EOF":
+        raise p.fail("end of input")
+    return tag

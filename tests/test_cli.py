@@ -306,6 +306,19 @@ def test_assume_rejects_duplicate_keys(tmp_path, capsys):
     assert "entry 1" in err and "'k'" in err
 
 
+def test_assume_errors_quote_at_most_40_characters_of_a_name(tmp_path, capsys):
+    program = write(tmp_path, "p.rt", "program { ping }")
+    for entries, quoted in [
+        ([{"key": "k" * 200_000, "tag": "string<int>"}] * 2, f"key '{'k' * 40}...'"),
+        ([{"key": "k", "tag": f"list<{'R' * 200_000}>"}], f"unknown record '{'R' * 40}...'"),
+    ]:
+        assume = write(tmp_path, "long.json", json.dumps(entries))
+        assert main(["check", "--assume", assume, program]) == 2
+        err = capsys.readouterr().err
+        assert quoted in err
+        assert len(err) < len(assume) + 120
+
+
 def test_assume_deeply_nested_json_is_exit_2(tmp_path, capsys):
     program = write(tmp_path, "p.rt", "program { ping }")
     assume = write(tmp_path, "deep.json", "[" * 100_000 + "]" * 100_000)

@@ -262,6 +262,15 @@ def test_a_reply_that_does_not_fit_the_result_type_is_a_violation(monkeypatch):
     assert result.stats.other_errors == 1
 
 
+def test_an_unfit_reply_is_described_in_bounded_space(monkeypatch):
+    monkeypatch.setattr(checker, "_step", _accepting_everything(checker._step))
+    source = 'program { set k "' + "x" * 1_000_000 + '"  get k }'
+    kind, message = _trial(parse_program(source), strict=False)
+    assert kind == "unfit"
+    assert "does not fit result type" in message
+    assert len(message) < 1024
+
+
 def test_an_argument_the_runtime_cannot_type_is_a_violation(monkeypatch):
     monkeypatch.setattr(checker, "_step", _accepting_everything(checker._step))
     kind, message = _trial(parse_program("program { set k nope }"), strict=False)

@@ -344,14 +344,11 @@ def test_nesting_up_to_the_bound_still_parses():
 
 def _package_tokens(source):
     """The package lexer's tokens as ``(kind, text, line, col)``."""
-    out = []
-    for t in parser._lex(source):
-        if hasattr(t, "pos"):  # located by offset: line and column are derived
-            line = source.count("\n", 0, t.pos) + 1
-            out.append((t.kind, t.text, line, t.pos - source.rfind("\n", 0, t.pos)))
-        else:
-            out.append((t.kind, t.text, t.line, t.col))
-    return out
+    kinds, texts, offsets = parser._lex(source)
+    return [
+        (kind, text, source.count("\n", 0, pos) + 1, pos - source.rfind("\n", 0, pos))
+        for kind, text, pos in zip(kinds, texts, offsets)
+    ]
 
 
 _FRAGMENTS = [
@@ -385,6 +382,73 @@ def test_lexer_agrees_with_the_reference_on_arbitrary_text(source):
 @given(st.lists(st.sampled_from(_FRAGMENTS), max_size=20), st.sampled_from(["", " ", "\n"]))
 def test_lexer_agrees_with_the_reference_on_token_soup(fragments, sep):
     _assert_lexes_like_the_reference(sep.join(fragments))
+
+
+# ---------------------------------------------------------------------------
+# the parser against the token-object reference parser in tests/oracles.py
+
+
+def _lexes(text):
+    try:
+        parser._lex(text)
+    except ParseError:
+        return False
+    return True
+
+
+# The fragments that lex, plus words and whole commands of the grammar, so
+# that soups get past the first token and into records, binders, commands
+# and type tags.
+_GRAMMAR_FRAGMENTS = [f for f in _FRAGMENTS if _lexes(f)] + [
+    "declare", "incr", "hset", "hget", "sinter", "ping", "lpush", "R", "R{", "x", "x <-", "true",
+    "string<int>", "list<R>", "hash<f: string<text>>", "hash<", "int", "text", "list", ": int",
+    "set k 1", "y <- incr k", "lpush q R{1, \"a\"}", "hset h f 2.5", "sinter a b", "declare k : set<R>",
+]
+_PREFIXES = ["", "program {", "record R { a: int, b: text } program {"]
+
+
+def _outcome(parse, source):
+    """``parse``'s result with every command's span, or its error's location and text.
+
+    Command equality ignores spans, so the spans are compared on their own.
+    """
+    try:
+        result = parse(source)
+    except ParseError as err:
+        return "error", (err.line, err.column, err.expected, err.found)
+    return result, [c.span for c in getattr(result, "body", ())]
+
+
+def _assert_parses_like_the_reference(source):
+    assert _outcome(parse_program, source) == _outcome(oracles.parse, source)
+    assert _outcome(parse_type_tag, source) == _outcome(oracles.parse_tag, source)
+
+
+@settings(max_examples=1000)
+@given(
+    st.sampled_from(_PREFIXES),
+    st.lists(st.sampled_from(_GRAMMAR_FRAGMENTS), max_size=20),
+    st.sampled_from(["", " ", "\n"]),
+)
+def test_parser_agrees_with_the_reference_on_token_soup(prefix, fragments, sep):
+    _assert_parses_like_the_reference(prefix + sep + sep.join(fragments))
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(0, 2**32),
+    st.floats(0, 1),
+    st.floats(0, 0.2),
+    st.lists(st.sampled_from(_GRAMMAR_FRAGMENTS), max_size=3),
+)
+def test_parser_agrees_with_the_reference_on_printed_programs(seed, cut, width, fragments):
+    """Printed generated programs, whole and with a stretch replaced by fragments."""
+    rng = random.Random(seed)
+    text = print_program(generate_program(rng, max_len=12, ill_typed_rate=0.3))
+    _assert_parses_like_the_reference(text)
+    start = int(cut * len(text))
+    end = start + int(width * len(text))
+    _assert_parses_like_the_reference(text[:start] + " ".join(fragments) + text[end:])
 
 
 # ---------------------------------------------------------------------------
