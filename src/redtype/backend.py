@@ -12,23 +12,22 @@ after a container's element type was overwritten).
 
 from __future__ import annotations
 
+import math
 import socket
 from dataclasses import dataclass
 from typing import Any, Mapping, Protocol
 
 from . import codec
 from .checker import (
-    BoolResult,
+    STATUS,
+    UNIT,
     CheckOk,
-    FloatResult,
-    IntResult,
     ListResult,
     MaybeResult,
     ResultType,
-    StatusResult,
-    UnitResult,
     check_command,  # noqa: F401  not called; kept for the benchmark tracer, which wraps this name
     infer_expr,
+    result_text,
 )
 from .codec import RecordValue, TypedValue
 from .resp import ProtocolError, ReplyDecoder, encode_command
@@ -42,7 +41,10 @@ from .store import (
     SimpleStatus,
 )
 from .syntax import (
-    COMMAND_SHAPES,
+    BOOL,
+    FLOAT,
+    INT,
+    WIRE_ARITIES,
     BoolLit,
     Command,
     Expr,
@@ -131,14 +133,6 @@ def eval_expr(e: Expr, values: Mapping[str, Any]) -> Any:
     return RecordValue(e.name, tuple(eval_expr(a, values) for a in e.args))
 
 
-# Commands that take a type tag are static and have no wire name.
-_WIRE_NAMES = {
-    op: op.upper().encode("ascii")
-    for op, (_, _, _, takes_tag) in COMMAND_SHAPES.items()
-    if not takes_tag
-}
-
-
 def _wire_command(
     cmd: Command,
     env: Mapping[str, ResultType],
@@ -146,10 +140,10 @@ def _wire_command(
     records: Mapping[str, RecordDecl],
 ) -> list[bytes] | None:
     """Wire form of one command; None for declare (purely static)."""
-    name = _WIRE_NAMES.get(cmd.opcode)
-    if name is None:
+    name = cmd.opcode.upper()
+    if name not in WIRE_ARITIES:
         return None
-    argv = [name]
+    argv = [name.encode("ascii")]
     argv.extend(k.encode("utf-8") for k in cmd.keys)
     if cmd.field_name is not None:
         argv.append(cmd.field_name.encode("utf-8"))
@@ -162,32 +156,30 @@ def _wire_command(
 def _decode_reply(
     reply: Reply, rt: ResultType, records: Mapping[str, RecordDecl]
 ) -> Any:
-    if isinstance(rt, StatusResult):
-        if isinstance(reply, SimpleStatus):
-            return reply.text
-    elif isinstance(rt, IntResult):
-        if isinstance(reply, IntReply):
-            return reply.value
-    elif isinstance(rt, BoolResult):
-        if isinstance(reply, IntReply):
-            return reply.value != 0
-    elif isinstance(rt, FloatResult):
-        # Increment replies are bulk; real servers may format them more
-        # loosely than the codec image (e.g. "3"), so parse leniently.
-        if isinstance(reply, BulkReply) and reply.data is not None:
-            try:
-                return float(reply.data)
-            except ValueError:
-                raise codec.DecodeError("float", reply.data) from None
-    elif isinstance(rt, MaybeResult):
-        if isinstance(reply, BulkReply):
-            if reply.data is None:
-                return None
-            return codec.decode(reply.data, rt.base, records).value
-    elif isinstance(rt, ListResult):
-        if isinstance(reply, MultiBulk):
-            return [codec.decode(item, rt.base, records).value for item in reply.items]
-    raise ProtocolError(f"reply {_reply_text(reply)} does not fit result type {rt!r}")
+    """The value ``reply`` carries as a result of type ``rt``.
+
+    Raises codec.DecodeError if a payload does not decode, and
+    ProtocolError if the reply's kind does not fit ``rt``.
+    """
+    binds = rt.binds
+    if isinstance(reply, IntReply) and binds in (INT, BOOL):
+        return reply.value if binds == INT else reply.value != 0
+    if isinstance(reply, BulkReply):
+        if isinstance(rt, MaybeResult):
+            return None if reply.data is None else codec.decode(reply.data, rt.base, records).value
+        if binds == FLOAT and reply.data is not None:
+            # Increment replies are bulk; real servers may format them more
+            # loosely than the codec image (e.g. "3"), so read them in the
+            # store's own float grammar.
+            f = codec.redis_float(reply.data)
+            if f is None or not math.isfinite(f):
+                raise codec.DecodeError(FLOAT.name, reply.data)
+            return f
+    if isinstance(reply, MultiBulk) and isinstance(rt, ListResult):
+        return [codec.decode(item, rt.base, records).value for item in reply.items]
+    if isinstance(reply, SimpleStatus) and rt == STATUS:
+        return reply.text
+    raise ProtocolError(f"reply {_reply_text(reply)} does not fit result type {result_text(rt)}")
 
 
 def _reply_text(reply: Reply) -> str:
@@ -211,7 +203,7 @@ def run_program(program: Program, report: CheckOk, backend: Backend) -> RunOutco
     records = record_table(program)
     env: dict[str, ResultType] = {}
     values: dict[str, Any] = {}
-    outcome: RunOutcome = RunValue(UnitResult(), None)
+    outcome: RunOutcome = RunValue(UNIT, None)
     for cmd, rt in zip(program.body, report.results):
         argv = _wire_command(cmd, env, values, records)
         if argv is None:

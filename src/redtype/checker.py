@@ -73,31 +73,17 @@ ARITY_MISMATCH = "ArityMismatch"
 
 class ResultType:
     __slots__ = ()
+    # The base type a binder of this result has in expressions; None if
+    # such a binder cannot appear in an expression.
+    binds: BaseType | None = None
 
 
 @dataclass(frozen=True)
-class StatusResult(ResultType):
-    pass
+class ScalarResult(ResultType):
+    """A result without an element type, by its surface name."""
 
-
-@dataclass(frozen=True)
-class IntResult(ResultType):
-    pass
-
-
-@dataclass(frozen=True)
-class FloatResult(ResultType):
-    pass
-
-
-@dataclass(frozen=True)
-class BoolResult(ResultType):
-    pass
-
-
-@dataclass(frozen=True)
-class UnitResult(ResultType):
-    pass
+    name: str
+    binds: BaseType | None = None
 
 
 @dataclass(frozen=True)
@@ -110,13 +96,11 @@ class ListResult(ResultType):
     base: BaseType
 
 
-STATUS = StatusResult()
-INT_RESULT = IntResult()
-FLOAT_RESULT = FloatResult()
-BOOL_RESULT = BoolResult()
-UNIT = UnitResult()
-
-_SCALAR_BASES: dict[type, BaseType] = {IntResult: INT, FloatResult: FLOAT, BoolResult: BOOL}
+STATUS = ScalarResult("status")
+INT_RESULT = ScalarResult("integer", INT)
+FLOAT_RESULT = ScalarResult("double", FLOAT)
+BOOL_RESULT = ScalarResult("boolean", BOOL)
+UNIT = ScalarResult("unit")
 
 
 # ---- outcomes ---------------------------------------------------------------
@@ -177,14 +161,13 @@ def infer_expr(
         rt = env.get(e.name)
         if rt is None:
             raise _fail(UNKNOWN_VARIABLE, f"no binder named '{_clip(e.name)}' in scope")
-        base = _SCALAR_BASES.get(type(rt))
-        if base is None:
+        if rt.binds is None:
             raise _fail(
                 ELEMENT_MISMATCH,
                 f"binder '{_clip(e.name)}' has result type {_clip(result_text(rt))}, "
                 "which cannot appear in an expression",
             )
-        return base
+        return rt.binds
     assert isinstance(e, RecordLit)
     decl = records.get(e.name)
     if decl is None:
@@ -207,16 +190,8 @@ def infer_expr(
 
 def result_text(rt: ResultType) -> str:
     """Surface spelling of a result type, as used in reports."""
-    if isinstance(rt, StatusResult):
-        return "status"
-    if isinstance(rt, IntResult):
-        return "integer"
-    if isinstance(rt, FloatResult):
-        return "double"
-    if isinstance(rt, BoolResult):
-        return "boolean"
-    if isinstance(rt, UnitResult):
-        return "unit"
+    if isinstance(rt, ScalarResult):
+        return rt.name
     if isinstance(rt, MaybeResult):
         return f"maybe<{base_text(rt.base)}>"
     assert isinstance(rt, ListResult)

@@ -11,16 +11,17 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from typing import Any, Callable, Mapping
 
 from .backend import Backend, MemoryBackend, RespBackend, RunError, RunValue, run_program
 from .checker import (
+    STATUS,
+    UNIT,
     CheckError,
     CheckOk,
     MaybeResult,
-    StatusResult,
-    UnitResult,
     check_program,
     result_text,
     undeclared_record,
@@ -131,10 +132,10 @@ def _value_text(value: Any, records: Mapping[str, RecordDecl]) -> str:
 
 def _outcome_text(outcome: RunValue, records: Mapping[str, RecordDecl]) -> str:
     rt = outcome.result
-    if isinstance(rt, StatusResult):
-        return str(outcome.value)
-    if isinstance(rt, UnitResult):
-        return "unit"
+    if rt == STATUS:
+        return outcome.value
+    if rt == UNIT:
+        return result_text(rt)
     if isinstance(rt, MaybeResult):
         if outcome.value is None:
             return "nil"
@@ -170,10 +171,11 @@ def _open_backend(args: argparse.Namespace) -> tuple[Backend, MemoryStore | None
         return MemoryBackend(store), store
     addr = args.addr or os.environ.get("EDIS_ADDR") or DEFAULT_ADDR
     host, _, port_text = addr.rpartition(":")
-    if not host or not port_text.isdigit():
+    port = int(port_text) if re.fullmatch("[0-9]{1,5}", port_text) else 0
+    if not host or not 1 <= port <= 65535:
         raise _Bail(EXIT_CONNECT_ERROR, f"bad address '{addr}', expected HOST:PORT")
     try:
-        return RespBackend(host, int(port_text), timeout=args.timeout), None
+        return RespBackend(host, port, timeout=args.timeout), None
     except OSError as err:
         raise _Bail(EXIT_CONNECT_ERROR, f"cannot connect to {addr}: {err}") from None
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -73,6 +74,19 @@ def canonical_int(data: bytes) -> int | None:
     return n if str(n) == s else None
 
 
+_FLOAT_RE = re.compile(rb"\A[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?\Z")
+
+
+def redis_float(data: bytes) -> float | None:
+    """The float ``data`` spells in the store's INCRBYFLOAT grammar, else None.
+
+    The grammar is an ASCII signed decimal with an optional exponent: no
+    spaces, underscores, nan or inf.  Finite spellings can still overflow
+    to infinity (1e999).
+    """
+    return float(data) if _FLOAT_RE.match(data) else None
+
+
 def _is_payload(value: Any, base: BaseType) -> bool:
     """Whether a record field value (as JSON holds it) has scalar type ``base``."""
     if base == INT:
@@ -110,7 +124,7 @@ def decode(
     if base == INT:
         n = canonical_int(data)
         if n is None:
-            raise DecodeError("int", data)
+            raise DecodeError(base.name, data)
         return TypedValue(INT, n)
 
     if base == FLOAT:
@@ -118,9 +132,9 @@ def decode(
             s = data.decode("ascii")
             f = float(s)
         except (UnicodeDecodeError, ValueError):
-            raise DecodeError("float", data) from None
+            raise DecodeError(base.name, data) from None
         if not math.isfinite(f) or repr(f) != s:
-            raise DecodeError("float", data, "not canonical")
+            raise DecodeError(base.name, data, "not canonical")
         return TypedValue(FLOAT, f)
 
     if base == BOOL:
@@ -128,13 +142,13 @@ def decode(
             return TypedValue(BOOL, True)
         if data == b"false":
             return TypedValue(BOOL, False)
-        raise DecodeError("bool", data)
+        raise DecodeError(base.name, data)
 
     if base == TEXT:
         try:
             return TypedValue(TEXT, data.decode("utf-8"))
         except UnicodeDecodeError:
-            raise DecodeError("text", data, "invalid UTF-8") from None
+            raise DecodeError(base.name, data, "invalid UTF-8") from None
 
     assert isinstance(base, RecordRef)
     decl = _record_decl(base, records)

@@ -24,7 +24,7 @@ from typing import Callable
 
 from . import checker
 from .backend import MemoryBackend, RunError, run_program
-from .checker import _SCALAR_BASES, CheckError, ResultType, check_program
+from .checker import CheckError, ResultType, check_program
 from .resp import ProtocolError
 from .store import MemoryStore, NOT_FLOAT_MSG, NOT_INT_MSG
 from .syntax import (
@@ -32,6 +32,7 @@ from .syntax import (
     COMMAND_SHAPES,
     FLOAT,
     INT,
+    SCALARS,
     TEXT,
     BaseType,
     BoolLit,
@@ -141,13 +142,13 @@ class _Generator:
     def any_base(self) -> BaseType:
         if self.rng.random() < 0.25:
             return RecordRef(self.rng.choice(RECORD_POOL).name)
-        return self.rng.choice((INT, FLOAT, BOOL, TEXT))
+        return self.rng.choice(SCALARS)
 
     def value(self, base: BaseType) -> Expr:
         """Expression of the given base type: a usable binder or a literal."""
         rng = self.rng
         if rng.random() < 0.3:
-            names = [n for n, rt in self.env.items() if _SCALAR_BASES.get(type(rt)) == base]
+            names = [n for n, rt in self.env.items() if rt.binds == base]
             if names:
                 return Var(rng.choice(names))
         if base == INT:
@@ -188,7 +189,7 @@ class _Generator:
         if rng.random() < 0.05:
             # a malformed argument, or a binder whose result type cannot
             # appear in an expression
-            unusable = [Var(n) for n, rt in self.env.items() if type(rt) not in _SCALAR_BASES]
+            unusable = [Var(n) for n, rt in self.env.items() if rt.binds is None]
             return rng.choice(_MALFORMED + tuple(unusable))
         if isinstance(tag, StringOf | ListOf | SetOf) and rng.random() < 0.6:
             return self.value(tag.base)

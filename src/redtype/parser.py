@@ -14,12 +14,9 @@ from bisect import bisect_right
 from typing import Callable, TypeVar
 
 from .syntax import (
-    BOOL,
     COMMAND_SHAPES,
-    FLOAT,
-    INT,
     OPCODES,
-    TEXT,
+    SCALARS,
     BaseType,
     BoolLit,
     Command,
@@ -42,7 +39,7 @@ from .syntax import (
 
 _T = TypeVar("_T")
 
-_BASE_KEYWORDS = {"int": INT, "float": FLOAT, "bool": BOOL, "text": TEXT}
+_BASE_KEYWORDS = {b.name: b for b in SCALARS}
 _CONTAINER_KEYWORDS = {"string": StringOf, "list": ListOf, "set": SetOf}
 _TAG_KEYWORDS = {*_CONTAINER_KEYWORDS, "hash"}
 
@@ -271,7 +268,7 @@ class _Parser:
         if word in _BASE_KEYWORDS:
             return _BASE_KEYWORDS[word]
         if not allow_record:
-            raise self.fail(i, "a scalar base type (int, float, bool, text)")
+            raise self.fail(i, f"a scalar base type ({', '.join(_BASE_KEYWORDS)})")
         if word in RESERVED:
             raise self.error(i, "a base type", f"reserved word '{word}'")
         return RecordRef(word)
@@ -399,12 +396,11 @@ def parse_type_tag(text: str) -> TypeTag:
 # pretty printing
 
 
-_BASE_NAMES = {b: name for name, b in _BASE_KEYWORDS.items()}
 _CONTAINER_NAMES = {cls: name for name, cls in _CONTAINER_KEYWORDS.items()}
 
 
 def base_text(b: BaseType) -> str:
-    return b.name if isinstance(b, RecordRef) else _BASE_NAMES[b]
+    return b.name
 
 
 def tag_text(tag: TypeTag) -> str:

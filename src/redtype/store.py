@@ -19,13 +19,12 @@ comes back as ErrReply.
 from __future__ import annotations
 
 import math
-import re
 from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .codec import canonical_int
-from .syntax import COMMAND_SHAPES
+from .codec import canonical_int, redis_float
+from .syntax import WIRE_ARITIES
 
 WRONGTYPE_MSG = "WRONGTYPE Operation against a key holding the wrong kind of value"
 NOT_INT_MSG = "ERR value is not an integer or out of range"
@@ -97,15 +96,6 @@ OK = SimpleStatus("OK")
 PONG = SimpleStatus("PONG")
 
 
-_FLOAT_RE = re.compile(rb"\A[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?\Z")
-
-
-def _parse_stored_float(raw: bytes) -> float | None:
-    if not _FLOAT_RE.match(raw):
-        return None
-    return float(raw)
-
-
 def _key(argv: Sequence[bytes], i: int) -> str:
     return argv[i].decode("latin-1")
 
@@ -167,7 +157,7 @@ def _execute(state: _LiveState, argv: Sequence[bytes]) -> Reply:
     if not argv:
         return ErrReply("ERR empty command")
     name = argv[0].decode("latin-1").upper()
-    arity = _ARITIES.get(name)
+    arity = WIRE_ARITIES.get(name)
     if arity is None:
         return ErrReply(f"ERR unknown command '{argv[0].decode('latin-1')}'")
     if len(argv) != arity:
@@ -215,11 +205,11 @@ def _apply(state: _LiveState, name: str, argv: Sequence[bytes]) -> Reply:
         return IntReply(n + 1)
 
     if name == "INCRBYFLOAT":
-        d = _parse_stored_float(argv[2])
+        d = redis_float(argv[2])
         if d is None:
             return ErrReply(NOT_FLOAT_MSG)
         v = _holding(state, k, Str)
-        old = _parse_stored_float(b"0" if v is None else v.data)
+        old = redis_float(b"0" if v is None else v.data)
         if old is None:
             return ErrReply(NOT_FLOAT_MSG)
         result = old + d
@@ -276,15 +266,6 @@ def _apply(state: _LiveState, name: str, argv: Sequence[bytes]) -> Reply:
     assert name == "HGET"
     fields = _holding(state, k, dict)
     return BulkReply(None if fields is None else fields.get(argv[2].decode("latin-1")))
-
-
-# Wire name -> argument count including the name, for every command that
-# reaches the wire (those that take a type tag are static).
-_ARITIES = {
-    op.upper(): 1 + n_keys + has_field + n_values
-    for op, (n_keys, has_field, n_values, takes_tag) in COMMAND_SHAPES.items()
-    if not takes_tag
-}
 
 
 class MemoryStore:

@@ -19,26 +19,19 @@ class BaseType:
     """Scalar payload type: int, float, bool, text, or a named record."""
 
     __slots__ = ()
+    name: str  # as source programs spell it
 
 
 @dataclass(frozen=True)
-class IntType(BaseType):
-    pass
+class Scalar(BaseType):
+    """int, float, bool or text."""
 
+    name: str
 
-@dataclass(frozen=True)
-class FloatType(BaseType):
-    pass
-
-
-@dataclass(frozen=True)
-class BoolType(BaseType):
-    pass
-
-
-@dataclass(frozen=True)
-class TextType(BaseType):
-    pass
+    def __eq__(self, other: object) -> bool:
+        # Identity first: bases are nearly always the four constants below,
+        # and the generated __eq__ builds a tuple per side on every call.
+        return self is other or (type(other) is Scalar and self.name == other.name)
 
 
 @dataclass(frozen=True)
@@ -48,10 +41,11 @@ class RecordRef(BaseType):
     name: str
 
 
-INT = IntType()
-FLOAT = FloatType()
-BOOL = BoolType()
-TEXT = TextType()
+INT = Scalar("int")
+FLOAT = Scalar("float")
+BOOL = Scalar("bool")
+TEXT = Scalar("text")
+SCALARS = (INT, FLOAT, BOOL, TEXT)
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +179,14 @@ COMMAND_SHAPES: dict[str, tuple[int, bool, int, bool]] = {
 }
 
 OPCODES = frozenset(COMMAND_SHAPES)
+
+# Wire name -> argument count including the name, for every command that
+# reaches the wire (those that take a type tag are static).
+WIRE_ARITIES: dict[str, int] = {
+    op.upper(): 1 + n_keys + has_field + n_values
+    for op, (n_keys, has_field, n_values, takes_tag) in COMMAND_SHAPES.items()
+    if not takes_tag
+}
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,12 @@ from redtype.backend import (
     RunValue,
     run_program,
 )
-from redtype.checker import INT_RESULT, UNIT, CheckOk, MaybeResult, check_program
+from redtype.checker import FLOAT_RESULT, INT_RESULT, STATUS, UNIT, CheckOk, MaybeResult, check_program
 from redtype.codec import RecordValue
 from redtype.fuzz import generate_program
 from redtype.parser import parse_program
-from redtype.store import MemoryStore
+from redtype.resp import ProtocolError
+from redtype.store import BulkReply, IntReply, MemoryStore
 from redtype.syntax import FLOAT, INT, HashOf, ListOf, RecordRef, StringOf
 
 QUEUE_SOURCE = """\
@@ -283,3 +284,38 @@ program {
     outcome = run_program(program, report, MemoryBackend(store))
     assert outcome == RunValue(MaybeResult(RecordRef("Message")), RecordValue("Message", ("hi", 42)))
     assert store.execute([b"LLEN", b"queue"]).value == 0
+
+
+class _FloatReplies:
+    """A server whose INCRBYFLOAT replies carry ``data`` instead of the sum."""
+
+    def __init__(self, data):
+        self.data = data
+        self.inner = MemoryBackend()
+
+    def send(self, argv):
+        reply = self.inner.send(argv)
+        return BulkReply(self.data) if argv[0] == b"INCRBYFLOAT" else reply
+
+
+INCRBYFLOAT_SOURCE = "program { set k 1.5  incrbyfloat k 1.0 }"
+
+
+@pytest.mark.parametrize("data", [b"nan", b"inf", b"-inf", b"1e999", b" 1_0 ", b"1_0", b"\xd9\xa1"])
+def test_a_float_reply_outside_the_store_grammar_is_a_decode_failure(data):
+    outcome = run_source(INCRBYFLOAT_SOURCE, _FloatReplies(data))
+    assert isinstance(outcome, RunError)
+    assert outcome.message.startswith("DECODE cannot decode")
+    assert outcome.message.endswith("as float")
+
+
+@pytest.mark.parametrize("data, value", [(b"3", 3.0), (b"2.5", 2.5), (b"2.5e3", 2500.0), (b"-.5", -0.5)])
+def test_a_float_reply_in_the_store_grammar_decodes(data, value):
+    assert run_source(INCRBYFLOAT_SOURCE, _FloatReplies(data)) == RunValue(FLOAT_RESULT, value)
+
+
+def test_an_unfit_reply_names_the_result_type_as_reports_spell_it():
+    with pytest.raises(ProtocolError, match=r"^reply IntReply\(1\) does not fit result type status$"):
+        backend_module._decode_reply(IntReply(1), STATUS, {})
+    with pytest.raises(ProtocolError, match=r"does not fit result type maybe<int>$"):
+        backend_module._decode_reply(IntReply(1), MaybeResult(INT), {})

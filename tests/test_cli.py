@@ -258,6 +258,22 @@ def test_run_bad_address_exit_5(tmp_path):
     assert main(["run", "--backend", "resp", "--addr", "nonsense", f]) == 5
 
 
+@pytest.mark.parametrize("port", ["99999", "65536", "0", pytest.param("9" * 5000, id="5000-digits"), "+80", ""])
+def test_run_port_outside_1_to_65535_is_a_bad_address(port, tmp_path, capsys):
+    # The OS would take 99999 modulo 65536 and connect to port 34463.
+    f = write(tmp_path, "p.rt", "program { ping }")
+    assert main(["run", "--backend", "resp", "--addr", f"127.0.0.1:{port}", f]) == 5
+    assert "bad address" in capsys.readouterr().err
+
+
+def test_addr_env_port_in_non_ascii_digits_is_a_bad_address(tmp_path, monkeypatch, capsys):
+    # str.isdigit and int() read Arabic-Indic digits, as port 12.
+    monkeypatch.setenv("EDIS_ADDR", "127.0.0.1:\u0661\u0662")
+    f = write(tmp_path, "p.rt", "program { ping }")
+    assert main(["run", "--backend", "resp", f]) == 5
+    assert "bad address" in capsys.readouterr().err
+
+
 def test_addr_env_default(tmp_path, monkeypatch, free_port):
     # EDIS_ADDR supplies the address when --addr is absent
     monkeypatch.setenv("EDIS_ADDR", f"127.0.0.1:{free_port}")
