@@ -1,12 +1,14 @@
-"""Naive reference models for the dictionary operations, the lexer and the parser.
+"""Naive reference models for the dictionary operations, the lexer, the parser
+and the RESP reply decoder.
 
 Written independently of the package implementation, in a deliberately
 different style (index arithmetic and list comprehensions instead of
 first-match recursion; a character-at-a-time scanner that tracks line and
 column as it goes instead of one compiled pattern), so agreement between
 the two is meaningful.  The reference parser is the package's earlier
-token-object parser, kept verbatim.  Kept in its own module because both
-the unit tests and the acceptance sweep drive it.
+token-object parser and the reference reply decoder its earlier
+item-at-a-time decoder, both kept verbatim.  Kept in its own module
+because both the unit tests and the acceptance sweep drive it.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from redtype.parser import (
     _where,
     tag_text,
 )
+from redtype.resp import CRLF, MAX_ARRAY_LEN, MAX_BULK_LEN, MAX_LINE_LEN, ProtocolError
+from redtype.store import BulkReply, ErrReply, IntReply, MultiBulk, Reply, SimpleStatus
 from redtype.syntax import (
     COMMAND_SHAPES,
     OPCODES,
@@ -511,3 +515,123 @@ def parse_tag(text: str) -> TypeTag:
     if p.peek().kind != "EOF":
         raise p.fail("end of input")
     return tag
+
+
+# ---------------------------------------------------------------------------
+# RESP reply decoder
+#
+# The package decoder as it was before it read array items in one cursor
+# loop: every item goes through ``_parse`` and leaves the buffer on its
+# own.  It shares the package's ProtocolError and limits, so what it pins
+# down is which replies, and which ProtocolError at which reply, a byte
+# stream gives at any split.
+
+
+class _NeedMore(Exception):
+    pass
+
+
+class ReplyDecoder:
+    """Feed bytes in, poll complete replies out.
+
+    poll() returns None while the buffered data is still a prefix of a
+    reply; it consumes exactly one reply's bytes otherwise.  Each byte
+    is parsed once: a partial array resumes from a cursor (the items so
+    far and how many are still due), and the bytes of every parsed item
+    leave the buffer, so the next item starts at offset 0.
+    """
+
+    def __init__(self) -> None:
+        self._buf = bytearray()
+        self._items: list[bytes] | None = None  # the array being decoded
+        self._due = 0
+
+    def feed(self, data: bytes) -> None:
+        self._buf += data
+
+    @property
+    def pending(self) -> int:
+        """Bytes buffered but not yet parsed."""
+        return len(self._buf)
+
+    def poll(self) -> Reply | None:
+        try:
+            if self._items is None:
+                reply = self._parse()
+                if reply is not None:
+                    return reply
+            while self._due:
+                # Checked before descending, so nested arrays cannot recurse.
+                if self._buf[:1] not in (b"$", b""):
+                    raise ProtocolError("array element is not a bulk string")
+                element = self._parse()
+                if element.data is None:
+                    raise ProtocolError("array element is not a bulk string")
+                self._items.append(element.data)
+                self._due -= 1
+        except _NeedMore:
+            return None
+        reply = MultiBulk(tuple(self._items))
+        self._items = None
+        return reply
+
+    def _parse(self) -> Reply | None:
+        """Take one reply off the buffer's head.
+
+        An array header opens the cursor instead and returns None;
+        raises _NeedMore, consuming nothing, if the reply is incomplete.
+        """
+        if not self._buf:
+            raise _NeedMore
+        marker = self._buf[:1]
+        line, used = self._line(1)
+        if marker == b"+":
+            reply: Reply = SimpleStatus(line.decode("latin-1"))
+        elif marker == b"-":
+            reply = ErrReply(line.decode("latin-1"))
+        elif marker == b":":
+            reply = IntReply(self._int(line))
+        elif marker == b"$":
+            n = self._int(line)
+            if n < -1:
+                raise ProtocolError(f"negative bulk length {n}")
+            if n > MAX_BULK_LEN:
+                raise ProtocolError(f"bulk length {n} exceeds {MAX_BULK_LEN}")
+            if n == -1:
+                reply = BulkReply(None)
+            else:
+                end = used + n
+                if end + 2 > len(self._buf):
+                    raise _NeedMore
+                if self._buf[end : end + 2] != CRLF:
+                    raise ProtocolError("bulk string not terminated by CRLF")
+                reply = BulkReply(bytes(self._buf[used:end]))
+                used = end + 2
+        elif marker == b"*":
+            n = self._int(line)
+            if n < 0:
+                raise ProtocolError(f"unsupported array length {n}")
+            if n > MAX_ARRAY_LEN:
+                raise ProtocolError(f"array length {n} exceeds {MAX_ARRAY_LEN}")
+            self._items, self._due = [], n
+            reply = None
+        else:
+            raise ProtocolError(f"unknown reply marker {bytes(marker)!r}")
+        del self._buf[:used]
+        return reply
+
+    def _line(self, at: int) -> tuple[bytes, int]:
+        end = self._buf.find(CRLF, at, at + MAX_LINE_LEN + 2)
+        if end == -1:
+            if len(self._buf) - at > MAX_LINE_LEN + 1:
+                raise ProtocolError(f"reply line longer than {MAX_LINE_LEN} bytes")
+            # A CR at the very end might be half a terminator.
+            raise _NeedMore
+        return bytes(self._buf[at:end]), end + 2
+
+    @staticmethod
+    def _int(line: bytes) -> int:
+        try:
+            return int(line)
+        except ValueError:
+            raise ProtocolError(f"malformed integer line {line!r}") from None

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
+
 from redtype.resp import ProtocolError, ReplyDecoder, encode_command, encode_reply
 from redtype.resp import MAX_ARRAY_LEN, MAX_BULK_LEN, MAX_LINE_LEN
 from redtype.store import (
@@ -275,3 +277,83 @@ def test_each_array_item_is_parsed_once(monkeypatch):
     # Each poll parses its complete items once and fails at most once on
     # the incomplete one; re-parsing from the start would cost items**2.
     assert calls <= items + chunks + 2
+
+
+# ---------------------------------------------------------------------------
+# agreement with the reference decoder
+
+
+_bulk_items_st = st.one_of(
+    st.binary(max_size=12),
+    st.sampled_from([b"", b"\r\n", b"a\r\nb", b"\r", b"\n", b"$1\r\n"]),
+)
+# Array elements the decoder must reject: nil, other reply kinds, a
+# nested array, a length above the cap and a missing CRLF terminator.
+_bad_elements_st = st.sampled_from(
+    [
+        b"$-1\r\n",
+        b":5\r\n",
+        b"+OK\r\n",
+        b"-ERR x\r\n",
+        b"*1\r\n",
+        b"$-2\r\n",
+        b"$x\r\n",
+        b"$%d\r\n" % (MAX_BULK_LEN + 1),
+        b"$%d\r\n" % (2 * MAX_BULK_LEN),
+        b"$3\r\nabcXY",
+        b"$0\r\n\n",
+    ]
+)
+_LONG_HEADER = b"$" + b"9" * (MAX_LINE_LEN + 100)  # never terminated
+
+
+@st.composite
+def _array_frames(draw) -> bytes:
+    elements = [encode_reply(BulkReply(x)) for x in draw(st.lists(_bulk_items_st, max_size=8))]
+    if draw(st.booleans()):
+        elements.insert(draw(st.integers(0, len(elements))), draw(_bad_elements_st))
+    return b"*%d\r\n" % len(elements) + b"".join(elements)
+
+
+_frames_st = st.one_of(
+    replies_st.map(encode_reply),
+    _array_frames(),
+    st.sampled_from(
+        [
+            b"$%d\r\n" % (MAX_BULK_LEN + 1),
+            b"$3\r\nabcXY",
+            b"$-2\r\n",
+            b"*-1\r\n",
+            b"*%d\r\n" % (MAX_ARRAY_LEN + 1),
+            b":abc\r\n",
+            b"?x\r\n",
+        ]
+    ),
+)
+
+
+def _events(decoder, chunks: list[bytes]) -> list:
+    """Each reply polled after each chunk, with the bytes still pending, up to the first ProtocolError."""
+    out: list = []
+    for chunk in chunks:
+        decoder.feed(chunk)
+        try:
+            while (r := decoder.poll()) is not None:
+                out.append((r, decoder.pending))
+        except ProtocolError as err:
+            return out + [("ProtocolError", str(err))]
+        out.append(("wait", decoder.pending))
+    return out
+
+
+@given(st.lists(_frames_st, min_size=1, max_size=6), st.booleans(), st.data())
+def test_decoder_agrees_with_the_reference_at_random_splits(frames, long_header, data):
+    wire = b"".join(frames)
+    if long_header:
+        # An element header longer than MAX_LINE_LEN, fed as a socket would.
+        wire += b"*2\r\n$1\r\na\r\n" + _LONG_HEADER
+        chunks = [wire[i : i + 4096] for i in range(0, len(wire), 4096)]
+    else:
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(wire)), max_size=12)))
+        chunks = [wire[i:j] for i, j in zip([0, *cuts], [*cuts, len(wire)])]
+    assert _events(ReplyDecoder(), chunks) == _events(oracles.ReplyDecoder(), chunks)
