@@ -166,7 +166,7 @@ def _decode_reply(
         return reply.value if binds == INT else reply.value != 0
     if isinstance(reply, BulkReply):
         if isinstance(rt, MaybeResult):
-            return None if reply.data is None else codec.decode(reply.data, rt.base, records).value
+            return None if reply.data is None else codec.value_decoder(rt.base, records)(reply.data)
         if binds == FLOAT and reply.data is not None:
             # Increment replies are bulk; real servers may format them more
             # loosely than the codec image (e.g. "3"), so read them in the
@@ -176,7 +176,7 @@ def _decode_reply(
                 raise codec.DecodeError(FLOAT.name, reply.data)
             return f
     if isinstance(reply, MultiBulk) and isinstance(rt, ListResult):
-        return [codec.decode(item, rt.base, records).value for item in reply.items]
+        return list(map(codec.value_decoder(rt.base, records), reply.items))
     if isinstance(reply, SimpleStatus) and rt == STATUS:
         return reply.text
     raise ProtocolError(f"reply {_reply_text(reply)} does not fit result type {result_text(rt)}")

@@ -20,7 +20,8 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from typing import Any, Mapping
+from functools import partial
+from typing import Any, Callable, Mapping, Sequence
 
 from .syntax import (
     BOOL,
@@ -64,16 +65,6 @@ def _record_decl(base: RecordRef, records: Mapping[str, RecordDecl] | None) -> R
     return records[base.name]
 
 
-def canonical_int(data: bytes) -> int | None:
-    """The int ``data`` spells in the canonical form above (which INCR also uses), else None."""
-    try:
-        s = data.decode("ascii")
-        n = int(s)
-    except (UnicodeDecodeError, ValueError):
-        return None
-    return n if str(n) == s else None
-
-
 _FLOAT_RE = re.compile(rb"\A[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?\Z")
 
 
@@ -114,44 +105,54 @@ def encode(v: TypedValue, records: Mapping[str, RecordDecl] | None = None) -> by
     # Field payloads go into the JSON object as-is; shape was validated
     # at construction time, so this only guards against drift.
     assert all(_is_payload(val, fbase) for (_, fbase), val in zip(decl.fields, rec.values))
-    obj = {name: val for (name, _), val in zip(decl.fields, rec.values)}
+    return _record_bytes(decl, rec.values)
+
+
+def _record_bytes(decl: RecordDecl, values: Sequence[Any]) -> bytes:
+    obj = {name: val for (name, _), val in zip(decl.fields, values)}
     return json.dumps(obj, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
 
 
-def decode(
-    data: bytes, base: BaseType, records: Mapping[str, RecordDecl] | None = None
-) -> TypedValue:
-    if base == INT:
-        n = canonical_int(data)
-        if n is None:
-            raise DecodeError(base.name, data)
-        return TypedValue(INT, n)
+def int_value(data: bytes) -> int:
+    """The int ``data`` spells in the canonical form above (which INCR also uses)."""
+    # int() also reads spaces, '+', '_' and leading zeros; the round trip
+    # through the canonical spelling turns all of those away.
+    try:
+        n = int(data)
+    except ValueError:
+        n = None
+    if n is None or b"%d" % n != data:
+        raise DecodeError(INT.name, data)
+    return n
 
-    if base == FLOAT:
-        try:
-            s = data.decode("ascii")
-            f = float(s)
-        except (UnicodeDecodeError, ValueError):
-            raise DecodeError(base.name, data) from None
-        if not math.isfinite(f) or repr(f) != s:
-            raise DecodeError(base.name, data, "not canonical")
-        return TypedValue(FLOAT, f)
 
-    if base == BOOL:
-        if data == b"true":
-            return TypedValue(BOOL, True)
-        if data == b"false":
-            return TypedValue(BOOL, False)
-        raise DecodeError(base.name, data)
+def _float_value(data: bytes) -> float:
+    try:
+        s = data.decode("ascii")
+        f = float(s)
+    except (UnicodeDecodeError, ValueError):
+        raise DecodeError(FLOAT.name, data) from None
+    if not math.isfinite(f) or repr(f) != s:
+        raise DecodeError(FLOAT.name, data, "not canonical")
+    return f
 
-    if base == TEXT:
-        try:
-            return TypedValue(TEXT, data.decode("utf-8"))
-        except UnicodeDecodeError:
-            raise DecodeError(base.name, data, "invalid UTF-8") from None
 
-    assert isinstance(base, RecordRef)
-    decl = _record_decl(base, records)
+def _bool_value(data: bytes) -> bool:
+    if data == b"true":
+        return True
+    if data == b"false":
+        return False
+    raise DecodeError(BOOL.name, data)
+
+
+def _text_value(data: bytes) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError:
+        raise DecodeError(TEXT.name, data, "invalid UTF-8") from None
+
+
+def _record_value(decl: RecordDecl, data: bytes) -> RecordValue:
     try:
         pairs = json.loads(data.decode("utf-8"), object_pairs_hook=list)
     except (UnicodeDecodeError, ValueError, RecursionError):
@@ -165,9 +166,36 @@ def decode(
         if not _is_payload(raw, fbase):
             raise DecodeError(decl.name, data, f"field '{fname}' has the wrong type")
         values.append(raw)
-    out = TypedValue(base, RecordValue(decl.name, tuple(values)))
     # One canonical byte string per value: reject every other spelling
     # (whitespace, \u escapes, exponent variants) by re-encoding.
-    if encode(out, records) != data:
+    if _record_bytes(decl, values) != data:
         raise DecodeError(decl.name, data, "not canonical")
-    return out
+    return RecordValue(decl.name, tuple(values))
+
+
+_SCALAR_VALUES: dict[BaseType, Callable[[bytes], Any]] = {
+    INT: int_value,
+    FLOAT: _float_value,
+    BOOL: _bool_value,
+    TEXT: _text_value,
+}
+
+
+def value_decoder(
+    base: BaseType, records: Mapping[str, RecordDecl] | None = None
+) -> Callable[[bytes], Any]:
+    """The function that takes one payload of ``base`` to its plain value.
+
+    It raises DecodeError on every byte string outside ``encode``'s image.
+    Look it up once to decode many payloads of one base.
+    """
+    if isinstance(base, RecordRef):
+        return partial(_record_value, _record_decl(base, records))
+    return _SCALAR_VALUES[base]
+
+
+def decode(
+    data: bytes, base: BaseType, records: Mapping[str, RecordDecl] | None = None
+) -> TypedValue:
+    """``data`` decoded by ``value_decoder(base, records)``, with its base."""
+    return TypedValue(base, value_decoder(base, records)(data))

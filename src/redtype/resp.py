@@ -10,6 +10,7 @@ in chunks resumes where the last chunk ended instead of being re-parsed.
 
 from __future__ import annotations
 
+import re
 from typing import Sequence
 
 from .store import BulkReply, ErrReply, IntReply, MultiBulk, Reply, SimpleStatus
@@ -24,13 +25,15 @@ MAX_ARRAY_LEN = 2**32 - 1
 # Redis's PROTO_INLINE_MAX_SIZE; it also bounds each poll's CRLF search.
 MAX_LINE_LEN = 64 * 1024
 
+_BULK = ord("$")
+_INT_LINE = re.compile(rb"-?[0-9]{1,19}")
+# A bulk header whose length is at most 18 digits, so in int64 whatever
+# it spells: the common case, read in one match.
+_BULK_HEAD = re.compile(rb"\$(-?[0-9]{1,18})\r\n")
+
 
 class ProtocolError(Exception):
     """Malformed or unsupported wire data; the connection is unusable."""
-
-
-class _NeedMore(Exception):
-    pass
 
 
 def encode_command(argv: Sequence[bytes]) -> bytes:
@@ -65,8 +68,9 @@ class ReplyDecoder:
     poll() returns None while the buffered data is still a prefix of a
     reply; it consumes exactly one reply's bytes otherwise.  Each byte
     is parsed once: a partial array resumes from a cursor (the items so
-    far and how many are still due), and the bytes of every parsed item
-    leave the buffer, so the next item starts at offset 0.
+    far and how many are still due), each poll reads all the buffered
+    items in one loop, and the bytes it read leave the buffer once, at
+    its end.
     """
 
     def __init__(self) -> None:
@@ -83,58 +87,47 @@ class ReplyDecoder:
         return len(self._buf)
 
     def poll(self) -> Reply | None:
+        at = 0  # bytes read so far; they leave the buffer on the way out
         try:
             if self._items is None:
-                reply = self._parse()
+                head = self._parse()
+                if head is None:
+                    return None
+                reply, at = head
                 if reply is not None:
                     return reply
-            while self._due:
-                # Checked before descending, so nested arrays cannot recurse.
-                if self._buf[:1] not in (b"$", b""):
-                    raise ProtocolError("array element is not a bulk string")
-                element = self._parse()
-                if element.data is None:
-                    raise ProtocolError("array element is not a bulk string")
-                self._items.append(element.data)
-                self._due -= 1
-        except _NeedMore:
-            return None
-        reply = MultiBulk(tuple(self._items))
-        self._items = None
-        return reply
+            at, self._due = self._bulks(at, self._due, self._items)
+            if self._due:
+                return None
+            items, self._items = self._items, None
+            return MultiBulk(tuple(items))
+        finally:
+            del self._buf[:at]
 
-    def _parse(self) -> Reply | None:
-        """Take one reply off the buffer's head.
+    def _parse(self) -> tuple[Reply | None, int] | None:
+        """The reply at the buffer's head and the bytes it takes.
 
-        An array header opens the cursor instead and returns None;
-        raises _NeedMore, consuming nothing, if the reply is incomplete.
+        None if it has not all arrived.  An array header opens the
+        cursor instead, with no reply.
         """
-        if not self._buf:
-            raise _NeedMore
-        marker = self._buf[:1]
-        line, used = self._line(1)
+        buf = self._buf
+        if not buf:
+            return None
+        if buf[0] == _BULK:
+            out: list[bytes | None] = []
+            at, _ = self._bulks(0, 1, out)
+            return (BulkReply(out[0]), at) if out else None
+        end = self._line_end(1)
+        if end == -1:
+            return None
+        marker, line = buf[:1], bytes(buf[1:end])
+        reply: Reply | None
         if marker == b"+":
-            reply: Reply = SimpleStatus(line.decode("latin-1"))
+            reply = SimpleStatus(line.decode("latin-1"))
         elif marker == b"-":
             reply = ErrReply(line.decode("latin-1"))
         elif marker == b":":
             reply = IntReply(self._int(line))
-        elif marker == b"$":
-            n = self._int(line)
-            if n < -1:
-                raise ProtocolError(f"negative bulk length {n}")
-            if n > MAX_BULK_LEN:
-                raise ProtocolError(f"bulk length {n} exceeds {MAX_BULK_LEN}")
-            if n == -1:
-                reply = BulkReply(None)
-            else:
-                end = used + n
-                if end + 2 > len(self._buf):
-                    raise _NeedMore
-                if self._buf[end : end + 2] != CRLF:
-                    raise ProtocolError("bulk string not terminated by CRLF")
-                reply = BulkReply(bytes(self._buf[used:end]))
-                used = end + 2
         elif marker == b"*":
             n = self._int(line)
             if n < 0:
@@ -145,21 +138,61 @@ class ReplyDecoder:
             reply = None
         else:
             raise ProtocolError(f"unknown reply marker {bytes(marker)!r}")
-        del self._buf[:used]
-        return reply
+        return reply, end + 2
 
-    def _line(self, at: int) -> tuple[bytes, int]:
+    def _bulks(self, at: int, due: int, out: list) -> tuple[int, int]:
+        """Read up to ``due`` bulk strings from ``at`` onto ``out``.
+
+        Stops early where the buffer runs short.  Returns the offset just
+        past the last string read and how many are still due.  A nil is
+        read as None, and only as a whole reply, never inside an array.
+        """
+        buf = self._buf
+        size = len(buf)
+        while due and at < size:
+            # Checked before reading on, so nested arrays cannot recurse.
+            if buf[at] != _BULK:
+                raise ProtocolError("array element is not a bulk string")
+            head = _BULK_HEAD.match(buf, at)
+            if head:
+                n, start = int(head[1]), head.end()
+            else:  # incomplete, too long or malformed: the line reader tells which
+                end = self._line_end(at + 1)
+                if end == -1:
+                    break
+                n, start = self._int(bytes(buf[at + 1 : end])), end + 2
+            if n < -1:
+                raise ProtocolError(f"negative bulk length {n}")
+            if n > MAX_BULK_LEN:
+                raise ProtocolError(f"bulk length {n} exceeds {MAX_BULK_LEN}")
+            if n == -1:
+                if self._items is not None:
+                    raise ProtocolError("array element is not a bulk string")
+                out.append(None)
+            else:
+                end = start + n
+                if end + 2 > size:
+                    break
+                if not buf.startswith(CRLF, end):
+                    raise ProtocolError("bulk string not terminated by CRLF")
+                out.append(bytes(buf[start:end]))
+                start = end + 2
+            at = start
+            due -= 1
+        return at, due
+
+    def _line_end(self, at: int) -> int:
+        """Offset of the CRLF ending the header line that starts at ``at``; -1 until it arrives."""
         end = self._buf.find(CRLF, at, at + MAX_LINE_LEN + 2)
-        if end == -1:
-            if len(self._buf) - at > MAX_LINE_LEN + 1:
-                raise ProtocolError(f"reply line longer than {MAX_LINE_LEN} bytes")
-            # A CR at the very end might be half a terminator.
-            raise _NeedMore
-        return bytes(self._buf[at:end]), end + 2
+        # A CR at the very end might be half a terminator.
+        if end == -1 and len(self._buf) - at > MAX_LINE_LEN + 1:
+            raise ProtocolError(f"reply line longer than {MAX_LINE_LEN} bytes")
+        return end
 
     @staticmethod
     def _int(line: bytes) -> int:
-        try:
-            return int(line)
-        except ValueError:
-            raise ProtocolError(f"malformed integer line {line!r}") from None
+        """The header integer ``line`` spells: an optional '-' and 1-19 ASCII digits, in int64."""
+        if _INT_LINE.fullmatch(line) and -(2**63) <= (n := int(line)) < 2**63:
+            return n
+        shown = line[:64] + (b"..." if len(line) > 64 else b"")
+        raise ProtocolError(f"malformed integer line {shown!r}")

@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .codec import canonical_int, redis_float
+from .codec import DecodeError, int_value, redis_float
 from .syntax import WIRE_ARITIES
 
 WRONGTYPE_MSG = "WRONGTYPE Operation against a key holding the wrong kind of value"
@@ -196,8 +196,11 @@ def _apply(state: _LiveState, name: str, argv: Sequence[bytes]) -> Reply:
 
     if name == "INCR":
         v = _holding(state, k, Str)
-        n = canonical_int(b"0" if v is None else v.data)
-        if n is None or not -(2**63) <= n < 2**63:
+        try:
+            n = int_value(b"0" if v is None else v.data)
+        except DecodeError:
+            return ErrReply(NOT_INT_MSG)
+        if not -(2**63) <= n < 2**63:
             return ErrReply(NOT_INT_MSG)
         if n == 2**63 - 1:
             return ErrReply(OVERFLOW_MSG)

@@ -71,3 +71,30 @@ def test_tracer_records_the_fuzz_spans_the_benchmark_reads():
     fuzz = PHASES.index("fuzz")
     spans = {tracer.names[n] for n, ph in zip(tracer.name, tracer.phase_of) if ph == fuzz}
     assert {"fuzz.gen", "fuzz.check", "fuzz.run"} <= spans
+
+
+def test_tracer_records_the_resp_spans_the_benchmark_reads(resp_server, tmp_path, capsys):
+    host, port, store = resp_server
+    store.reset()
+    members = range(10_000, 12_000)
+    program = tmp_path / "p.rt"
+    body = [f"sadd s1 {m}" for m in members] + [f"sadd s2 {m}" for m in members] + ["sinter s1 s2"]
+    program.write_text("program {\n" + "\n".join(body) + "\n}")
+    rt = _redtype()
+    tracer = Tracer()
+    try:
+        tracer.install(rt)
+        tracer.set_phase("run")
+        assert rt.cli.main(["run", "--backend", "resp", "--addr", f"{host}:{port}", str(program)]) == 0
+        tracer.set_phase(None)
+    finally:
+        tracer.remove()
+    assert capsys.readouterr().out == "[" + ", ".join(str(m) for m in members) + "]\n"
+    # bench/layers.py builds resp.decode_s, resp.polls_per_reply and
+    # resp.scanned_per_received from these spans and their sizes.
+    run = PHASES.index("run")
+    spans = [(tracer.names[n], size) for n, ph, size in zip(tracer.name, tracer.phase_of, tracer.size) if ph == run]
+    names = {name for name, _ in spans}
+    assert {"resp.poll", "resp.reply", "resp.feed", "backend.send"} <= names
+    assert sum(1 for name, _ in spans if name == "resp.reply") == len(body)
+    assert sum(size for name, size in spans if name == "resp.feed") > 2_000 * len(b"$5\r\n10000\r\n")

@@ -10,6 +10,8 @@ import threading
 import pytest
 
 from redtype.cli import main
+from redtype.resp import ReplyDecoder, encode_reply
+from redtype.store import BulkReply
 
 QUEUE_SOURCE = """\
 record Message { body: text, id: int }
@@ -426,3 +428,79 @@ def test_run_overlong_server_header_line_exit_5(tmp_path, capsys):
         server.join(timeout=5)
         listener.close()
     assert "longer than" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# payloads outside the codec's image, served by a scripted server
+
+
+@contextlib.contextmanager
+def _serving(replies: list[bytes]):
+    """The address of a server that answers its n-th request with ``replies[n]``, as raw bytes."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve() -> None:
+        conn, _ = listener.accept()
+        with conn:
+            decoder = ReplyDecoder()
+            for reply in replies:
+                while decoder.poll() is None:
+                    data = conn.recv(4096)
+                    if not data:
+                        return
+                    decoder.feed(data)
+                conn.sendall(reply)
+
+    server = threading.Thread(target=serve, daemon=True)
+    server.start()
+    try:
+        yield f"127.0.0.1:{listener.getsockname()[1]}"
+    finally:
+        server.join(timeout=5)
+        listener.close()
+
+
+def _shown(data: bytes) -> str:
+    """``data`` as a DECODE message quotes it."""
+    return repr(data[:64] + (b"..." if len(data) > 64 else b""))
+
+
+NON_CANONICAL_INTS = [b"007", b"+5", b" 5", b"1_0", b"-0", b"1" * 5000]
+
+
+@pytest.mark.parametrize("bad", NON_CANONICAL_INTS, ids=["007", "+5", "space", "underscore", "-0", "5000-digits"])
+@pytest.mark.parametrize("at", [0, 2000, 3999], ids=["first", "middle", "last"])
+def test_sinter_item_outside_the_int_image_is_exit_4(bad, at, tmp_path, capsys):
+    items = [encode_reply(BulkReply(b"%d" % (10_000 + i))) for i in range(4000)]
+    items[at] = encode_reply(BulkReply(bad))
+    source = "program {\n  declare s1 : set<int>\n  declare s2 : set<int>\n  sinter s1 s2\n}"
+    f = write(tmp_path, "p.rt", source)
+    with _serving([b"*4000\r\n" + b"".join(items)]) as addr:
+        assert main(["run", "--backend", "resp", "--addr", addr, f]) == 4
+    assert capsys.readouterr().err == f"runtime error at 4:3: DECODE cannot decode {_shown(bad)} as int\n"
+
+
+def test_get_of_a_non_canonical_int_is_exit_4(tmp_path, capsys):
+    f = write(tmp_path, "p.rt", "program {\n  declare k : string<int>\n  get k\n}")
+    with _serving([b"$3\r\n007\r\n"]) as addr:
+        assert main(["run", "--backend", "resp", "--addr", addr, f]) == 4
+    assert capsys.readouterr().err == "runtime error at 3:3: DECODE cannot decode b'007' as int\n"
+
+
+@pytest.mark.parametrize(
+    "payload, reason",
+    [
+        (b'{"body": "hi","id":1}', "not canonical"),
+        (b'{"body":"hi","id":1.0}', "field 'id' has the wrong type"),
+        (b'{"id":1,"body":"hi"}', "field names or order mismatch"),
+        (b'{"body":"\\u0068i","id":1}', "not canonical"),
+        (b'["hi",1]', "not a JSON object"),
+    ],
+)
+def test_rpop_of_a_non_canonical_record_is_exit_4(payload, reason, tmp_path, capsys):
+    source = QUEUE_SOURCE.split("program")[0] + "program {\n  declare q : list<Message>\n  rpop q\n}"
+    f = write(tmp_path, "p.rt", source)
+    with _serving([encode_reply(BulkReply(payload))]) as addr:
+        assert main(["run", "--backend", "resp", "--addr", addr, f]) == 4
+    message = f"DECODE cannot decode {_shown(payload)} as Message ({reason})"
+    assert capsys.readouterr().err == f"runtime error at 4:3: {message}\n"

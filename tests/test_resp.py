@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-
+from redtype import resp
 from redtype.resp import ProtocolError, ReplyDecoder, encode_command, encode_reply
 from redtype.resp import MAX_ARRAY_LEN, MAX_BULK_LEN, MAX_LINE_LEN
 from redtype.store import (
@@ -357,3 +357,85 @@ def test_decoder_agrees_with_the_reference_at_random_splits(frames, long_header,
         cuts = sorted(data.draw(st.lists(st.integers(0, len(wire)), max_size=12)))
         chunks = [wire[i:j] for i, j in zip([0, *cuts], [*cuts, len(wire)])]
     assert _events(ReplyDecoder(), chunks) == _events(oracles.ReplyDecoder(), chunks)
+
+
+def test_array_items_are_read_in_bounded_work(monkeypatch):
+    # Counts bulk header matches, which every array item goes through;
+    # the _parse count above stays flat however the items are read.
+    calls = 0
+    head = resp._BULK_HEAD
+
+    class Counted:
+        def match(self, buf, at):
+            nonlocal calls
+            calls += 1
+            return head.match(buf, at)
+
+    monkeypatch.setattr(resp, "_BULK_HEAD", Counted())
+    items = 4000
+    wire = encode_reply(MultiBulk(tuple(b"%d" % i for i in range(items))))
+    chunks = -(-len(wire) // 4096)
+    assert len(_decode_in_chunks(wire, 4096)[0].items) == items
+    # Each poll reads its complete items once and stops at most once at
+    # the incomplete one; re-reading from the array's start would cost
+    # about items * chunks / 2.
+    assert calls <= items + chunks + 2
+
+
+# ---------------------------------------------------------------------------
+# header integers: an optional '-' and 1-19 ASCII digits, in int64
+
+
+@pytest.mark.parametrize(
+    "wire",
+    [
+        b":1_0\r\n",
+        b": 7 \r\n",
+        b":+5\r\n",
+        b":7 \r\n",
+        b":-\r\n",
+        b":\r\n",
+        b":" + b"9" * 30 + b"\r\n",
+        b":9223372036854775808\r\n",
+        b":-9223372036854775809\r\n",
+        b":\xd9\xa5\r\n",  # an Arabic-Indic digit, which int() reads
+        b"$ 3\r\nabc\r\n",
+        b"$+3\r\nabc\r\n",
+        b"$3 \r\nabc\r\n",
+        b"$0_3\r\nabc\r\n",
+        b"$9223372036854775808\r\n",
+        b"* 1\r\n$1\r\na\r\n",
+        b"*1_0\r\n",
+        b"*1\r\n$ 1\r\na\r\n",
+        b"*2\r\n$1\r\na\r\n$+1\r\nb\r\n",
+    ],
+)
+def test_header_integers_are_strict(wire):
+    d = ReplyDecoder()
+    d.feed(wire)
+    with pytest.raises(ProtocolError, match="malformed integer line"):
+        d.poll()
+
+
+@pytest.mark.parametrize(
+    "wire, reply",
+    [
+        (b":-9223372036854775808\r\n", IntReply(-(2**63))),
+        (b":-0\r\n", IntReply(0)),
+        (b":007\r\n", IntReply(7)),
+        (b"$0003\r\nabc\r\n", BulkReply(b"abc")),
+        (b"*01\r\n$1\r\na\r\n", MultiBulk((b"a",))),
+    ],
+)
+def test_header_integers_at_the_edges_still_decode(wire, reply):
+    d = ReplyDecoder()
+    d.feed(wire)
+    assert d.poll() == reply
+
+
+def test_malformed_header_line_is_quoted_clipped():
+    d = ReplyDecoder()
+    d.feed(b":" + b"x" * 10_000 + b"\r\n")
+    with pytest.raises(ProtocolError) as err:
+        d.poll()
+    assert str(err.value) == f"malformed integer line {b'x' * 64 + b'...'!r}"
