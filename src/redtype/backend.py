@@ -166,7 +166,7 @@ def _decode_reply(
         return reply.value if binds == INT else reply.value != 0
     if isinstance(reply, BulkReply):
         if isinstance(rt, MaybeResult):
-            return None if reply.data is None else codec.value_decoder(rt.base, records)(reply.data)
+            return None if reply.data is None else codec.decode(reply.data, rt.base, records).value
         if binds == FLOAT and reply.data is not None:
             # Increment replies are bulk; real servers may format them more
             # loosely than the codec image (e.g. "3"), so read them in the

@@ -26,10 +26,7 @@ MAX_ARRAY_LEN = 2**32 - 1
 MAX_LINE_LEN = 64 * 1024
 
 _BULK = ord("$")
-_INT_LINE = re.compile(rb"-?[0-9]{1,19}")
-# A bulk header whose length is at most 18 digits, so in int64 whatever
-# it spells: the common case, read in one match.
-_BULK_HEAD = re.compile(rb"\$(-?[0-9]{1,18})\r\n")
+_INT_LINE = re.compile(rb"(-?[0-9]{1,19})\r\n")
 
 
 class ProtocolError(Exception):
@@ -117,28 +114,29 @@ class ReplyDecoder:
             out: list[bytes | None] = []
             at, _ = self._bulks(0, 1, out)
             return (BulkReply(out[0]), at) if out else None
-        end = self._line_end(1)
-        if end == -1:
-            return None
-        marker, line = buf[:1], bytes(buf[1:end])
-        reply: Reply | None
-        if marker == b"+":
-            reply = SimpleStatus(line.decode("latin-1"))
-        elif marker == b"-":
-            reply = ErrReply(line.decode("latin-1"))
-        elif marker == b":":
-            reply = IntReply(self._int(line))
-        elif marker == b"*":
-            n = self._int(line)
+        marker = buf[:1]
+        if marker in (b":", b"*"):
+            head = self._int(1)
+            if head is None:
+                return None
+            n, at = head
+            if marker == b":":
+                return IntReply(n), at
             if n < 0:
                 raise ProtocolError(f"unsupported array length {n}")
             if n > MAX_ARRAY_LEN:
                 raise ProtocolError(f"array length {n} exceeds {MAX_ARRAY_LEN}")
             self._items, self._due = [], n
-            reply = None
-        else:
-            raise ProtocolError(f"unknown reply marker {bytes(marker)!r}")
-        return reply, end + 2
+            return None, at
+        end = self._line_end(1)
+        if end == -1:
+            return None
+        text = buf[1:end].decode("latin-1")
+        if marker == b"+":
+            return SimpleStatus(text), end + 2
+        if marker == b"-":
+            return ErrReply(text), end + 2
+        raise ProtocolError(f"unknown reply marker {bytes(marker)!r}")
 
     def _bulks(self, at: int, due: int, out: list) -> tuple[int, int]:
         """Read up to ``due`` bulk strings from ``at`` onto ``out``.
@@ -153,14 +151,10 @@ class ReplyDecoder:
             # Checked before reading on, so nested arrays cannot recurse.
             if buf[at] != _BULK:
                 raise ProtocolError("array element is not a bulk string")
-            head = _BULK_HEAD.match(buf, at)
-            if head:
-                n, start = int(head[1]), head.end()
-            else:  # incomplete, too long or malformed: the line reader tells which
-                end = self._line_end(at + 1)
-                if end == -1:
-                    break
-                n, start = self._int(bytes(buf[at + 1 : end])), end + 2
+            head = self._int(at + 1)
+            if head is None:
+                break
+            n, start = head
             if n < -1:
                 raise ProtocolError(f"negative bulk length {n}")
             if n > MAX_BULK_LEN:
@@ -189,10 +183,18 @@ class ReplyDecoder:
             raise ProtocolError(f"reply line longer than {MAX_LINE_LEN} bytes")
         return end
 
-    @staticmethod
-    def _int(line: bytes) -> int:
-        """The header integer ``line`` spells: an optional '-' and 1-19 ASCII digits, in int64."""
-        if _INT_LINE.fullmatch(line) and -(2**63) <= (n := int(line)) < 2**63:
-            return n
+    def _int(self, at: int) -> tuple[int, int] | None:
+        """The header integer whose line starts at ``at``, and the offset past its CRLF.
+
+        The line must be an optional '-' and 1-19 ASCII digits, in int64.
+        None until the line has arrived.
+        """
+        head = _INT_LINE.match(self._buf, at)
+        if head and -(2**63) <= (n := int(head[1])) < 2**63:
+            return n, head.end()
+        end = self._line_end(at)  # incomplete, too long or malformed: this tells which
+        if end == -1:
+            return None
+        line = bytes(self._buf[at:end])
         shown = line[:64] + (b"..." if len(line) > 64 else b"")
         raise ProtocolError(f"malformed integer line {shown!r}")

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from redtype import resp
 from redtype.resp import ProtocolError, ReplyDecoder, encode_command, encode_reply
 from redtype.resp import MAX_ARRAY_LEN, MAX_BULK_LEN, MAX_LINE_LEN
 from redtype.store import (
@@ -351,18 +350,17 @@ def test_decoder_agrees_with_the_reference_at_random_splits(frames, long_header,
 
 
 def test_array_items_are_read_in_bounded_work(monkeypatch):
-    # Counts bulk header matches, which every array item goes through;
+    # Counts header integer reads, which every array item goes through;
     # the _parse count above stays flat however the items are read.
     calls = 0
-    head = resp._BULK_HEAD
+    read = ReplyDecoder._int
 
-    class Counted:
-        def match(self, buf, at):
-            nonlocal calls
-            calls += 1
-            return head.match(buf, at)
+    def counted(self, at):
+        nonlocal calls
+        calls += 1
+        return read(self, at)
 
-    monkeypatch.setattr(resp, "_BULK_HEAD", Counted())
+    monkeypatch.setattr(ReplyDecoder, "_int", counted)
     items = 4000
     wire = encode_reply(MultiBulk(tuple(b"%d" % i for i in range(items))))
     chunks = -(-len(wire) // 4096)
