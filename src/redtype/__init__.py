@@ -11,7 +11,7 @@ from .backend import MemoryBackend, RespBackend, RunError, RunValue, run_program
 from .checker import CheckError, CheckOk, check_command, check_program, result_text
 from .codec import DecodeError, RecordValue, TypedValue, decode, encode
 from .parser import ParseError, parse_program, parse_type_tag, print_program, tag_text
-from .store import MemoryStore, exec_command
+from .store import MemoryStore
 from .syntax import (
     BOOL,
     FLOAT,
@@ -79,7 +79,6 @@ __all__ = [
     "dict_member",
     "dict_set",
     "encode",
-    "exec_command",
     "hash_del",
     "hash_get",
     "hash_member",

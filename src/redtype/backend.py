@@ -183,15 +183,11 @@ def _decode_reply(
 
 
 def _reply_text(reply: Reply) -> str:
-    """The reply's kind and at most 64 bytes of its payload, as codec.DecodeError shows data."""
+    """The reply's kind and its payload, quoted as codec.DecodeError quotes data."""
     if isinstance(reply, MultiBulk):
         return f"MultiBulk of {len(reply.items)} items"
     (payload,) = vars(reply).values()  # the other kinds carry one value each
-    if isinstance(payload, bytes) and len(payload) > 64:
-        payload = payload[:64] + b"..."
-    elif isinstance(payload, str) and len(payload) > 64:
-        payload = payload[:64] + "..."
-    return f"{type(reply).__name__}({payload!r})"
+    return f"{type(reply).__name__}({codec.quote(payload)})"
 
 
 def run_program(program: Program, report: CheckOk, backend: Backend) -> RunOutcome:

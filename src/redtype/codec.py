@@ -48,10 +48,16 @@ class TypedValue:
     value: Any
 
 
+def quote(payload: Any) -> str:
+    """``repr(payload)``, a bytes or str payload cut to 64 items plus "..." if longer."""
+    if isinstance(payload, (bytes, str)) and len(payload) > 64:
+        payload = payload[:64] + ("..." if isinstance(payload, str) else b"...")
+    return repr(payload)
+
+
 class DecodeError(Exception):
     def __init__(self, base_name: str, data: bytes, reason: str = ""):
-        shown = data[:64] + (b"..." if len(data) > 64 else b"")
-        msg = f"cannot decode {shown!r} as {base_name}"
+        msg = f"cannot decode {quote(data)} as {base_name}"
         if reason:
             msg += f" ({reason})"
         super().__init__(msg)

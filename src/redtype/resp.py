@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from typing import Sequence
 
+from .codec import quote
 from .store import BulkReply, ErrReply, IntReply, MultiBulk, Reply, SimpleStatus
 
 CRLF = b"\r\n"
@@ -35,12 +36,7 @@ class ProtocolError(Exception):
 
 def encode_command(argv: Sequence[bytes]) -> bytes:
     """*<n> followed by one $-framed bulk string per argument."""
-    out = bytearray(b"*%d\r\n" % len(argv))
-    for arg in argv:
-        out += b"$%d\r\n" % len(arg)
-        out += arg
-        out += CRLF
-    return bytes(out)
+    return b"*%d\r\n" % len(argv) + b"".join([b"$%d\r\n%b\r\n" % (len(a), a) for a in argv])
 
 
 def encode_reply(reply: Reply) -> bytes:
@@ -195,6 +191,4 @@ class ReplyDecoder:
         end = self._line_end(at)  # incomplete, too long or malformed: this tells which
         if end == -1:
             return None
-        line = bytes(self._buf[at:end])
-        shown = line[:64] + (b"..." if len(line) > 64 else b"")
-        raise ProtocolError(f"malformed integer line {shown!r}")
+        raise ProtocolError(f"malformed integer line {quote(bytes(self._buf[at:end]))}")

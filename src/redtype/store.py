@@ -8,12 +8,12 @@ replies, and everything else follows the real store's observable
 behavior (absent keys read as empty, RPOP deletes emptied lists, SINTER
 output is sorted bytewise, and so on).
 
-``MemoryStore`` applies each command to its own state in place: a deque
-per list, a set per set and a dict per hash, so no command copies the
-state or a value it writes to.  ``exec_command`` is the pure form of the
-same step: it copies a state of frozen values, applies the command to
-the copy, and freezes the result.  Neither raises; malformed input
-comes back as ErrReply.
+``MemoryStore`` holds one value per key and applies each command to it
+in place: bytes per string, a deque per list (head first), a set per
+set and a dict per hash, so no command copies the state or a value it
+writes to.  ``execute`` never raises; malformed input comes back as
+ErrReply.  ``snapshot`` is the one read-out: a sorted, typed copy that
+later commands do not change.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .codec import DecodeError, int_value, redis_float
 from .syntax import WIRE_ARITIES
@@ -31,35 +31,6 @@ NOT_INT_MSG = "ERR value is not an integer or out of range"
 NOT_FLOAT_MSG = "ERR value is not a valid float"
 OVERFLOW_MSG = "ERR increment or decrement would overflow"
 NONFINITE_MSG = "ERR increment would produce NaN or Infinity"
-
-
-# ---- stored values --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Str:
-    data: bytes
-
-
-@dataclass(frozen=True)
-class ListV:
-    """Items left-to-right; index 0 is the head LPUSH prepends to."""
-
-    items: tuple[bytes, ...]
-
-
-@dataclass(frozen=True)
-class SetV:
-    members: frozenset[bytes]
-
-
-@dataclass(frozen=True)
-class HashV:
-    fields: tuple[tuple[str, bytes], ...]  # insertion-ordered
-
-
-StoreValue = Str | ListV | SetV | HashV
-State = dict[str, StoreValue]
 
 
 # ---- replies ---------------------------------------------------------------
@@ -104,35 +75,13 @@ class _WrongType(Exception):
     """A command met a key holding the wrong kind of value."""
 
 
-# What the store holds while it applies commands: strings as Str, and
-# each container as a mutable deque (head first), set or field dict, so
-# a write costs the same however large its key's value is.  The
-# documented StoreValues are frozen copies of these.
-_Live = Str | deque | set | dict
-_LiveState = dict[str, _Live]
+# Strings are held as bytes, lists as deques (head first), sets as sets
+# and hashes as field dicts.
+_Value = bytes | deque | set | dict
+_State = dict[str, _Value]
 
 
-def _thaw(v: StoreValue) -> _Live:
-    if isinstance(v, ListV):
-        return deque(v.items)
-    if isinstance(v, SetV):
-        return set(v.members)
-    if isinstance(v, HashV):
-        return dict(v.fields)
-    return v
-
-
-def _freeze(v: _Live) -> StoreValue:
-    if isinstance(v, deque):
-        return ListV(tuple(v))
-    if isinstance(v, set):
-        return SetV(frozenset(v))
-    if isinstance(v, dict):
-        return HashV(tuple(v.items()))
-    return v
-
-
-def _holding(state: _LiveState, k: str, kind: type) -> _Live | None:
+def _holding(state: _State, k: str, kind: type) -> _Value | None:
     """The value at ``k`` if it is of ``kind``, None if ``k`` is absent."""
     v = state.get(k)
     if v is not None and not isinstance(v, kind):
@@ -140,35 +89,7 @@ def _holding(state: _LiveState, k: str, kind: type) -> _Live | None:
     return v
 
 
-def exec_command(state: Mapping[str, StoreValue], argv: Sequence[bytes]) -> tuple[State, Reply]:
-    """Run one wire command against ``state``; returns (new state, reply).
-
-    Pure: the input state is never mutated, and equal inputs give equal
-    outputs.  It copies the state, then applies the command to the copy
-    as MemoryStore does to its own.
-    """
-    live = {k: _thaw(v) for k, v in state.items()}
-    reply = _execute(live, argv)
-    return {k: _freeze(v) for k, v in live.items()}, reply
-
-
-def _execute(state: _LiveState, argv: Sequence[bytes]) -> Reply:
-    """Run one wire command, updating ``state`` in place; never raises."""
-    if not argv:
-        return ErrReply("ERR empty command")
-    name = argv[0].decode("latin-1").upper()
-    arity = WIRE_ARITIES.get(name)
-    if arity is None:
-        return ErrReply(f"ERR unknown command '{argv[0].decode('latin-1')}'")
-    if len(argv) != arity:
-        return ErrReply(f"ERR wrong number of arguments for '{name.lower()}' command")
-    try:
-        return _apply(state, name, argv)
-    except _WrongType:
-        return ErrReply(WRONGTYPE_MSG)
-
-
-def _apply(state: _LiveState, name: str, argv: Sequence[bytes]) -> Reply:
+def _apply(state: _State, name: str, argv: Sequence[bytes]) -> Reply:
     """Run one arity-checked command, updating ``state`` in place.
 
     Raises _WrongType before any update.
@@ -178,48 +99,48 @@ def _apply(state: _LiveState, name: str, argv: Sequence[bytes]) -> Reply:
     k = _key(argv, 1)
 
     if name == "SET":
-        state[k] = Str(bytes(argv[2]))
+        state[k] = bytes(argv[2])
         return OK
 
     if name == "SETNX":
         if k in state:
             return IntReply(0)
-        state[k] = Str(bytes(argv[2]))
+        state[k] = bytes(argv[2])
         return IntReply(1)
 
     if name == "GET":
-        v = _holding(state, k, Str)
-        return BulkReply(None if v is None else v.data)
+        v = _holding(state, k, bytes)
+        return BulkReply(v)
 
     if name == "DEL":
         return IntReply(0 if state.pop(k, None) is None else 1)
 
     if name == "INCR":
-        v = _holding(state, k, Str)
+        v = _holding(state, k, bytes)
         try:
-            n = int_value(b"0" if v is None else v.data)
+            n = int_value(b"0" if v is None else v)
         except DecodeError:
             return ErrReply(NOT_INT_MSG)
         if not -(2**63) <= n < 2**63:
             return ErrReply(NOT_INT_MSG)
         if n == 2**63 - 1:
             return ErrReply(OVERFLOW_MSG)
-        state[k] = Str(str(n + 1).encode("ascii"))
+        state[k] = str(n + 1).encode("ascii")
         return IntReply(n + 1)
 
     if name == "INCRBYFLOAT":
         d = redis_float(argv[2])
         if d is None:
             return ErrReply(NOT_FLOAT_MSG)
-        v = _holding(state, k, Str)
-        old = redis_float(b"0" if v is None else v.data)
+        v = _holding(state, k, bytes)
+        old = redis_float(b"0" if v is None else v)
         if old is None:
             return ErrReply(NOT_FLOAT_MSG)
         result = old + d
         if not math.isfinite(result):
             return ErrReply(NONFINITE_MSG)
         encoded = repr(result).encode("ascii")
-        state[k] = Str(encoded)
+        state[k] = encoded
         return BulkReply(encoded)
 
     if name == "LPUSH":
@@ -275,26 +196,33 @@ class MemoryStore:
     """Mutable store applying commands to its own state in place, in order."""
 
     def __init__(self) -> None:
-        self._state: _LiveState = {}
+        self._state: _State = {}
 
     def execute(self, argv: Sequence[bytes]) -> Reply:
-        return _execute(self._state, argv)
+        """Run one wire command, updating the store in place; never raises."""
+        if not argv:
+            return ErrReply("ERR empty command")
+        name = argv[0].decode("latin-1").upper()
+        arity = WIRE_ARITIES.get(name)
+        if arity is None:
+            return ErrReply(f"ERR unknown command '{argv[0].decode('latin-1')}'")
+        if len(argv) != arity:
+            return ErrReply(f"ERR wrong number of arguments for '{name.lower()}' command")
+        try:
+            return _apply(self._state, name, argv)
+        except _WrongType:
+            return ErrReply(WRONGTYPE_MSG)
 
     def reset(self) -> None:
         self._state = {}
 
-    @property
-    def state(self) -> State:
-        """A frozen copy: later commands do not change it."""
-        return {k: _freeze(v) for k, v in self._state.items()}
-
     def snapshot(self) -> list[dict[str, object]]:
-        """Deterministic typed dump, sorted by key; used by --dump-store."""
+        """Typed copy sorted by key, unchanged by later commands; --dump-store prints it."""
         out: list[dict[str, object]] = []
         for k in sorted(self._state):
             v = self._state[k]
-            if isinstance(v, Str):
-                entry: dict[str, object] = {"type": "string", "value": v.data.decode("latin-1")}
+            if isinstance(v, bytes):
+                entry: dict[str, object] = {"type": "string", "value": v.decode("latin-1")}
             elif isinstance(v, deque):
                 entry = {"type": "list", "value": [b.decode("latin-1") for b in v]}
             elif isinstance(v, set):

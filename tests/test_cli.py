@@ -223,6 +223,13 @@ def test_run_runtime_error_exit_4(tmp_path, capsys):
     assert err.startswith("runtime error at 4:3: DECODE")
 
 
+def test_run_int64_overflow_is_a_runtime_error_exit_4(tmp_path, capsys):
+    # README, "Where the guarantee ends": the checker tracks types, not value ranges.
+    f = write(tmp_path, "overflow.rt", "program {\n  set k 9223372036854775807\n  incr k\n}")
+    assert main(["run", f]) == 4
+    assert capsys.readouterr().err == "runtime error at 3:3: ERR increment or decrement would overflow\n"
+
+
 def test_run_dump_store(tmp_path, capsys):
     f = write(tmp_path, "p.rt", "program { set k 5  lpush q 1 }")
     assert main(["run", "--dump-store", f]) == 0

@@ -1,4 +1,4 @@
-"""The runtime imports nothing outside the standard library."""
+"""The runtime imports nothing outside the standard library, and exports only what it has."""
 
 from __future__ import annotations
 
@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import redtype
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "redtype").glob("*.py"))
 
@@ -26,3 +28,8 @@ def test_every_absolute_import_is_from_the_standard_library(path):
             imported.append(node.module)
     outside = [name for name in imported if name.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_every_exported_name_resolves_once():
+    assert [name for name in redtype.__all__ if not hasattr(redtype, name)] == []
+    assert len(set(redtype.__all__)) == len(redtype.__all__)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from redtype.store import (
     NOT_FLOAT_MSG,
     NOT_INT_MSG,
@@ -11,15 +9,10 @@ from redtype.store import (
     WRONGTYPE_MSG,
     BulkReply,
     ErrReply,
-    HashV,
     IntReply,
-    ListV,
     MemoryStore,
     MultiBulk,
-    SetV,
     SimpleStatus,
-    Str,
-    exec_command,
 )
 
 
@@ -224,7 +217,7 @@ def test_lpush_prepends():
     store = MemoryStore()
     store.execute([b"LPUSH", b"l", b"a"])
     store.execute([b"LPUSH", b"l", b"b"])
-    assert store.state["l"] == ListV((b"b", b"a"))
+    assert store.snapshot() == [{"key": "l", "type": "list", "value": ["b", "a"]}]
 
 
 def test_rpop_pops_rightmost_and_deletes_empty():
@@ -322,24 +315,13 @@ def test_command_names_are_case_insensitive():
 
 
 # ---------------------------------------------------------------------------
-# purity, reset, snapshot
-
-
-def test_exec_command_is_pure():
-    state = {"k": Str(b"1")}
-    before = dict(state)
-    new1, r1 = exec_command(state, [b"INCR", b"k"])
-    new2, r2 = exec_command(state, [b"INCR", b"k"])
-    assert state == before
-    assert (new1, r1) == (new2, r2)
-    assert new1["k"] == Str(b"2")
+# reset, snapshot
 
 
 def test_reset_empties_the_store():
     store = MemoryStore()
     store.execute([b"SET", b"k", b"v"])
     store.reset()
-    assert store.state == {}
     assert store.snapshot() == []
 
 
@@ -369,67 +351,23 @@ def test_snapshot_ordering_is_insertion_independent():
     assert a.snapshot() == b.snapshot()
 
 
-def test_store_value_types_are_as_documented():
-    store = MemoryStore()
-    store.execute([b"SET", b"a", b"v"])
-    store.execute([b"LPUSH", b"b", b"v"])
-    store.execute([b"SADD", b"c", b"v"])
-    store.execute([b"HSET", b"d", b"f", b"v"])
-    st = store.state
-    assert isinstance(st["a"], Str)
-    assert isinstance(st["b"], ListV)
-    assert isinstance(st["c"], SetV)
-    assert isinstance(st["d"], HashV)
-
-
-def test_state_taken_earlier_is_unchanged_by_later_commands():
+def test_snapshot_taken_earlier_is_unchanged_by_later_commands():
     store = MemoryStore()
     store.execute([b"SADD", b"s", b"a"])
     store.execute([b"LPUSH", b"l", b"x"])
     store.execute([b"LPUSH", b"l", b"y"])
     store.execute([b"HSET", b"h", b"f", b"1"])
-    before = store.state
+    store.execute([b"SET", b"k", b"1"])
+    before = store.snapshot()
     store.execute([b"SADD", b"s", b"b"])
     store.execute([b"LPUSH", b"l", b"z"])
     store.execute([b"RPOP", b"l"])
     store.execute([b"HSET", b"h", b"g", b"2"])
-    assert before["s"] == SetV(frozenset({b"a"}))
-    assert before["l"] == ListV((b"y", b"x"))
-    assert before["h"] == HashV((("f", b"1"),))
-    assert store.state["l"] == ListV((b"z", b"y"))
-
-
-CONTAINERS = [
-    [b"SADD", b"s", b"a"],
-    [b"LPUSH", b"l", b"x"],
-    [b"LPUSH", b"l", b"y"],
-    [b"LPUSH", b"one", b"x"],
-    [b"HSET", b"h", b"f", b"1"],
-]
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        [b"SADD", b"s", b"b"],
-        [b"SADD", b"s", b"a"],
-        [b"LPUSH", b"l", b"z"],
-        [b"RPOP", b"l"],
-        [b"RPOP", b"one"],
-        [b"HSET", b"h", b"g", b"2"],
-        [b"HSET", b"h", b"f", b"3"],
-    ],
-)
-def test_exec_command_on_containers_is_pure_and_agrees_with_the_store(argv):
-    store = MemoryStore()
-    for setup in CONTAINERS:
-        store.execute(setup)
-    state = store.state
-    assert state["l"] == ListV((b"y", b"x"))
-    before = dict(state)
-    new1, r1 = exec_command(state, argv)
-    new2, r2 = exec_command(dict(state), argv)
-    assert state == before
-    assert (new1, r1) == (new2, r2)
-    assert store.execute(argv) == r1
-    assert store.state == new1
+    store.execute([b"INCR", b"k"])
+    assert before == [
+        {"key": "h", "type": "hash", "value": {"f": "1"}},
+        {"key": "k", "type": "string", "value": "1"},
+        {"key": "l", "type": "list", "value": ["y", "x"]},
+        {"key": "s", "type": "set", "value": ["a"]},
+    ]
+    assert store.snapshot()[2] == {"key": "l", "type": "list", "value": ["z", "y"]}
