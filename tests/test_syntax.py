@@ -1,7 +1,11 @@
+import pytest
+
 from redtype.syntax import (
     COMMAND_SHAPES,
     OPCODES,
+    BoolLit,
     Command,
+    FloatLit,
     IntLit,
     RecordLit,
     Span,
@@ -53,3 +57,63 @@ def test_span_is_ignored_by_command_equality():
 def test_hash_of_builds_ordered_fields():
     tag = hash_of(("a", StringOf(INT)), ("b", StringOf(INT)))
     assert [f for f, _ in tag.fields] == ["a", "b"]
+
+
+# One sample of each node class, built twice so equal nodes are distinct objects.
+NODES = {
+    "IntLit": lambda: IntLit(1),
+    "FloatLit": lambda: FloatLit(1.0),
+    "BoolLit": lambda: BoolLit(True),
+    "TextLit": lambda: TextLit("x"),
+    "Var": lambda: Var("x"),
+    "RecordLit": lambda: RecordLit("Message", (TextLit("hi"), IntLit(1))),
+    "Span": lambda: Span(3, 4),
+    "Command": lambda: Command("set", ("k",), (IntLit(1),), binder="v", span=Span(2, 3)),
+}
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (IntLit(1), BoolLit(True)),
+        (IntLit(1), FloatLit(1.0)),
+        (IntLit(0), BoolLit(False)),
+        (Var("x"), TextLit("x")),
+        (RecordLit("x", ()), Var("x")),
+    ],
+)
+def test_node_equality_is_class_exact(a, b):
+    assert a != b and b != a
+    assert not a == b
+
+
+@pytest.mark.parametrize("name", NODES)
+def test_a_node_never_equals_a_bare_tuple(name):
+    node = NODES[name]()
+    fields = tuple(getattr(node, f) for f in node.__match_args__)
+    assert node != fields and fields != node
+
+
+@pytest.mark.parametrize("name", NODES)
+def test_node_hash_agrees_with_equality(name):
+    a, b = NODES[name](), NODES[name]()
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+def test_command_hash_ignores_span():
+    a = Command("incr", ("c",), span=Span(1, 1))
+    b = Command("incr", ("c",), span=Span(9, 4))
+    assert hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+
+
+@pytest.mark.parametrize("name", NODES)
+def test_nodes_are_immutable(name):
+    node = NODES[name]()
+    first = node.__match_args__[0]
+    with pytest.raises(AttributeError):
+        setattr(node, first, getattr(node, first))
+    with pytest.raises(AttributeError):
+        node.extra = 1
