@@ -344,8 +344,11 @@ class _Parser:
         text = self.texts[i]
         if kind == "INT":
             # Redis integers are signed 64-bit; counting digits first keeps
-            # int() off unbounded text
-            value = int(text) if len(text.lstrip("-0")) <= 19 else 2**63
+            # int() off unbounded text, leading zeros included
+            digits = text.lstrip("-0")
+            value = int(digits or "0") if len(digits) <= 19 else 2**64  # out of range either sign
+            if text[0] == "-":
+                value = -value
             if not -(2**63) <= value < 2**63:
                 raise self.error(i, "a signed 64-bit integer", "literal out of range")
             self.i = i + 1

@@ -470,8 +470,11 @@ class _Parser:
         if t.kind == "INT":
             self.advance()
             # Redis integers are signed 64-bit; counting digits first keeps
-            # int() off unbounded text
-            value = int(t.text) if len(t.text.lstrip("-0")) <= 19 else 2**63
+            # int() off unbounded text, leading zeros included
+            digits = t.text.lstrip("-0")
+            value = int(digits or "0") if len(digits) <= 19 else 2**64  # out of range either sign
+            if t.text[0] == "-":
+                value = -value
             if not -(2**63) <= value < 2**63:
                 raise self.error(t, "a signed 64-bit integer", "literal out of range")
             return IntLit(value)

@@ -115,6 +115,11 @@ def test_check_huge_int_literal_exit_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_check_int_literal_with_thousands_of_leading_zeros_exit_0(tmp_path):
+    f = write(tmp_path, "zeros.rt", "program { set k " + "0" * 5000 + "1  incr k }")
+    assert main(["check", f]) == 0
+
+
 def test_check_missing_file_exit_3(capsys):
     assert main(["check", "/no/such/file.rt"]) == 3
     assert "cannot read" in capsys.readouterr().err

@@ -186,7 +186,7 @@ def test_nonfinite_float_literal_rejected():
 
 
 def test_int_literal_outside_int64_rejected_at_its_position():
-    for literal in (str(2**63), str(-(2**63) - 1), "9" * 5000):
+    for literal in (str(2**63), str(-(2**63) - 1), "9" * 5000, "-" + "9" * 5000):
         with pytest.raises(ParseError) as exc:
             parse_program(f"program {{ ping\n  set k {literal} }}")
         assert (exc.value.line, exc.value.column) == (2, 9)
@@ -197,6 +197,13 @@ def test_int_literal_outside_int64_rejected_at_its_position():
 def test_int_literals_at_the_int64_bounds_parse():
     p = parse_program(f"program {{ set lo {-(2**63)}  set hi {2**63 - 1}  set z -0000000000000000000000001 }}")
     assert [c.args[0] for c in p.body] == [IntLit(-(2**63)), IntLit(2**63 - 1), IntLit(-1)]
+
+
+def test_int_literals_with_thousands_of_leading_zeros_parse():
+    # int() refuses more than 4,300 digits, leading zeros included
+    zeros = "0" * 5000
+    p = parse_program(f"program {{ set p {zeros}1  set n -{zeros}1  set z -{zeros} }}")
+    assert [c.args[0] for c in p.body] == [IntLit(1), IntLit(-1), IntLit(0)]
 
 
 def test_parse_type_tag_standalone():
