@@ -1,0 +1,93 @@
+"""Parse time per command as a program grows, with the collector on and off.
+
+Usage, from the repository root:
+
+  python3 probes/parse_scaling.py [--sizes 10000 40000 160000] [--repeat 3] [--src src]
+
+For each size n, parses a program of n ``set k<i> <i>`` commands, one per
+line, --repeat times after ``gc.collect()`` and keeps the best wall time;
+then does the same with the garbage collector disabled during each timed
+parse.  Prints one JSON object per size, with microseconds per command,
+and a last one with what a parsed command keeps alive: the objects the
+collector tracks after ``gc.collect()`` (reachable from one ``set``
+command, classes excluded) and the bytes ``tracemalloc`` sees retained
+per command by a parse of the smallest size.
+--src selects the source tree to import redtype from, so that two
+checkouts can be compared with the same probe.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import json
+import sys
+import time
+import tracemalloc
+
+
+def best_parse_s(parse, source: str, repeat: int, collector: bool) -> float:
+    best = float("inf")
+    for _ in range(repeat):
+        gc.collect()
+        if not collector:
+            gc.disable()
+        try:
+            t0 = time.perf_counter()
+            parse(source)
+            best = min(best, time.perf_counter() - t0)
+        finally:
+            gc.enable()
+    return best
+
+
+def tracked(obj: object, seen: set[int]) -> int:
+    if id(obj) in seen or isinstance(obj, type) or not gc.is_tracked(obj):
+        return 0
+    seen.add(id(obj))
+    return 1 + sum(tracked(r, seen) for r in gc.get_referents(obj))
+
+
+def set_program(n: int) -> str:
+    return "program {\n" + "".join(f"  set k{i} {i}\n" for i in range(n)) + "}\n"
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--sizes", type=int, nargs="+", default=[10_000, 40_000, 160_000])
+    ap.add_argument("--repeat", type=int, default=3)
+    ap.add_argument("--src", default="src")
+    args = ap.parse_args()
+    sys.path.insert(0, args.src)
+    from redtype.parser import parse_program
+
+    for n in args.sizes:
+        source = set_program(n)
+        on = best_parse_s(parse_program, source, args.repeat, collector=True)
+        off = best_parse_s(parse_program, source, args.repeat, collector=False)
+        print(json.dumps({
+            "commands": n,
+            "bytes": len(source),
+            "gc_on_us_per_cmd": round(on / n * 1e6, 2),
+            "gc_off_us_per_cmd": round(off / n * 1e6, 2),
+        }))
+
+    n = args.sizes[0]
+    source = set_program(n)
+    one = parse_program(set_program(1)).body[0]
+    gc.collect()
+    tracemalloc.start()
+    before = tracemalloc.get_traced_memory()[0]
+    program = parse_program(source)
+    gc.collect()
+    retained = tracemalloc.get_traced_memory()[0] - before
+    tracemalloc.stop()
+    print(json.dumps({
+        "tracked_objects_per_set_command": tracked(one, set()),
+        "retained_bytes_per_cmd": round(retained / len(program.body)),
+        "commands": n,
+    }))
+
+
+if __name__ == "__main__":
+    main()

@@ -39,6 +39,11 @@ from .syntax import (
 
 _T = TypeVar("_T")
 
+# The syntax nodes are named tuples, listed in field order.  Building them
+# with tuple.__new__ skips the named tuple's Python-level __new__, which is
+# about half of each node's cost and so a large share of parsing a command.
+_new = tuple.__new__
+
 _BASE_KEYWORDS = {b.name: b for b in SCALARS}
 _CONTAINER_KEYWORDS = {"string": StringOf, "list": ListOf, "set": SetOf}
 _TAG_KEYWORDS = {*_CONTAINER_KEYWORDS, "hash"}
@@ -228,7 +233,7 @@ class _Parser:
         while kinds[self.i] != "RBRACE":
             if kinds[self.i] == "EOF":
                 raise self.fail(self.i, "'}'")
-            body.append(self.statement(binders))
+            body.append(self.command(binders))
         self.i += 1
         if kinds[self.i] != "EOF":
             raise self.fail(self.i, "end of input")
@@ -296,13 +301,14 @@ class _Parser:
             raise self.error(i, "a string<...> field tag", _clip(tag_text(tag)))
         return tag
 
-    def statement(self, binders: set[str]) -> Command:
+    def command(self, binders: set[str]) -> Command:
         kinds, texts = self.kinds, self.texts
         i = self.i
         if kinds[i] != "IDENT":
             raise self.fail(i, "a command")
         binder: str | None = None
-        if texts[i] not in OPCODES:
+        opcode = texts[i]
+        if opcode not in OPCODES:
             binder = self.unreserved(i, "binder")
             if binder in binders:
                 raise self.error(i, "a new binder name", f"duplicate binder '{_clip(binder)}'")
@@ -311,17 +317,13 @@ class _Parser:
             if kinds[i] != "ARROW":
                 raise self.fail(i, "'<-'")
             i += 1
-            if kinds[i] != "IDENT" or texts[i] not in OPCODES:
+            opcode = texts[i]
+            if kinds[i] != "IDENT" or opcode not in OPCODES:
                 raise self.fail(i, "a command")
-        self.i = i
-        return self.command(binder)
-
-    def command(self, binder: str | None) -> Command:
-        kinds, texts = self.kinds, self.texts
-        i = self.i
-        opcode = texts[i]
         n_keys, has_field, n_values, takes_tag = COMMAND_SHAPES[opcode]
-        span = Span(*_where(self.starts, self.offsets[i]))
+        pos = self.offsets[i]
+        line = bisect_right(self.starts, pos)
+        span = _new(Span, (line, pos - self.starts[line - 1] + 1))
         i += 1
         end = i + n_keys + has_field
         for j in range(i, end):  # stops at the EOF token at the latest
@@ -336,7 +338,7 @@ class _Parser:
         if takes_tag:
             self.expect("COLON", "':'")
             declared = self.type_tag()
-        return Command(opcode, keys, args, field_name, declared, binder, span)
+        return _new(Command, (opcode, keys, args, field_name, declared, binder, span))
 
     def expr(self, depth: int = 0) -> Expr:
         i = self.i
@@ -352,25 +354,25 @@ class _Parser:
             if not -(2**63) <= value < 2**63:
                 raise self.error(i, "a signed 64-bit integer", "literal out of range")
             self.i = i + 1
-            return IntLit(value)
+            return _new(IntLit, (value,))
         if kind == "FLOAT":
             value = float(text)
             if value in (float("inf"), float("-inf")):
                 raise self.error(i, "a representable float", "literal out of range")
             self.i = i + 1
-            return FloatLit(value)
+            return _new(FloatLit, (value,))
         if kind == "STRING":
             self.i = i + 1
-            return TextLit(text)
+            return _new(TextLit, (text,))
         if kind != "IDENT":
             raise self.fail(i, "an expression")
         self.i = i + 1
         if text == "true":
-            return BoolLit(True)
+            return _new(BoolLit, (True,))
         if text == "false":
-            return BoolLit(False)
+            return _new(BoolLit, (False,))
         if self.kinds[i + 1] != "LBRACE":
-            return Var(text)
+            return _new(Var, (text,))
         inner = self.deeper(i, depth)
         self.i = i + 2
         args = [self.expr(inner)]
@@ -378,7 +380,7 @@ class _Parser:
             self.i += 1
             args.append(self.expr(inner))
         self.expect("RBRACE", "'}'")
-        return RecordLit(text, tuple(args))
+        return _new(RecordLit, (text, tuple(args)))
 
 
 def parse_program(source: str) -> Program:

@@ -4,11 +4,17 @@ A program is a list of record declarations followed by a block of
 commands.  Commands name their keys statically (keys are symbols, not
 expressions), which is what makes the whole-program key/type analysis
 in ``checker`` possible.
+
+``Command``, ``Span`` and the expressions, which parsing builds for every
+command, are immutable named tuples without an instance ``__dict__``.  A
+node equals only a node of its own class: ``IntLit(1)`` is neither
+``BoolLit(True)`` nor ``(1,)``.  Hashes agree with equality.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 
 # ---------------------------------------------------------------------------
@@ -93,43 +99,47 @@ def hash_of(*fields: tuple[str, TypeTag]) -> HashOf:
 # expressions (value arguments of commands)
 
 
-class Expr:
+class _Node:
+    """Equality of the tuple-backed nodes: the same class and equal fields."""
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+    __ne__ = object.__ne__  # the negation of __eq__, not tuple's
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+
+class Expr(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IntLit(Expr):
-    value: int
+class IntLit(Expr, NamedTuple("IntLit", [("value", int)])):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FloatLit(Expr):
-    value: float
+class FloatLit(Expr, NamedTuple("FloatLit", [("value", float)])):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BoolLit(Expr):
-    value: bool
+class BoolLit(Expr, NamedTuple("BoolLit", [("value", bool)])):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TextLit(Expr):
-    value: str
+class TextLit(Expr, NamedTuple("TextLit", [("value", str)])):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Var(Expr):
+class Var(Expr, NamedTuple("Var", [("name", str)])):
     """Reference to the bound result of an earlier command."""
 
-    name: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RecordLit(Expr):
+class RecordLit(Expr, NamedTuple("RecordLit", [("name", str), ("args", tuple[Expr, ...])])):
     """Record construction with positional arguments, e.g. Message{"hi", 1}."""
 
-    name: str
-    args: tuple[Expr, ...]
+    __slots__ = ()
 
 
 def expr_free_vars(e: Expr) -> set[str]:
@@ -148,12 +158,10 @@ def expr_free_vars(e: Expr) -> set[str]:
 # commands and programs
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(_Node, NamedTuple("Span", [("line", int), ("col", int)])):
     """Source position (1-based line and column) of a command's opcode."""
 
-    line: int
-    col: int
+    __slots__ = ()
 
 
 # opcode -> (number of key arguments, has hash field, number of value
@@ -189,21 +197,30 @@ WIRE_ARITIES: dict[str, int] = {
 }
 
 
-@dataclass(frozen=True)
-class Command:
-    """One statement: optional binder, opcode, static keys, value args.
-
-    ``span`` is carried for error reporting but ignored by structural
-    equality so printed-and-reparsed programs compare equal.
-    """
-
+class _CommandFields(NamedTuple):
     opcode: str
     keys: tuple[str, ...] = ()
     args: tuple[Expr, ...] = ()
     field_name: str | None = None
     declared: TypeTag | None = None
     binder: str | None = None
-    span: Span = field(default=Span(1, 1), compare=False)
+    span: Span = Span(1, 1)
+
+
+class Command(_Node, _CommandFields):
+    """One statement: optional binder, opcode, static keys, value args.
+
+    ``span`` is carried for error reporting but ignored by equality and
+    hashing so printed-and-reparsed programs compare equal.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is Command and self[:6] == other[:6]
+
+    def __hash__(self) -> int:
+        return hash(self[:6])
 
 
 @dataclass(frozen=True)

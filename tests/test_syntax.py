@@ -117,3 +117,9 @@ def test_nodes_are_immutable(name):
         setattr(node, first, getattr(node, first))
     with pytest.raises(AttributeError):
         node.extra = 1
+
+
+@pytest.mark.parametrize("name", NODES)
+def test_nodes_have_no_instance_dict(name):
+    node = NODES[name]()
+    assert not hasattr(node, "__dict__")
