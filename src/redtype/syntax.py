@@ -217,10 +217,10 @@ class Command(_Node, _CommandFields):
     __slots__ = ()
 
     def __eq__(self, other: object) -> bool:
-        return type(other) is Command and self[:6] == other[:6]
+        return type(other) is Command and self[:-1] == other[:-1]
 
     def __hash__(self) -> int:
-        return hash(self[:6])
+        return hash(self[:-1])
 
 
 @dataclass(frozen=True)
