@@ -307,6 +307,14 @@ def test_error_message_carries_span_opcode_constraint():
     assert str(err).startswith("7:3: GetStuck: incr: ")
 
 
+def test_unknown_opcode_is_an_arity_mismatch():
+    # only the API can build a command outside the command set
+    report = check_program(Program((), (Command("bogus"),)))
+    assert isinstance(report, CheckError)
+    assert report.constraint == "ArityMismatch"
+    assert str(report) == "1:1: ArityMismatch: bogus: unknown command 'bogus'"
+
+
 # ---------------------------------------------------------------------------
 # whole programs
 
