@@ -1,6 +1,8 @@
 """Static checking: fold a symbolic key/type dictionary over a program.
 
-Each command is a dictionary transformer with a precondition.  Checking
+Each command is a dictionary transformer with a precondition, as in the
+paper's type signatures; ``_check_command`` spells each opcode's rule
+(precondition, dictionary update, result type) in one case.  Checking
 walks the body left to right from an initial dictionary (empty unless
 the caller assumes otherwise), threading one insertion-ordered dict of
 key -> tag, which each command updates in place, and an environment of
@@ -53,7 +55,7 @@ from .syntax import (
     Var,
     record_table,
 )
-from .typedict import Found, Stuck, TypeDict
+from .typedict import Found, TypeDict
 
 # Stable machine-readable constraint identifiers, used in JSON reports.
 NOT_MEMBER = "NotMember-violated"
@@ -142,6 +144,8 @@ CheckReport = CheckOk | CheckError
 
 # ---- expressions ------------------------------------------------------------
 
+_LITERAL_BASES: dict[type, BaseType] = {IntLit: INT, FloatLit: FLOAT, BoolLit: BOOL, TextLit: TEXT}
+
 
 def infer_expr(
     env: Mapping[str, ResultType],
@@ -149,14 +153,9 @@ def infer_expr(
     e: Expr,
 ) -> BaseType:
     """Base type of a value expression; raises CheckError (span-less)."""
-    if isinstance(e, IntLit):
-        return INT
-    if isinstance(e, FloatLit):
-        return FLOAT
-    if isinstance(e, BoolLit):
-        return BOOL
-    if isinstance(e, TextLit):
-        return TEXT
+    base = _LITERAL_BASES.get(type(e))
+    if base is not None:
+        return base
     if isinstance(e, Var):
         rt = env.get(e.name)
         if rt is None:
@@ -269,62 +268,22 @@ def _step(
         raise
 
 
-def _found_tag(xs: _Dict, k: str) -> TypeTag:
+def _tracked(xs: _Dict, k: str, ok: Callable[[TypeTag], bool], kind: str) -> TypeTag:
+    """The tag of ``k``, which must be tracked as ``kind``; else GetStuck or GetEquality-failed."""
     tag = xs.get(k)
     if tag is None:
         raise _fail(GET_STUCK, f"key '{_clip(k)}' is not in the dictionary")
+    if not ok(tag):
+        raise _fail(GET_EQUALITY, f"key '{_clip(k)}' holds {_clip(tag_text(tag))}, not {kind}")
     return tag
 
 
-# A precondition on one key: raises CheckError, or returns the key's tag
-# when the key must be tracked.  sinter applies its guard to both keys.
-_Guard = Callable[[_Dict, str], TypeTag | None]
-
-
-def _holds_or_nx(test: Callable[[TypeTag], bool], constraint: str, kind: str) -> _Guard:
-    """Each key holds ``kind`` if it is tracked at all; else ``constraint``."""
-
-    def guard(xs: _Dict, k: str) -> None:
-        tag = xs.get(k)
-        if tag is not None and not test(tag):
-            raise _fail(constraint, f"key '{_clip(k)}' holds {_clip(tag_text(tag))}, not {kind}")
-
-    return guard
-
-
-def _tracked_as(test: Callable[[TypeTag], bool], kind: str) -> _Guard:
-    """Each key is tracked with a tag that passes ``test``; else GetEquality-failed."""
-
-    def guard(xs: _Dict, k: str) -> TypeTag:
-        tag = _found_tag(xs, k)
-        if not test(tag):
-            raise _fail(GET_EQUALITY, f"key '{_clip(k)}' holds {_clip(tag_text(tag))}, not {kind}")
-        return tag
-
-    return guard
-
-
-# Every opcode but declare, setnx and hget, which _check_command spells
-# out: opcode -> (precondition on each key, the tag the command stores
-# under its key given the value's base type, and the result type or its
-# constructor from the keys' element type).  del and hset update the
-# dictionary in ways of their own.
-_RULES: dict[str, tuple[_Guard | None, Callable[[BaseType], TypeTag] | None, ResultType | type]] = {
-    "ping": (None, None, STATUS),
-    "set": (None, StringOf, STATUS),
-    "del": (None, None, INT_RESULT),
-    "get": (_tracked_as(typedict.is_string, "a string"), None, MaybeResult),
-    "incr": (_tracked_as(lambda tag: tag == StringOf(INT), "string<int>"), None, INT_RESULT),
-    "incrbyfloat": (_tracked_as(lambda tag: tag == StringOf(FLOAT), "string<float>"), None, FLOAT_RESULT),
-    "lpush": (_holds_or_nx(typedict.is_list, LIST_OR_NX, "a list"), ListOf, INT_RESULT),
-    "llen": (_holds_or_nx(typedict.is_list, LIST_OR_NX, "a list"), None, INT_RESULT),
-    "rpop": (_tracked_as(typedict.is_list, "a list"), None, MaybeResult),
-    "sadd": (_holds_or_nx(typedict.is_set, SET_OR_NX, "a set"), SetOf, INT_RESULT),
-    "sinter": (_tracked_as(typedict.is_set, "a set"), None, ListResult),
-    "hset": (_holds_or_nx(typedict.is_hash, HASH_OR_NX, "a hash"), None, BOOL_RESULT),
-}
-# In strict mode a tracked container must already hold the pushed type.
-_STRICT_VERBS = {ListOf: "push", SetOf: "add"}
+def _or_nx(xs: _Dict, k: str, ok: Callable[[TypeTag], bool], constraint: str, kind: str) -> TypeTag | None:
+    """The tag of ``k``, which must be ``kind`` if tracked at all; else ``constraint``."""
+    tag = xs.get(k)
+    if tag is not None and not ok(tag):
+        raise _fail(constraint, f"key '{_clip(k)}' holds {_clip(tag_text(tag))}, not {kind}")
+    return tag
 
 
 def _check_command(
@@ -337,76 +296,90 @@ def _check_command(
     op = cmd.opcode
     k = cmd.keys[0] if cmd.keys else ""
     a = infer_expr(env, records, cmd.args[0]) if cmd.args else None
-
-    if op == "declare":
-        if k in xs:
-            raise _fail(NOT_MEMBER, f"key '{_clip(k)}' is already tracked as {_clip(tag_text(xs[k]))}")
-        assert cmd.declared is not None
-        bad = undeclared_record(cmd.declared, records)
-        if bad:
-            raise _fail(UNKNOWN_RECORD, f"no record named '{_clip(bad)}' is declared")
-        xs[k] = cmd.declared
-        return UNIT
-
-    if op == "setnx":
-        tag = xs.setdefault(k, StringOf(a))
-        if tag != StringOf(a):
-            raise _fail(
-                GET_EQUALITY,
-                f"key '{_clip(k)}' is tracked as {_clip(tag_text(tag))}, but setnx may write a "
-                f"string<{_clip(base_text(a))}> if the key is unset",
-            )
-        return BOOL_RESULT
-
-    if op == "hget":
-        assert cmd.field_name is not None
-        tag = xs.get(k)
-        look = typedict.dict_get(tag.fields, cmd.field_name) if isinstance(tag, HashOf) else typedict.STUCK
-        if isinstance(look, Stuck):
-            raise _fail(GET_STUCK, f"no hash field '{_clip(cmd.field_name)}' is tracked under key '{_clip(k)}'")
-        assert isinstance(look, Found)
-        if not isinstance(look.tag, StringOf):
-            raise _fail(
-                GET_EQUALITY,
-                f"field '{_clip(cmd.field_name)}' of '{_clip(k)}' holds {_clip(tag_text(look.tag))}, not a string",
-            )
-        return MaybeResult(look.tag.base)
-
-    if op not in _RULES:
-        raise _fail(ARITY_MISMATCH, f"unknown command '{op}'")
-    guard, write, result = _RULES[op]
-    if op == "incrbyfloat" and a != FLOAT:
-        raise _fail(ELEMENT_MISMATCH, f"incrbyfloat takes a float increment, got {_clip(base_text(a))}")
-    tag = guard(xs, k) if guard else None
-    if op == "sinter":
-        k2 = cmd.keys[1]
-        tag2 = guard(xs, k2)
-        if tag.base != tag2.base:
-            raise _fail(
-                GET_EQUALITY,
-                f"keys '{_clip(k)}' and '{_clip(k2)}' hold {_clip(tag_text(tag))} and {_clip(tag_text(tag2))}; "
-                "sinter needs equal element types",
-            )
-    if isinstance(result, type):
-        result = result(tag.base)
-
-    if write is not None:
-        verb = _STRICT_VERBS.get(write)
-        old = xs.get(k)
-        if strict and verb and old is not None and old != write(a):
-            raise _fail(
-                ELEMENT_MISMATCH,
-                f"key '{_clip(k)}' holds {_clip(tag_text(old))}; "
-                f"cannot {verb} {_clip(base_text(a))} elements in strict mode",
-            )
-        xs[k] = write(a)
-    elif op == "del":
-        xs.pop(k, None)
-    elif op == "hset":
-        assert cmd.field_name is not None
-        fields = xs[k].fields if k in xs else ()
-        xs[k] = HashOf(tuple(typedict.dict_set(fields, cmd.field_name, StringOf(a))))
-    return result
+    match op:
+        case "ping":
+            return STATUS
+        case "set":
+            xs[k] = StringOf(a)
+            return STATUS
+        case "setnx":
+            tag = xs.setdefault(k, StringOf(a))
+            if tag != StringOf(a):
+                raise _fail(
+                    GET_EQUALITY,
+                    f"key '{_clip(k)}' is tracked as {_clip(tag_text(tag))}, but setnx may write a "
+                    f"string<{_clip(base_text(a))}> if the key is unset",
+                )
+            return BOOL_RESULT
+        case "get":
+            return MaybeResult(_tracked(xs, k, typedict.is_string, "a string").base)
+        case "del":
+            xs.pop(k, None)
+            return INT_RESULT
+        case "incr":
+            _tracked(xs, k, lambda tag: tag == StringOf(INT), "string<int>")
+            return INT_RESULT
+        case "incrbyfloat":
+            if a != FLOAT:
+                raise _fail(ELEMENT_MISMATCH, f"incrbyfloat takes a float increment, got {_clip(base_text(a))}")
+            _tracked(xs, k, lambda tag: tag == StringOf(FLOAT), "string<float>")
+            return FLOAT_RESULT
+        case "lpush" | "sadd":
+            if op == "lpush":
+                old, new, verb = _or_nx(xs, k, typedict.is_list, LIST_OR_NX, "a list"), ListOf(a), "push"
+            else:
+                old, new, verb = _or_nx(xs, k, typedict.is_set, SET_OR_NX, "a set"), SetOf(a), "add"
+            if strict and old is not None and old != new:
+                raise _fail(
+                    ELEMENT_MISMATCH,
+                    f"key '{_clip(k)}' holds {_clip(tag_text(old))}; "
+                    f"cannot {verb} {_clip(base_text(a))} elements in strict mode",
+                )
+            xs[k] = new
+            return INT_RESULT
+        case "llen":
+            _or_nx(xs, k, typedict.is_list, LIST_OR_NX, "a list")
+            return INT_RESULT
+        case "rpop":
+            return MaybeResult(_tracked(xs, k, typedict.is_list, "a list").base)
+        case "sinter":
+            k2 = cmd.keys[1]
+            tag = _tracked(xs, k, typedict.is_set, "a set")
+            tag2 = _tracked(xs, k2, typedict.is_set, "a set")
+            if tag.base != tag2.base:
+                raise _fail(
+                    GET_EQUALITY,
+                    f"keys '{_clip(k)}' and '{_clip(k2)}' hold {_clip(tag_text(tag))} and {_clip(tag_text(tag2))}; "
+                    "sinter needs equal element types",
+                )
+            return ListResult(tag.base)
+        case "hset":
+            assert cmd.field_name is not None
+            old = _or_nx(xs, k, typedict.is_hash, HASH_OR_NX, "a hash")
+            xs[k] = HashOf(tuple(typedict.dict_set(old.fields if old is not None else (), cmd.field_name, StringOf(a))))
+            return BOOL_RESULT
+        case "hget":
+            assert cmd.field_name is not None
+            tag = xs.get(k)
+            look = typedict.dict_get(tag.fields, cmd.field_name) if isinstance(tag, HashOf) else typedict.STUCK
+            if not isinstance(look, Found):
+                raise _fail(GET_STUCK, f"no hash field '{_clip(cmd.field_name)}' is tracked under key '{_clip(k)}'")
+            if not isinstance(look.tag, StringOf):
+                raise _fail(
+                    GET_EQUALITY,
+                    f"field '{_clip(cmd.field_name)}' of '{_clip(k)}' holds {_clip(tag_text(look.tag))}, not a string",
+                )
+            return MaybeResult(look.tag.base)
+        case "declare":
+            if k in xs:
+                raise _fail(NOT_MEMBER, f"key '{_clip(k)}' is already tracked as {_clip(tag_text(xs[k]))}")
+            assert cmd.declared is not None
+            bad = undeclared_record(cmd.declared, records)
+            if bad:
+                raise _fail(UNKNOWN_RECORD, f"no record named '{_clip(bad)}' is declared")
+            xs[k] = cmd.declared
+            return UNIT
+    raise _fail(ARITY_MISMATCH, f"unknown command '{op}'")
 
 
 # ---- programs ---------------------------------------------------------------
