@@ -53,7 +53,6 @@ from .syntax import (
     TypeTag,
     Var,
 )
-from .typedict import TypeDict
 
 ILL_TYPED_RATE = 0.2
 
@@ -131,7 +130,8 @@ class _Generator:
         self.rng = rng
         self.strict = strict
         self.records = {r.name: r for r in RECORD_POOL}
-        self.xs: TypeDict = []
+        # the checker's dictionary before the next step
+        self.xs: dict[str, TypeTag] = {}
         self.env: dict[str, ResultType] = {}
         self.steps = 0
         # the last accepted draw's dictionary after it, and its result type
@@ -221,15 +221,15 @@ class _Generator:
         """Draw until the checker rejects (``ill_typed``) or accepts a command.
 
         Returns (command, rejected); ``.xs`` is left as is.  After at most
-        _DRAW_CAP draws the last is kept, whatever its verdict.  The checker is reached through the module so that a
-        wrapped ``checker._step`` is what classifies the draws.
+        _DRAW_CAP draws the last is kept, whatever its verdict.  The checker
+        is reached through the module so that a wrapped ``checker._step`` is
+        what classifies the draws.
         """
         self.steps += 1
         span = Span(self.steps + 1, 3)
-        d = dict(self.xs)
         for _ in range(_DRAW_CAP):
-            cmd = self.draw(d, span)
-            after = dict(d)
+            after = dict(self.xs)
+            cmd = self.draw(after, span)
             try:
                 self.accepted = after, checker._step(after, self.env, self.records, cmd, self.strict)
                 rejected = False
@@ -254,8 +254,7 @@ def generate_program(
         if rejected:
             break
         assert gen.accepted is not None
-        after, rt = gen.accepted
-        gen.xs = list(after.items())
+        gen.xs, rt = gen.accepted
         if cmd.binder is not None:
             gen.env[cmd.binder] = rt
     return Program(RECORD_POOL, tuple(body))
