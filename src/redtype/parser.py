@@ -15,6 +15,8 @@ from typing import Callable, TypeVar
 
 from .syntax import (
     COMMAND_SHAPES,
+    INT64_MAX,
+    INT64_MIN,
     OPCODES,
     SCALARS,
     BaseType,
@@ -345,13 +347,13 @@ class _Parser:
         kind = self.kinds[i]
         text = self.texts[i]
         if kind == "INT":
-            # Redis integers are signed 64-bit; counting digits first keeps
-            # int() off unbounded text, leading zeros included
+            # counting digits first keeps int() off unbounded text, leading
+            # zeros included
             digits = text.lstrip("-0")
             value = int(digits or "0") if len(digits) <= 19 else 2**64  # out of range either sign
             if text[0] == "-":
                 value = -value
-            if not -(2**63) <= value < 2**63:
+            if not INT64_MIN <= value <= INT64_MAX:
                 raise self.error(i, "a signed 64-bit integer", "literal out of range")
             self.i = i + 1
             return _new(IntLit, (value,))

@@ -15,6 +15,7 @@ from typing import Sequence
 
 from .codec import quote
 from .store import BulkReply, ErrReply, IntReply, MultiBulk, Reply, SimpleStatus
+from .syntax import INT64_MAX, INT64_MIN
 
 CRLF = b"\r\n"
 
@@ -186,7 +187,7 @@ class ReplyDecoder:
         None until the line has arrived.
         """
         head = _INT_LINE.match(self._buf, at)
-        if head and -(2**63) <= (n := int(head[1])) < 2**63:
+        if head and INT64_MIN <= (n := int(head[1])) <= INT64_MAX:
             return n, head.end()
         end = self._line_end(at)  # incomplete, too long or malformed: this tells which
         if end == -1:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .codec import DecodeError, int_value, redis_float
-from .syntax import WIRE_ARITIES
+from .syntax import INT64_MAX, INT64_MIN, WIRE_ARITIES
 
 WRONGTYPE_MSG = "WRONGTYPE Operation against a key holding the wrong kind of value"
 NOT_INT_MSG = "ERR value is not an integer or out of range"
@@ -121,9 +121,9 @@ def _apply(state: _State, name: str, argv: Sequence[bytes]) -> Reply:
             n = int_value(b"0" if v is None else v)
         except DecodeError:
             return ErrReply(NOT_INT_MSG)
-        if not -(2**63) <= n < 2**63:
+        if not INT64_MIN <= n <= INT64_MAX:
             return ErrReply(NOT_INT_MSG)
-        if n == 2**63 - 1:
+        if n == INT64_MAX:
             return ErrReply(OVERFLOW_MSG)
         state[k] = str(n + 1).encode("ascii")
         return IntReply(n + 1)

@@ -53,6 +53,11 @@ BOOL = Scalar("bool")
 TEXT = Scalar("text")
 SCALARS = (INT, FLOAT, BOOL, TEXT)
 
+# Redis integers are signed 64-bit: the bounds of int literals, of INCR
+# and of RESP header integers.  Two names, not a range(): membership in
+# a range also subtracts and takes a remainder, about 0.1 us per test.
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
 
 # ---------------------------------------------------------------------------
 # type tags: what kind of value a key holds
