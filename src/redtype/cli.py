@@ -8,6 +8,7 @@ soundness violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -147,10 +148,15 @@ def _outcome_text(outcome: RunValue, records: Mapping[str, RecordDecl]) -> str:
 # subcommands
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _load_and_check(args: argparse.Namespace) -> tuple[Program, CheckOk | CheckError]:
+    """The program in ``args.file``, checked from ``--assume`` (or ``[]``)."""
     program = _load_program(args.file)
     initial = _load_assumption(args.assume, program)
-    report = check_program(program, initial, strict=args.strict)
+    return program, check_program(program, initial, strict=args.strict)
+
+
+def _cmd_check(args: argparse.Namespace) -> int:
+    _, report = _load_and_check(args)
     if args.json:
         print(json.dumps(_check_json(report)))
         return EXIT_OK if isinstance(report, CheckOk) else EXIT_TYPE_ERROR
@@ -181,9 +187,7 @@ def _open_backend(args: argparse.Namespace) -> tuple[Backend, MemoryStore | None
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    program = _load_program(args.file)
-    initial = _load_assumption(args.assume, program)
-    report = check_program(program, initial, strict=args.strict)
+    program, report = _load_and_check(args)
     if isinstance(report, CheckError):
         print(f"{args.file}:{report}", file=sys.stderr)
         return EXIT_TYPE_ERROR
@@ -241,6 +245,7 @@ def _number(convert: Callable[[str], Any], ok: Callable[[Any], bool], rule: str)
     return parse
 
 
+@functools.cache  # built on first use, once per process: main may be called many times
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="redtype", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
