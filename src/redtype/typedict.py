@@ -90,8 +90,10 @@ def dict_member(xs: Sequence[Entry], k: str) -> bool:
 # ---------------------------------------------------------------------------
 # hash variants.  These treat the field dictionary inside a HashOf tag as
 # a nested association list and carry some deliberately odd corner cases
-# (documented per function) that the rest of the system relies on being
-# stable.
+# (documented per function) that are kept stable.  The checker does not
+# call them; acceptance criterion 4, tests/test_typedict.py and the
+# specification fold in tests/test_checker.py do, and the benchmark's
+# tracer wraps them.
 
 
 def hash_get(xs: Sequence[Entry], k: str, f: str) -> Lookup:
