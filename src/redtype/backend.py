@@ -186,8 +186,7 @@ def _reply_text(reply: Reply) -> str:
     """The reply's kind and its payload, quoted as codec.DecodeError quotes data."""
     if isinstance(reply, MultiBulk):
         return f"MultiBulk of {len(reply.items)} items"
-    (payload,) = vars(reply).values()  # the other kinds carry one value each
-    return f"{type(reply).__name__}({codec.quote(payload)})"
+    return f"{type(reply).__name__}({codec.quote(reply[0])})"  # the other kinds carry one value each
 
 
 def run_program(program: Program, report: CheckOk, backend: Backend) -> RunOutcome:

@@ -25,8 +25,9 @@ entry.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Container, Mapping
+from typing import Callable, Container, Mapping, NamedTuple
 
 from . import typedict
 from .parser import _clip, base_text, tag_text
@@ -43,6 +44,7 @@ from .syntax import (
     HashOf,
     IntLit,
     ListOf,
+    Node,
     Program,
     RecordDecl,
     RecordLit,
@@ -73,36 +75,35 @@ ARITY_MISMATCH = "ArityMismatch"
 # ---- result types ----------------------------------------------------------
 
 
-class ResultType:
+class ResultType(Node):
     __slots__ = ()
     # The base type a binder of this result has in expressions; None if
-    # such a binder cannot appear in an expression.
-    binds: BaseType | None = None
+    # such a binder cannot appear in an expression.  A field of
+    # ScalarResult; a class attribute here would shadow that field.
+    binds: BaseType | None
 
 
-@dataclass(frozen=True)
-class ScalarResult(ResultType):
+class ScalarResult(ResultType, NamedTuple("ScalarResult", [("name", str), ("binds", BaseType | None)])):
     """A result without an element type, by its surface name."""
 
-    name: str
-    binds: BaseType | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MaybeResult(ResultType):
-    base: BaseType
+class MaybeResult(ResultType, NamedTuple("MaybeResult", [("base", BaseType)])):
+    __slots__ = ()
+    binds = None
 
 
-@dataclass(frozen=True)
-class ListResult(ResultType):
-    base: BaseType
+class ListResult(ResultType, NamedTuple("ListResult", [("base", BaseType)])):
+    __slots__ = ()
+    binds = None
 
 
-STATUS = ScalarResult("status")
+STATUS = ScalarResult("status", None)
 INT_RESULT = ScalarResult("integer", INT)
 FLOAT_RESULT = ScalarResult("double", FLOAT)
 BOOL_RESULT = ScalarResult("boolean", BOOL)
-UNIT = ScalarResult("unit")
+UNIT = ScalarResult("unit", None)
 
 
 # ---- outcomes ---------------------------------------------------------------
@@ -225,8 +226,8 @@ def _as_dict(xs: TypeDict) -> _Dict:
     """``xs`` as a dict; raises ValueError if a key occurs twice."""
     d = dict(xs)
     if len(d) != len(xs):
-        keys = [k for k, _ in xs]
-        twice = next(k for k in keys if keys.count(k) > 1)
+        counts = Counter(k for k, _ in xs)
+        twice = next(k for k, _ in xs if counts[k] > 1)
         raise ValueError(f"key '{_clip(twice)}' occurs twice in the dictionary")
     return d
 

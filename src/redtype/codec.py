@@ -19,9 +19,8 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from .syntax import (
     BOOL,
@@ -29,23 +28,20 @@ from .syntax import (
     INT,
     TEXT,
     BaseType,
+    Node,
     RecordDecl,
     RecordRef,
 )
 
 
-@dataclass(frozen=True)
-class RecordValue:
+class RecordValue(Node, NamedTuple("RecordValue", [("name", str), ("values", tuple[Any, ...])])):
     """A constructed record: declaration name plus field payloads in order."""
 
-    name: str
-    values: tuple[Any, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TypedValue:
-    base: BaseType
-    value: Any
+class TypedValue(Node, NamedTuple("TypedValue", [("base", BaseType), ("value", Any)])):
+    __slots__ = ()
 
 
 def quote(payload: Any) -> str:

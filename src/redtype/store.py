@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .codec import DecodeError, int_value, redis_float
-from .syntax import INT64_MAX, INT64_MIN, WIRE_ARITIES
+from .syntax import INT64_MAX, INT64_MIN, WIRE_ARITIES, Node
 
 WRONGTYPE_MSG = "WRONGTYPE Operation against a key holding the wrong kind of value"
 NOT_INT_MSG = "ERR value is not an integer or out of range"
@@ -36,29 +35,26 @@ NONFINITE_MSG = "ERR increment would produce NaN or Infinity"
 # ---- replies ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SimpleStatus:
-    text: str
+class SimpleStatus(Node, NamedTuple("SimpleStatus", [("text", str)])):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IntReply:
-    value: int
+class IntReply(Node, NamedTuple("IntReply", [("value", int)])):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BulkReply:
-    data: bytes | None  # None is the nil reply
+class BulkReply(Node, NamedTuple("BulkReply", [("data", bytes | None)])):
+    """``data`` None is the nil reply."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MultiBulk:
-    items: tuple[bytes, ...]
+class MultiBulk(Node, NamedTuple("MultiBulk", [("items", tuple[bytes, ...])])):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ErrReply:
-    message: str
+class ErrReply(Node, NamedTuple("ErrReply", [("message", str)])):
+    __slots__ = ()
 
 
 Reply = SimpleStatus | IntReply | BulkReply | MultiBulk | ErrReply
@@ -129,12 +125,10 @@ def _apply(state: _State, name: str, argv: Sequence[bytes]) -> Reply:
         return IntReply(n + 1)
 
     if name == "INCRBYFLOAT":
+        v = _holding(state, k, bytes)  # the type first, as the real store checks it
         d = redis_float(argv[2])
-        if d is None:
-            return ErrReply(NOT_FLOAT_MSG)
-        v = _holding(state, k, bytes)
         old = redis_float(b"0" if v is None else v)
-        if old is None:
+        if d is None or old is None:
             return ErrReply(NOT_FLOAT_MSG)
         result = old + d
         if not math.isfinite(result):

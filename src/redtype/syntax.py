@@ -5,46 +5,52 @@ commands.  Commands name their keys statically (keys are symbols, not
 expressions), which is what makes the whole-program key/type analysis
 in ``checker`` possible.
 
-``Command``, ``Span`` and the expressions, which parsing builds for every
-command, are immutable named tuples without an instance ``__dict__``.  A
-node equals only a node of its own class: ``IntLit(1)`` is neither
-``BoolLit(True)`` nor ``(1,)``.  Hashes agree with equality.
+Every immutable value of the package (the base types, type tags,
+declarations and program here, and the result types, replies, typed
+values and lookups of the other modules) is a ``Node``: a named tuple
+without an instance ``__dict__`` that equals only a node of its own
+class.  ``IntLit(1)`` is neither ``BoolLit(True)`` nor ``(1,)``, and
+``Scalar("int")`` is not ``RecordRef("int")``.  Hashes agree with
+equality.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
+
+
+class Node:
+    """Equality of the tuple-backed nodes: the same class and equal fields."""
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+    __ne__ = object.__ne__  # the negation of __eq__, not tuple's
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
 
 
 # ---------------------------------------------------------------------------
 # base types: what a single stored value deserializes to
 
 
-class BaseType:
+class BaseType(Node):
     """Scalar payload type: int, float, bool, text, or a named record."""
 
     __slots__ = ()
     name: str  # as source programs spell it
 
 
-@dataclass(frozen=True)
-class Scalar(BaseType):
+class Scalar(BaseType, NamedTuple("Scalar", [("name", str)])):
     """int, float, bool or text."""
 
-    name: str
-
-    def __eq__(self, other: object) -> bool:
-        # Identity first: bases are nearly always the four constants below,
-        # and the generated __eq__ builds a tuple per side on every call.
-        return self is other or (type(other) is Scalar and self.name == other.name)
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RecordRef(BaseType):
+class RecordRef(BaseType, NamedTuple("RecordRef", [("name", str)])):
     """Reference to a record declaration by name."""
 
-    name: str
+    __slots__ = ()
 
 
 INT = Scalar("int")
@@ -63,36 +69,32 @@ INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 # type tags: what kind of value a key holds
 
 
-class TypeTag:
+class TypeTag(Node):
     """Shape of the value stored at one key."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class StringOf(TypeTag):
-    base: BaseType
+class StringOf(TypeTag, NamedTuple("StringOf", [("base", BaseType)])):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ListOf(TypeTag):
-    base: BaseType
+class ListOf(TypeTag, NamedTuple("ListOf", [("base", BaseType)])):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SetOf(TypeTag):
-    base: BaseType
+class SetOf(TypeTag, NamedTuple("SetOf", [("base", BaseType)])):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class HashOf(TypeTag):
+class HashOf(TypeTag, NamedTuple("HashOf", [("fields", tuple[tuple[str, TypeTag], ...])])):
     """Hash tag; ``fields`` is an ordered association list.
 
     Field values are string tags (hashes nest scalars, not containers);
     the parser enforces this for source programs.
     """
 
-    fields: tuple[tuple[str, TypeTag], ...]
+    __slots__ = ()
 
 
 def hash_of(*fields: tuple[str, TypeTag]) -> HashOf:
@@ -104,18 +106,7 @@ def hash_of(*fields: tuple[str, TypeTag]) -> HashOf:
 # expressions (value arguments of commands)
 
 
-class _Node:
-    """Equality of the tuple-backed nodes: the same class and equal fields."""
-
-    __slots__ = ()
-    __hash__ = tuple.__hash__
-    __ne__ = object.__ne__  # the negation of __eq__, not tuple's
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and tuple.__eq__(self, other)
-
-
-class Expr(_Node):
+class Expr(Node):
     __slots__ = ()
 
 
@@ -163,7 +154,7 @@ def expr_free_vars(e: Expr) -> set[str]:
 # commands and programs
 
 
-class Span(_Node, NamedTuple("Span", [("line", int), ("col", int)])):
+class Span(Node, NamedTuple("Span", [("line", int), ("col", int)])):
     """Source position (1-based line and column) of a command's opcode."""
 
     __slots__ = ()
@@ -212,7 +203,7 @@ class _CommandFields(NamedTuple):
     span: Span = Span(1, 1)
 
 
-class Command(_Node, _CommandFields):
+class Command(Node, _CommandFields):
     """One statement: optional binder, opcode, static keys, value args.
 
     ``span`` is carried for error reporting but ignored by equality and
@@ -228,18 +219,14 @@ class Command(_Node, _CommandFields):
         return hash(self[:-1])
 
 
-@dataclass(frozen=True)
-class RecordDecl:
+class RecordDecl(Node, NamedTuple("RecordDecl", [("name", str), ("fields", tuple[tuple[str, BaseType], ...])])):
     """Named flat record; field payloads are scalars, never records."""
 
-    name: str
-    fields: tuple[tuple[str, BaseType], ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Program:
-    records: tuple[RecordDecl, ...]
-    body: tuple[Command, ...]
+class Program(Node, NamedTuple("Program", [("records", tuple[RecordDecl, ...]), ("body", tuple[Command, ...])])):
+    __slots__ = ()
 
 
 def record_table(p: Program) -> dict[str, RecordDecl]:

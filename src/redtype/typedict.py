@@ -17,18 +17,16 @@ distinct value callers must branch on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .syntax import HashOf, ListOf, SetOf, StringOf, TypeTag
+from .syntax import HashOf, ListOf, Node, SetOf, StringOf, TypeTag
 
 Entry = tuple[str, TypeTag]
 TypeDict = list[Entry]
 
 
-@dataclass(frozen=True)
-class Found:
-    tag: TypeTag
+class Found(Node, NamedTuple("Found", [("tag", TypeTag)])):
+    __slots__ = ()
 
 
 class Stuck:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -550,3 +551,20 @@ def test_duplicate_keyed_dictionary_raises_value_error():
         check_program(parse_program("program { del k }"), twice)
     with pytest.raises(ValueError, match="'k' occurs twice"):
         check1(twice, Command("ping"))
+
+
+def test_duplicate_key_named_is_the_earliest_that_occurs_again():
+    xs = [("a", StringOf(INT)), ("b", StringOf(INT)), ("b", StringOf(INT)), ("a", StringOf(INT))]
+    with pytest.raises(ValueError, match="key 'a' occurs twice"):
+        check1(xs, Command("ping"))
+
+
+def test_duplicate_key_search_is_linear():
+    xs = [(f"k{i}", StringOf(INT)) for i in range(20_000)]
+    xs.append(xs[-1])
+    program = parse_program("program { ping }")
+    for check in (lambda: check_program(program, xs), lambda: check1(xs, Command("ping"))):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="key 'k19999' occurs twice"):
+            check()
+        assert time.perf_counter() - t0 < 0.5

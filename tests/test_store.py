@@ -178,6 +178,11 @@ def test_incr_wrongtype_on_container():
     assert replies[1] == ErrReply(WRONGTYPE_MSG)
 
 
+def test_incrbyfloat_checks_the_key_type_before_the_increment():
+    replies = run_all([[b"LPUSH", b"k", b"x"], [b"INCRBYFLOAT", b"k", b"abc"]])
+    assert replies[1] == ErrReply(WRONGTYPE_MSG)
+
+
 def test_incrbyfloat_reply_is_the_stored_encoding():
     replies = run_all(
         [

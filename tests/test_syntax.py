@@ -1,20 +1,36 @@
+import dataclasses
+import importlib
+import pkgutil
+
 import pytest
 
+import redtype
+from redtype.checker import INT_RESULT, ListResult, MaybeResult, ScalarResult
+from redtype.codec import RecordValue, TypedValue
+from redtype.store import BulkReply, ErrReply, IntReply, MultiBulk, SimpleStatus
 from redtype.syntax import (
     COMMAND_SHAPES,
     OPCODES,
     BoolLit,
     Command,
     FloatLit,
+    HashOf,
     IntLit,
+    ListOf,
+    Program,
+    RecordDecl,
     RecordLit,
+    RecordRef,
+    Scalar,
+    SetOf,
     Span,
     TextLit,
     Var,
     expr_free_vars,
     hash_of,
 )
-from redtype.syntax import INT, StringOf
+from redtype.syntax import INT, TEXT, StringOf
+from redtype.typedict import Found
 
 
 def test_free_vars_of_literals_is_empty():
@@ -69,6 +85,25 @@ NODES = {
     "RecordLit": lambda: RecordLit("Message", (TextLit("hi"), IntLit(1))),
     "Span": lambda: Span(3, 4),
     "Command": lambda: Command("set", ("k",), (IntLit(1),), binder="v", span=Span(2, 3)),
+    "Scalar": lambda: Scalar("int"),
+    "RecordRef": lambda: RecordRef("Message"),
+    "StringOf": lambda: StringOf(INT),
+    "ListOf": lambda: ListOf(INT),
+    "SetOf": lambda: SetOf(TEXT),
+    "HashOf": lambda: hash_of(("a", StringOf(INT)), ("b", StringOf(TEXT))),
+    "RecordDecl": lambda: RecordDecl("Message", (("body", TEXT), ("id", INT))),
+    "Program": lambda: Program((RecordDecl("Message", (("id", INT),)),), (Command("ping"),)),
+    "ScalarResult": lambda: ScalarResult("integer", INT),
+    "MaybeResult": lambda: MaybeResult(INT),
+    "ListResult": lambda: ListResult(TEXT),
+    "SimpleStatus": lambda: SimpleStatus("OK"),
+    "IntReply": lambda: IntReply(1),
+    "BulkReply": lambda: BulkReply(b"1"),
+    "MultiBulk": lambda: MultiBulk((b"a", b"b")),
+    "ErrReply": lambda: ErrReply("ERR x"),
+    "TypedValue": lambda: TypedValue(INT, 1),
+    "RecordValue": lambda: RecordValue("Message", ("hi", 1)),
+    "Found": lambda: Found(StringOf(INT)),
 }
 
 
@@ -80,6 +115,10 @@ NODES = {
         (IntLit(0), BoolLit(False)),
         (Var("x"), TextLit("x")),
         (RecordLit("x", ()), Var("x")),
+        (StringOf(INT), ListOf(INT)),
+        (Scalar("int"), RecordRef("int")),
+        (MaybeResult(INT), ListResult(INT)),
+        (IntReply(1), BulkReply(b"1")),
     ],
 )
 def test_node_equality_is_class_exact(a, b):
@@ -116,3 +155,20 @@ def test_nodes_are_immutable(name):
 def test_nodes_have_no_instance_dict(name):
     node = NODES[name]()
     assert not hasattr(node, "__dict__")
+
+
+def test_value_reprs_name_class_and_fields():
+    assert repr(StringOf(INT)) == "StringOf(base=Scalar(name='int'))"
+    assert repr(INT_RESULT) == "ScalarResult(name='integer', binds=Scalar(name='int'))"
+    assert repr(HashOf((("a", StringOf(INT)),))) == "HashOf(fields=(('a', StringOf(base=Scalar(name='int'))),))"
+
+
+def test_no_class_is_a_frozen_dataclass():
+    # Immutable values are Nodes; dataclasses are kept for mutable records.
+    frozen = []
+    for info in pkgutil.iter_modules(redtype.__path__):
+        module = importlib.import_module(f"redtype.{info.name}")
+        for name, obj in vars(module).items():
+            if isinstance(obj, type) and dataclasses.is_dataclass(obj) and obj.__dataclass_params__.frozen:
+                frozen.append(f"{info.name}.{name}")
+    assert frozen == []
