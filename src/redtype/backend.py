@@ -133,6 +133,9 @@ def eval_expr(e: Expr, values: Mapping[str, Any]) -> Any:
     return RecordValue(e.name, tuple(eval_expr(a, values) for a in e.args))
 
 
+_WIRE_NAMES: dict[str, bytes] = {name.lower(): name.encode("ascii") for name in WIRE_ARITIES}
+
+
 def _wire_command(
     cmd: Command,
     env: Mapping[str, ResultType],
@@ -140,10 +143,10 @@ def _wire_command(
     records: Mapping[str, RecordDecl],
 ) -> list[bytes] | None:
     """Wire form of one command; None for declare (purely static)."""
-    name = cmd.opcode.upper()
-    if name not in WIRE_ARITIES:
+    name = _WIRE_NAMES.get(cmd.opcode)
+    if name is None:
         return None
-    argv = [name.encode("ascii")]
+    argv = [name]
     argv.extend(k.encode("utf-8") for k in cmd.keys)
     if cmd.field_name is not None:
         argv.append(cmd.field_name.encode("utf-8"))
@@ -198,11 +201,12 @@ def run_program(program: Program, report: CheckOk, backend: Backend) -> RunOutco
     records = record_table(program)
     env: dict[str, ResultType] = {}
     values: dict[str, Any] = {}
-    outcome: RunOutcome = RunValue(UNIT, None)
+    rt: ResultType = UNIT  # the last command's result type and value
+    value: Any = None
     for cmd, rt in zip(program.body, report.results):
         argv = _wire_command(cmd, env, values, records)
         if argv is None:
-            value: Any = None
+            value = None
         else:
             reply = backend.send(argv)
             if isinstance(reply, ErrReply):
@@ -214,5 +218,4 @@ def run_program(program: Program, report: CheckOk, backend: Backend) -> RunOutco
         if cmd.binder is not None:
             env[cmd.binder] = rt
             values[cmd.binder] = value
-        outcome = RunValue(rt, value)
-    return outcome
+    return RunValue(rt, value)

@@ -12,6 +12,15 @@ read back without ever leaving the codec's image.
   text   -> raw UTF-8
   record -> compact JSON object, fields in declaration order,
             e.g. {"body":"hello","id":1}
+
+A record is spelled directly, not through ``json.dumps``: field names
+and text as JSON strings with only the escapes JSON requires (non-ASCII
+stays unescaped), ints and floats by ``repr``, bools as true/false.
+That is byte for byte what ``json.dumps(obj, separators=(",", ":"),
+ensure_ascii=False)`` gives; ``tests/oracles.py`` keeps that encoder as
+the reference.  A record payload is canonical when its UTF-8 text is
+this spelling of the values it parses to, so escapes JSON does not
+require, including one of a lone surrogate, are rejected.
 """
 
 from __future__ import annotations
@@ -80,39 +89,27 @@ def redis_float(data: bytes) -> float | None:
     return float(data) if _FLOAT_RE.match(data) else None
 
 
-def _is_payload(value: Any, base: BaseType) -> bool:
-    """Whether a record field value (as JSON holds it) has scalar type ``base``."""
-    if base == INT:
-        return isinstance(value, int) and not isinstance(value, bool)
-    if base == FLOAT:
-        return isinstance(value, float) and math.isfinite(value)
-    if base == BOOL:
-        return isinstance(value, bool)
-    return isinstance(value, str)
-
-
 def encode(v: TypedValue, records: Mapping[str, RecordDecl] | None = None) -> bytes:
-    base = v.base
-    if base == INT:
-        return str(v.value).encode("ascii")
-    if base == FLOAT:
-        return repr(v.value).encode("ascii")
-    if base == BOOL:
-        return b"true" if v.value else b"false"
-    if base == TEXT:
-        return v.value.encode("utf-8")
+    base, value = v
+    scalar = _SCALAR_BYTES.get(base)
+    if scalar is not None:
+        return scalar(value)
     assert isinstance(base, RecordRef)
     decl = _record_decl(base, records)
-    rec: RecordValue = v.value
-    # Field payloads go into the JSON object as-is; shape was validated
-    # at construction time, so this only guards against drift.
-    assert all(_is_payload(val, fbase) for (_, fbase), val in zip(decl.fields, rec.values))
-    return _record_bytes(decl, rec.values)
+    # Field payloads were validated at construction time, so this only
+    # guards against drift.
+    assert all(_IS_PAYLOAD[fbase](val) for (_, fbase), val in zip(decl.fields, value.values))
+    return _record_text(decl, value.values).encode("utf-8")
 
 
-def _record_bytes(decl: RecordDecl, values: Sequence[Any]) -> bytes:
-    obj = {name: val for (name, _), val in zip(decl.fields, values)}
-    return json.dumps(obj, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+_json_str: Callable[[str], str] = json.JSONEncoder(ensure_ascii=False).encode
+_json_decode: Callable[[str], Any] = json.JSONDecoder(object_pairs_hook=list).decode
+
+
+def _record_text(decl: RecordDecl, values: Sequence[Any]) -> str:
+    """The canonical JSON text of a record with these field values."""
+    pairs = [f"{_json_str(name)}:{_JSON_SPELLINGS[fbase](val)}" for (name, fbase), val in zip(decl.fields, values)]
+    return "{" + ",".join(pairs) + "}"
 
 
 def int_value(data: bytes) -> int:
@@ -156,30 +153,52 @@ def _text_value(data: bytes) -> str:
 
 def _record_value(decl: RecordDecl, data: bytes) -> RecordValue:
     try:
-        pairs = json.loads(data.decode("utf-8"), object_pairs_hook=list)
-    except (UnicodeDecodeError, ValueError, RecursionError):
+        text = data.decode("utf-8")
+        pairs = _json_decode(text)
+    except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
         raise DecodeError(decl.name, data, "not a JSON object") from None
     if not (isinstance(pairs, list) and all(isinstance(p, tuple) for p in pairs)):
         raise DecodeError(decl.name, data, "not a JSON object")
     if [p[0] for p in pairs] != [n for n, _ in decl.fields]:
         raise DecodeError(decl.name, data, "field names or order mismatch")
-    values: list[Any] = []
-    for (fname, fbase), (_, raw) in zip(decl.fields, pairs):
-        if not _is_payload(raw, fbase):
+    values = tuple(raw for _, raw in pairs)
+    for (fname, fbase), raw in zip(decl.fields, values):
+        if not _IS_PAYLOAD[fbase](raw):
             raise DecodeError(decl.name, data, f"field '{fname}' has the wrong type")
-        values.append(raw)
     # One canonical byte string per value: reject every other spelling
-    # (whitespace, \u escapes, exponent variants) by re-encoding.
-    if _record_bytes(decl, values) != data:
+    # (whitespace, escapes JSON does not require, exponent variants) by
+    # comparing the text with the canonical spelling of what it parsed to.
+    if _record_text(decl, values) != text:
         raise DecodeError(decl.name, data, "not canonical")
-    return RecordValue(decl.name, tuple(values))
+    return RecordValue(decl.name, values)
 
 
+# Per scalar base: its payload decoder and encoder, its spelling as a
+# record field's JSON value, and whether a field value as JSON holds it
+# has this base.
 _SCALAR_VALUES: dict[BaseType, Callable[[bytes], Any]] = {
     INT: int_value,
     FLOAT: _float_value,
     BOOL: _bool_value,
     TEXT: _text_value,
+}
+_SCALAR_BYTES: dict[BaseType, Callable[[Any], bytes]] = {
+    INT: lambda n: str(n).encode("ascii"),
+    FLOAT: lambda f: repr(f).encode("ascii"),
+    BOOL: lambda b: b"true" if b else b"false",
+    TEXT: lambda s: s.encode("utf-8"),
+}
+_JSON_SPELLINGS: dict[BaseType, Callable[[Any], str]] = {
+    INT: repr,
+    FLOAT: repr,
+    BOOL: lambda b: "true" if b else "false",
+    TEXT: _json_str,
+}
+_IS_PAYLOAD: dict[BaseType, Callable[[Any], bool]] = {
+    INT: lambda v: isinstance(v, int) and not isinstance(v, bool),
+    FLOAT: lambda v: isinstance(v, float) and math.isfinite(v),
+    BOOL: lambda v: isinstance(v, bool),
+    TEXT: lambda v: isinstance(v, str),
 }
 
 

@@ -27,7 +27,7 @@ class Node:
     __ne__ = object.__ne__  # the negation of __eq__, not tuple's
 
     def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and tuple.__eq__(self, other)
+        return self is other or (type(other) is type(self) and tuple.__eq__(self, other))
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,21 @@
-"""Naive reference models for the dictionary operations, the lexer, the parser
-and the RESP reply decoder.
+"""Naive reference models for the dictionary operations, the lexer, the parser,
+the RESP reply decoder and the record encoder.
 
 Written independently of the package implementation, in a deliberately
 different style (index arithmetic and list comprehensions instead of
 first-match recursion; a character-at-a-time scanner that tracks line and
 column as it goes instead of one compiled pattern), so agreement between
 the two is meaningful.  The reference parser is the package's earlier
-token-object parser and the reference reply decoder its earlier
-item-at-a-time decoder, both kept verbatim.  Kept in its own module
+token-object parser, the reference reply decoder its earlier
+item-at-a-time decoder and the reference record encoder its earlier
+``json.dumps`` encoder, all kept verbatim.  Kept in its own module
 because both the unit tests and the acceptance sweep drive it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, TypeVar
+import json
+from typing import Any, Callable, NamedTuple, Sequence, TypeVar
 
 from redtype.parser import (
     _BASE_KEYWORDS,
@@ -638,3 +640,17 @@ class ReplyDecoder:
             return int(line)
         except ValueError:
             raise ProtocolError(f"malformed integer line {line!r}") from None
+
+
+# ---------------------------------------------------------------------------
+# record encoder
+#
+# The package's record encoder as it was before it spelled records
+# directly: a dict of the fields through ``json.dumps``.  Only its bytes
+# are the reference; the package's decoder checks canonicity against its
+# own spelling.
+
+
+def record_bytes(decl: RecordDecl, values: Sequence[Any]) -> bytes:
+    obj = {name: val for (name, _), val in zip(decl.fields, values)}
+    return json.dumps(obj, separators=(",", ":"), ensure_ascii=False).encode("utf-8")

@@ -507,6 +507,7 @@ def test_get_of_a_non_canonical_int_is_exit_4(tmp_path, capsys):
         (b'{"id":1,"body":"hi"}', "field names or order mismatch"),
         (b'{"body":"\\u0068i","id":1}', "not canonical"),
         (b'["hi",1]', "not a JSON object"),
+        (b'{"body":"\\ud800","id":1}', "not canonical"),  # no UTF-8 text holds a lone surrogate
     ],
 )
 def test_rpop_of_a_non_canonical_record_is_exit_4(payload, reason, tmp_path, capsys):

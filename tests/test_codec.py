@@ -8,7 +8,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from redtype.codec import DecodeError, RecordValue, TypedValue, decode, encode
+from redtype.fuzz import RECORD_POOL
 from redtype.syntax import BOOL, FLOAT, INT, TEXT, RecordDecl, RecordRef
 
 MESSAGE = RecordDecl("Message", (("body", TEXT), ("id", INT)))
@@ -128,6 +130,8 @@ def test_text_rejects_invalid_utf8():
         b'{"body": "hello","id":1}',  # whitespace
         b'{"body":"h\\u00e9llo","id":1}',  # escaped non-ASCII
         b'{"body":"hello","id":1}extra',
+        b'{"body":"\\ud800","id":1}',  # escaped lone surrogate
+        b'{"body":"\\u0041","id":1}',  # escaped ASCII "A"
     ],
 )
 def test_record_rejects_non_canonical(data):
@@ -192,6 +196,39 @@ def test_round_trip_record(body, n):
 def test_round_trip_point_record(x, y):
     v = TypedValue(RecordRef("Point"), RecordValue("Point", (x, y)))
     assert decode(encode(v, RECORDS), RecordRef("Point"), RECORDS) == v
+
+
+# Field values over each base's awkward corners: text over all of Unicode
+# but surrogates, with the characters JSON must escape or may leave alone
+# drawn often; ints beyond int64; float extremes; both bools.
+_CHARS = st.one_of(
+    st.sampled_from('"\\\x00\x1f\x7f\u2028\U0001f600'),
+    st.characters(max_codepoint=0x1F),
+    st.characters(exclude_categories=("Cs",)),
+)
+_FIELD_VALUES = {
+    TEXT: st.text(_CHARS),
+    INT: st.one_of(st.integers(), st.integers(min_value=2**63), st.integers(max_value=-(2**63) - 1)),
+    FLOAT: st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([-0.0, 5e-324, 1e16, 1.7976931348623157e308]),
+    ),
+    BOOL: st.booleans(),
+}
+
+
+@given(
+    st.sampled_from((MESSAGE, *RECORD_POOL)).flatmap(
+        lambda decl: st.tuples(st.just(decl), st.tuples(*(_FIELD_VALUES[base] for _, base in decl.fields)))
+    )
+)
+def test_record_bytes_equal_the_json_dumps_reference(decl_values):
+    decl, values = decl_values
+    base, records = RecordRef(decl.name), {decl.name: decl}
+    v = TypedValue(base, RecordValue(decl.name, values))
+    data = encode(v, records)
+    assert data == oracles.record_bytes(decl, values)
+    assert decode(data, base, records) == v
 
 
 def test_injectivity_within_a_base_type():

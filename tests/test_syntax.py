@@ -107,6 +107,10 @@ NODES = {
 }
 
 
+_SAME_COMMAND = Command("set", ("k",), (IntLit(1),))
+_SAME_NAN = FloatLit(float("nan"))  # equal to itself, as a tuple holding nan is
+
+
 @pytest.mark.parametrize(
     "a, b",
     [
@@ -119,11 +123,16 @@ NODES = {
         (Scalar("int"), RecordRef("int")),
         (MaybeResult(INT), ListResult(INT)),
         (IntReply(1), BulkReply(b"1")),
+        # a node equals itself
+        (INT, INT),
+        (_SAME_COMMAND, _SAME_COMMAND),
+        (_SAME_NAN, _SAME_NAN),
     ],
 )
 def test_node_equality_is_class_exact(a, b):
-    assert a != b and b != a
-    assert not a == b
+    same = a is b
+    assert (a == b) is same and (b == a) is same
+    assert (a != b) is not same and (b != a) is not same
 
 
 @pytest.mark.parametrize("name", NODES)
