@@ -1,17 +1,21 @@
-"""Parse time per command as a program grows, with the collector on and off.
+"""Parse time and memory per command as a program grows, with the collector on and off.
 
 Usage, from the repository root:
 
   python3 probes/parse_scaling.py [--sizes 10000 40000 160000] [--repeat 3] [--src src]
 
-For each size n, parses a program of n ``set k<i> <i>`` commands, one per
-line, --repeat times after ``gc.collect()`` and keeps the best wall time;
-then does the same with the garbage collector disabled during each timed
-parse.  Prints one JSON object per size, with microseconds per command,
-and a last one with what a parsed command keeps alive: the objects the
-collector tracks after ``gc.collect()`` (reachable from one ``set``
-command, classes excluded) and the bytes ``tracemalloc`` sees retained
-per command by a parse of the smallest size.
+After one untimed parse, for each size n, parses a program of n
+``set k<i> <i>`` commands, one per line, --repeat times after
+``gc.collect()`` and keeps the best wall time; then does the same with
+the garbage collector disabled during each timed parse.  Prints one
+JSON object per size, with microseconds per command;
+the collector's runs and seconds per generation (0, 1, 2) during one more
+parse with it enabled, taken from ``gc.callbacks``; and the ``tracemalloc``
+peak of one parse, and the part of it the returned program keeps, in bytes
+per source byte.  A last object gives what a parsed command keeps alive:
+the objects the collector tracks after ``gc.collect()`` (reachable from
+one ``set`` command, classes excluded) and the bytes ``tracemalloc`` sees
+retained per command by a parse of the smallest size.
 --src selects the source tree to import redtype from, so that two
 checkouts can be compared with the same probe.
 """
@@ -41,6 +45,40 @@ def best_parse_s(parse, source: str, repeat: int, collector: bool) -> float:
     return best
 
 
+def collector_work(parse, source: str) -> dict[str, list]:
+    """The collector's runs and seconds per generation during one parse."""
+    runs = [0, 0, 0]
+    seconds = [0.0, 0.0, 0.0]
+    started = [0.0]
+
+    def on_collect(phase: str, info: dict) -> None:
+        if phase == "start":
+            started[0] = time.perf_counter()
+        else:
+            runs[info["generation"]] += 1
+            seconds[info["generation"]] += time.perf_counter() - started[0]
+
+    gc.collect()
+    gc.callbacks.append(on_collect)
+    try:
+        parse(source)
+    finally:
+        gc.callbacks.remove(on_collect)
+    return {"gc_runs": runs, "gc_s": [round(s, 4) for s in seconds]}
+
+
+def traced_bytes(parse, source: str) -> tuple[int, int]:
+    """The ``tracemalloc`` peak during one parse and the bytes its result keeps."""
+    gc.collect()
+    tracemalloc.start()
+    before = tracemalloc.get_traced_memory()[0]
+    program = parse(source)
+    kept, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    del program
+    return peak - before, kept - before
+
+
 def tracked(obj: object, seen: set[int]) -> int:
     if id(obj) in seen or isinstance(obj, type) or not gc.is_tracked(obj):
         return 0
@@ -61,15 +99,20 @@ def main() -> None:
     sys.path.insert(0, args.src)
     from redtype.parser import parse_program
 
+    parse_program(set_program(args.sizes[0]))  # so that the first size pays no warm-up
     for n in args.sizes:
         source = set_program(n)
         on = best_parse_s(parse_program, source, args.repeat, collector=True)
         off = best_parse_s(parse_program, source, args.repeat, collector=False)
+        peak, kept = traced_bytes(parse_program, source)
         print(json.dumps({
             "commands": n,
             "bytes": len(source),
             "gc_on_us_per_cmd": round(on / n * 1e6, 2),
             "gc_off_us_per_cmd": round(off / n * 1e6, 2),
+            **collector_work(parse_program, source),
+            "peak_bytes_per_source_byte": round(peak / len(source), 1),
+            "kept_bytes_per_source_byte": round(kept / len(source), 1),
         }))
 
     n = args.sizes[0]

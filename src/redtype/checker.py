@@ -25,16 +25,20 @@ entry.
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Container, Mapping, NamedTuple
+from typing import Any, Callable, Collection, Container, Mapping, NamedTuple
 
 from . import typedict
+from .codec import DecodeError, value_decoder
 from .parser import _clip, base_text, tag_text
 from .syntax import (
     BOOL,
     FLOAT,
     INT,
+    INT64_MAX,
+    INT64_MIN,
     TEXT,
     BaseType,
     BoolLit,
@@ -409,3 +413,77 @@ def check_program(
         if cmd.binder is not None:
             env[cmd.binder] = result
     return CheckOk(start, list(xs.items()), results[-1] if results else UNIT, tuple(results))
+
+
+# ---- the premise ------------------------------------------------------------
+
+# The store's TYPE reply for each kind of tag.
+_KINDS = {StringOf: "string", ListOf: "list", SetOf: "set", HashOf: "hash"}
+
+# The longest spelling of an int64, "-9223372036854775808".
+_INT64_SPELLING_MAX = 20
+
+
+def _int64(spelling: str | bytes) -> int:
+    """The int64 ``spelling`` spells; any other int is refused, a long one before int() reads it."""
+    n = int(spelling) if len(spelling) <= _INT64_SPELLING_MAX else None
+    if n is None or not INT64_MIN <= n <= INT64_MAX:
+        raise ValueError("not an int64")
+    return n
+
+
+# Reads a record payload's JSON only to refuse each int in it that is no int64.
+_int64_json = json.JSONDecoder(parse_int=_int64).decode
+
+
+def _fits(data: bytes, base: BaseType, records: Mapping[str, RecordDecl]) -> bool:
+    """Whether ``data`` decodes at ``base`` through the codec, each int in it an int64."""
+    try:
+        if base == INT:
+            _int64(data)
+        elif isinstance(base, RecordRef):
+            _int64_json(data.decode("utf-8"))
+        value_decoder(base, records)(data)
+    except (DecodeError, KeyError, ValueError, RecursionError):
+        return False
+    return True
+
+
+def matches(
+    read: Mapping[str, tuple[str, Any]],
+    xs: TypeDict | Mapping[str, TypeTag],
+    keys: Collection[str],
+    strict: bool,
+    records: Mapping[str, RecordDecl] | None = None,
+) -> bool:
+    """Whether what was read from a store meets the premise of a check from ``xs``.
+
+    ``read`` maps each key among ``keys`` that the store holds to its kind
+    (the store's TYPE reply: string, list, set or hash) and its payload:
+    the value's bytes, a hash's field -> bytes dict, or a list's or set's
+    elements (read in strict mode only).  Each of ``keys`` must be absent,
+    or tracked by ``xs`` and of its tag's kind.  A string's value and each
+    tracked field of a hash must decode at the tag's base, and in strict
+    mode so must each element of a list or set.  Every int they spell, a
+    ``string<int>`` or a record's int field alike, must be an int64, since
+    the store's INCR refuses any other.  ``records`` declares the record
+    bases the tags name.
+    """
+    tags = dict(xs)
+    records = records or {}
+    for k in keys:
+        if k not in read:
+            continue
+        kind, payload = read[k]
+        tag = tags.get(k)
+        if tag is None or _KINDS[type(tag)] != kind:
+            return False
+        if isinstance(tag, StringOf):
+            if not _fits(payload, tag.base, records):
+                return False
+        elif isinstance(tag, HashOf):
+            if not all(_fits(payload[f], ftag.base, records) for f, ftag in tag.fields if f in payload):
+                return False
+        elif strict and not all(_fits(x, tag.base, records) for x in payload):
+            return False
+    return True

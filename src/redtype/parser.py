@@ -9,9 +9,9 @@ parses back to a structurally equal tree.
 
 from __future__ import annotations
 
+import gc
 import re
-from bisect import bisect_right
-from typing import Callable, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 from .syntax import (
     COMMAND_SHAPES,
@@ -113,140 +113,144 @@ def _unescape(m: re.Match[str]) -> str:
     return _ESCAPES[m[1]]
 
 
-def _line_starts(source: str) -> list[int]:
-    """Offset of the first character of each line."""
-    return [0, *(m.end() for m in re.finditer("\n", source))]
-
-
-def _where(starts: list[int], pos: int) -> tuple[int, int]:
-    """1-based line and column of a source offset."""
-    line = bisect_right(starts, pos)
-    return line, pos - starts[line - 1] + 1
-
-
-def _located(starts: list[int], pos: int, expected: str, found: str) -> ParseError:
-    return ParseError(*_where(starts, pos), expected, found)
+def _located(source: str, pos: int, expected: str, found: str) -> ParseError:
+    """The error at a source offset, located by counting lines on the error path only."""
+    line_start = source.rfind("\n", 0, pos) + 1
+    return ParseError(source.count("\n", 0, pos) + 1, pos - line_start + 1, expected, found)
 
 
 def _bad_token(source: str, pos: int) -> ParseError:
     """The error for a character that starts no token."""
-    starts = _line_starts(source)
     if source[pos] != '"':
-        return _located(starts, pos, "a token", f"character {source[pos]!r}")
+        return _located(source, pos, "a token", f"character {source[pos]!r}")
     # the literal stops short at a bad escape or at the end of input
     end = _OPEN_TEXT_RE.match(source, pos).end()
     if end == len(source):
-        return _located(starts, pos, "closing '\"'", "end of input")
+        return _located(source, pos, "closing '\"'", "end of input")
     if end + 1 == len(source):
-        return _located(starts, end, "escape character", "end of input")
-    return _located(starts, end, "one of \\\" \\\\ \\n \\t", f"'\\{source[end + 1]}'")
+        return _located(source, end, "escape character", "end of input")
+    return _located(source, end, "one of \\\" \\\\ \\n \\t", f"'\\{source[end + 1]}'")
 
 
-def _lex(source: str) -> tuple[list[str], list[str], list[int]]:
-    """The tokens of ``source`` as parallel lists, ending with one EOF token.
+_Token = tuple[str, str, re.Match[str]]
 
-    Each token has a kind (IDENT INT FLOAT STRING LBRACE RBRACE LT GT COLON
-    COMMA ARROW EOF), a text, and the offset of its first character.
+# The kinds the lexer does more for than pass on.
+_SCREENED = frozenset({"STRING", "FLOAT", "BAD", "EOF"})
+
+
+def _tokens(source: str) -> Iterator[_Token]:
+    """The tokens of ``source``, read on demand, ending with one EOF token.
+
+    Each token is a kind (IDENT INT FLOAT STRING LBRACE RBRACE LT GT COLON
+    COMMA ARROW EOF), a text, and the match it came from, whose
+    ``start(kind)`` is the token's offset; the offset is asked for only
+    where a span or an error needs it.  A character that starts no token
+    raises its ParseError when the scan reaches it, which ends the stream.
     """
-    kinds: list[str] = []
-    texts: list[str] = []
-    offsets: list[int] = []
     for m in _TOKEN.finditer(source):
         kind = m.lastgroup
-        pos = m.start(kind)
         text = m[kind]
-        if kind == "STRING":
-            text = text[1:-1]
-            if "\\" in text:
-                text = _ESCAPE.sub(_unescape, text)
-        elif kind == "FLOAT" and text[-1] in "eE+-":  # an exponent without digits
-            raise _located(_line_starts(source), pos, "exponent digits", "malformed float literal")
-        elif kind == "BAD":
-            raise _bad_token(source, pos)
-        kinds.append(kind)
-        texts.append(text)
-        offsets.append(pos)
-        if kind == "EOF":
-            break
-    return kinds, texts, offsets
+        if kind in _SCREENED:
+            if kind == "STRING":
+                text = text[1:-1]
+                if "\\" in text:
+                    text = _ESCAPE.sub(_unescape, text)
+            elif kind == "FLOAT":
+                if text[-1] in "eE+-":  # an exponent without digits
+                    raise _located(source, m.start(kind), "exponent digits", "malformed float literal")
+            elif kind == "BAD":
+                raise _bad_token(source, m.start(kind))
+            else:
+                yield kind, text, m
+                return
+        yield kind, text, m
+
+
+def _describe(token: _Token) -> str:
+    kind, text, _ = token
+    if kind == "EOF":
+        return "end of input"
+    if kind == "STRING":
+        return "text literal"
+    return f"'{_clip(text)}'"
+
+
+# Each opcode maps to itself, so that a command keeps the table's string
+# rather than its own copy of the source text.
+_OPCODES = {op: op for op in OPCODES}
 
 
 class _Parser:
-    """Recursive descent over the token lists; ``i`` indexes the next token.
+    """Recursive descent over the token stream with one token of lookahead.
 
-    The command productions read the lists through a local index and store
-    it back in ``i`` when they hand over, so a well-formed command costs no
-    call per token.  ``i`` never moves past the EOF token.
+    ``tok`` is the next unread token and ``next`` reads the one after it;
+    the stream is never read past its EOF token.  The command productions
+    keep the current token in a local and store it back in ``tok`` when
+    they hand over, so a well-formed command calls no parser method per
+    token.  A command's line is counted from the newlines since the
+    previous command's opcode: ``line`` is that opcode's line, ``line_start``
+    the offset that line starts at and ``last`` the opcode's offset.
     """
 
     def __init__(self, source: str):
-        self.kinds, self.texts, self.offsets = _lex(source)
-        self.i = 0
-        self.starts = _line_starts(source)
+        self.source = source
+        self.tokens = _tokens(source)
+        self.next = self.tokens.__next__
+        self.tok = self.next()
+        self.line, self.line_start, self.last = 1, 0, 0
 
-    def error(self, i: int, expected: str, found: str) -> ParseError:
-        return _located(self.starts, self.offsets[i], expected, found)
+    def error(self, tok: _Token, expected: str, found: str) -> ParseError:
+        return _located(self.source, tok[2].start(tok[0]), expected, found)
 
-    def describe(self, i: int) -> str:
-        kind = self.kinds[i]
-        if kind == "EOF":
-            return "end of input"
-        if kind == "STRING":
-            return "text literal"
-        return f"'{_clip(self.texts[i])}'"
+    def fail(self, tok: _Token, expected: str) -> ParseError:
+        return self.error(tok, expected, _describe(tok))
 
-    def fail(self, i: int, expected: str) -> ParseError:
-        return self.error(i, expected, self.describe(i))
+    def expect(self, kind: str, expected: str) -> _Token:
+        """Moves past the next token, which must be a ``kind``, and returns it."""
+        tok = self.tok
+        if tok[0] != kind:
+            raise self.fail(tok, expected)
+        self.tok = self.next()
+        return tok
 
-    def expect(self, kind: str, expected: str) -> int:
-        """Moves past the next token, which must be a ``kind``; returns its index."""
-        i = self.i
-        if self.kinds[i] != kind:
-            raise self.fail(i, expected)
-        self.i = i + 1
-        return i
-
-    def deeper(self, i: int, depth: int) -> int:
+    def deeper(self, tok: _Token, depth: int) -> int:
         if depth >= MAX_NESTING:
-            raise self.error(i, f"at most {MAX_NESTING} levels of nesting", "deeper nesting")
+            raise self.error(tok, f"at most {MAX_NESTING} levels of nesting", "deeper nesting")
         return depth + 1
 
-    def unreserved(self, i: int, role: str) -> str:
-        """The text of name token ``i``, which must not be a reserved word."""
-        name = self.texts[i]
+    def unreserved(self, tok: _Token, role: str) -> str:
+        """The text of name token ``tok``, which must not be a reserved word."""
+        name = tok[1]
         if name in RESERVED:
-            raise self.error(i, f"{role} name", f"reserved word '{name}'")
+            raise self.error(tok, f"{role} name", f"reserved word '{name}'")
         return name
 
     # ---- grammar productions ------------------------------------------
 
     def program(self) -> Program:
-        kinds, texts = self.kinds, self.texts
         records: list[RecordDecl] = []
         seen_records: set[str] = set()
-        while kinds[self.i] == "IDENT" and texts[self.i] == "record":
+        while self.tok[:2] == ("IDENT", "record"):
             records.append(self.record_decl(seen_records))
-        if kinds[self.i] != "IDENT" or texts[self.i] != "program":
-            raise self.fail(self.i, "'program'")
-        self.i += 1
+        if self.tok[:2] != ("IDENT", "program"):
+            raise self.fail(self.tok, "'program'")
+        self.tok = self.next()
         self.expect("LBRACE", "'{'")
         body: list[Command] = []
         binders: set[str] = set()
-        while kinds[self.i] != "RBRACE":
-            if kinds[self.i] == "EOF":
-                raise self.fail(self.i, "'}'")
+        while self.tok[0] != "RBRACE":
+            if self.tok[0] == "EOF":
+                raise self.fail(self.tok, "'}'")
             body.append(self.command(binders))
-        self.i += 1
-        if kinds[self.i] != "EOF":
-            raise self.fail(self.i, "end of input")
+        self.tok = self.next()
         return Program(tuple(records), tuple(body))
 
     def record_decl(self, seen_records: set[str]) -> RecordDecl:
-        self.i += 1  # the word 'record'
-        i = self.expect("IDENT", "record name")
-        name = self.unreserved(i, "record")
+        self.tok = self.next()  # the word 'record'
+        tok = self.expect("IDENT", "record name")
+        name = self.unreserved(tok, "record")
         if name in seen_records:
-            raise self.error(i, "a new record name", f"duplicate record '{_clip(name)}'")
+            raise self.error(tok, "a new record name", f"duplicate record '{_clip(name)}'")
         seen_records.add(name)
         self.expect("LBRACE", "'{'")
         fields = self.fields("field name", "a new field name", lambda: self.base_type(allow_record=False))
@@ -258,82 +262,91 @@ class _Parser:
         out: list[tuple[str, _T]] = []
         seen: set[str] = set()
         while True:
-            i = self.expect("IDENT", role)
-            fname = self.texts[i]
+            tok = self.expect("IDENT", role)
+            fname = tok[1]
             if fname in seen:
-                raise self.error(i, fresh, f"duplicate field '{_clip(fname)}'")
+                raise self.error(tok, fresh, f"duplicate field '{_clip(fname)}'")
             seen.add(fname)
             self.expect("COLON", "':'")
             out.append((fname, value()))
-            if self.kinds[self.i] != "COMMA":
+            if self.tok[0] != "COMMA":
                 return tuple(out)
-            self.i += 1
+            self.tok = self.next()
 
     def base_type(self, allow_record: bool) -> BaseType:
-        i = self.expect("IDENT", "a base type")
-        word = self.texts[i]
+        tok = self.expect("IDENT", "a base type")
+        word = tok[1]
         if word in _BASE_KEYWORDS:
             return _BASE_KEYWORDS[word]
         if not allow_record:
-            raise self.fail(i, f"a scalar base type ({', '.join(_BASE_KEYWORDS)})")
+            raise self.fail(tok, f"a scalar base type ({', '.join(_BASE_KEYWORDS)})")
         if word in RESERVED:
-            raise self.error(i, "a base type", f"reserved word '{word}'")
+            raise self.error(tok, "a base type", f"reserved word '{word}'")
         return RecordRef(word)
 
     def type_tag(self, depth: int = 0) -> TypeTag:
-        i = self.expect("IDENT", "a type tag (string, list, set, hash)")
-        word = self.texts[i]
+        tok = self.expect("IDENT", "a type tag (string, list, set, hash)")
+        word = tok[1]
         if word in _CONTAINER_KEYWORDS:
             self.expect("LT", "'<'")
             base = self.base_type(allow_record=True)
             self.expect("GT", "'>'")
             return _CONTAINER_KEYWORDS[word](base)
         if word == "hash":
-            inner = self.deeper(i, depth)
+            inner = self.deeper(tok, depth)
             self.expect("LT", "'<'")
             fields = self.fields("hash field name", "a new hash field", lambda: self.field_tag(inner))
             self.expect("GT", "'>'")
             return HashOf(fields)
-        raise self.fail(i, "a type tag (string, list, set, hash)")
+        raise self.fail(tok, "a type tag (string, list, set, hash)")
 
     def field_tag(self, depth: int) -> StringOf:
-        i = self.i
+        tok = self.tok
         tag = self.type_tag(depth)
         if not isinstance(tag, StringOf):
-            raise self.error(i, "a string<...> field tag", _clip(tag_text(tag)))
+            raise self.error(tok, "a string<...> field tag", _clip(tag_text(tag)))
         return tag
 
     def command(self, binders: set[str]) -> Command:
-        kinds, texts = self.kinds, self.texts
-        i = self.i
-        if kinds[i] != "IDENT":
-            raise self.fail(i, "a command")
+        nxt = self.next
+        tok = self.tok
+        if tok[0] != "IDENT":
+            raise self.fail(tok, "a command")
         binder: str | None = None
-        opcode = texts[i]
-        if opcode not in OPCODES:
-            binder = self.unreserved(i, "binder")
+        opcode = _OPCODES.get(tok[1])
+        if opcode is None:
+            binder = self.unreserved(tok, "binder")
             if binder in binders:
-                raise self.error(i, "a new binder name", f"duplicate binder '{_clip(binder)}'")
+                raise self.error(tok, "a new binder name", f"duplicate binder '{_clip(binder)}'")
             binders.add(binder)
-            i += 1
-            if kinds[i] != "ARROW":
-                raise self.fail(i, "'<-'")
-            i += 1
-            opcode = texts[i]
-            if kinds[i] != "IDENT" or opcode not in OPCODES:
-                raise self.fail(i, "a command")
+            tok = nxt()
+            if tok[0] != "ARROW":
+                raise self.fail(tok, "'<-'")
+            tok = nxt()
+            opcode = _OPCODES.get(tok[1])
+            if tok[0] != "IDENT" or opcode is None:
+                raise self.fail(tok, "a command")
         n_keys, has_field, n_values, takes_tag = COMMAND_SHAPES[opcode]
-        pos = self.offsets[i]
-        line = bisect_right(self.starts, pos)
-        span = _new(Span, (line, pos - self.starts[line - 1] + 1))
-        i += 1
-        end = i + n_keys + has_field
-        for j in range(i, end):  # stops at the EOF token at the latest
-            if kinds[j] != "IDENT":
-                raise self.fail(j, "a key" if j < i + n_keys else "a hash field")
-        keys = tuple(texts[i : i + n_keys])
-        field_name = texts[end - 1] if has_field else None
-        self.i = end
+        pos = tok[2].start(tok[0])
+        newlines = self.source.count("\n", self.last, pos)
+        if newlines:
+            self.line += newlines
+            self.line_start = self.source.rfind("\n", self.last, pos) + 1
+        self.last = pos
+        span = _new(Span, (self.line, pos - self.line_start + 1))
+        keys: tuple[str, ...] = ()
+        for _ in range(n_keys):
+            tok = nxt()
+            if tok[0] != "IDENT":
+                raise self.fail(tok, "a key")
+            keys += (tok[1],)
+        field_name = None
+        if has_field:
+            tok = nxt()
+            if tok[0] != "IDENT":
+                raise self.fail(tok, "a hash field")
+            field_name = tok[1]
+        self.tok = nxt()
         # one value is the common case; a comprehension costs a call
         args = (self.expr(),) if n_values == 1 else tuple([self.expr() for _ in range(n_values)])
         declared = None
@@ -343,9 +356,8 @@ class _Parser:
         return _new(Command, (opcode, keys, args, field_name, declared, binder, span))
 
     def expr(self, depth: int = 0) -> Expr:
-        i = self.i
-        kind = self.kinds[i]
-        text = self.texts[i]
+        tok = self.tok
+        kind, text, _ = tok
         if kind == "INT":
             # counting digits first keeps int() off unbounded text, leading
             # zeros included
@@ -354,49 +366,69 @@ class _Parser:
             if text[0] == "-":
                 value = -value
             if not INT64_MIN <= value <= INT64_MAX:
-                raise self.error(i, "a signed 64-bit integer", "literal out of range")
-            self.i = i + 1
+                raise self.error(tok, "a signed 64-bit integer", "literal out of range")
+            self.tok = self.next()
             return _new(IntLit, (value,))
         if kind == "FLOAT":
             value = float(text)
             if value in (float("inf"), float("-inf")):
-                raise self.error(i, "a representable float", "literal out of range")
-            self.i = i + 1
+                raise self.error(tok, "a representable float", "literal out of range")
+            self.tok = self.next()
             return _new(FloatLit, (value,))
         if kind == "STRING":
-            self.i = i + 1
+            self.tok = self.next()
             return _new(TextLit, (text,))
         if kind != "IDENT":
-            raise self.fail(i, "an expression")
-        self.i = i + 1
+            raise self.fail(tok, "an expression")
+        self.tok = self.next()
         if text == "true":
             return _new(BoolLit, (True,))
         if text == "false":
             return _new(BoolLit, (False,))
-        if self.kinds[i + 1] != "LBRACE":
+        if self.tok[0] != "LBRACE":
             return _new(Var, (text,))
-        inner = self.deeper(i, depth)
-        self.i = i + 2
+        inner = self.deeper(tok, depth)
+        self.tok = self.next()
         args = [self.expr(inner)]
-        while self.kinds[self.i] == "COMMA":
-            self.i += 1
+        while self.tok[0] == "COMMA":
+            self.tok = self.next()
             args.append(self.expr(inner))
         self.expect("RBRACE", "'}'")
         return _new(RecordLit, (text, tuple(args)))
 
 
+def _parse(source: str, production: Callable[[_Parser], _T]) -> _T:
+    """``production`` over the whole of ``source``, which it must consume."""
+    p = _Parser(source)
+    try:
+        result = production(p)
+        if p.tok[0] != "EOF":
+            raise p.fail(p.tok, "end of input")
+        return result
+    except ParseError:
+        # the first bad token in the source wins over a grammar error, as
+        # if the whole source had been lexed first
+        for _ in p.tokens:
+            pass
+        raise
+
+
 def parse_program(source: str) -> Program:
     """Parse a full source file.  Raises ParseError with line/column."""
-    return _Parser(source).program()
+    # The tree holds no cycles, so the cyclic collector can find nothing
+    # in it; paused, it does not rescan the growing tree as it is built.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse(source, _Parser.program)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def parse_type_tag(text: str) -> TypeTag:
     """Parse a standalone type tag, e.g. from an assumption file."""
-    p = _Parser(text)
-    tag = p.type_tag()
-    if p.kinds[p.i] != "EOF":
-        raise p.fail(p.i, "end of input")
-    return tag
+    return _parse(text, _Parser.type_tag)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ because both the unit tests and the acceptance sweep drive it.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from typing import Any, Callable, NamedTuple, Sequence, TypeVar
 
 from redtype.parser import (
@@ -27,10 +28,7 @@ from redtype.parser import (
     ParseError,
     _bad_token,
     _clip,
-    _line_starts,
-    _located,
     _unescape,
-    _where,
     tag_text,
 )
 from redtype.resp import CRLF, MAX_ARRAY_LEN, MAX_BULK_LEN, MAX_LINE_LEN, ProtocolError
@@ -273,9 +271,25 @@ def lex(source):
 #
 # The package parser as it was before it walked flat token lists: one
 # ``_Token`` per token, and peek/advance/expect calls for each.  It shares
-# the package's token pattern and error helpers, which the reference lexer
-# above checks, so what it pins down is the grammar walk: which tree, which
-# spans and which ParseError each input gives.
+# the package's token pattern and bad-token error, which the reference lexer
+# above checks, and locates errors and spans through its own table of line
+# starts, so what it pins down is the grammar walk: which tree, which spans
+# and which ParseError each input gives.
+
+
+def _line_starts(source: str) -> list[int]:
+    """Offset of the first character of each line."""
+    return [0, *(i + 1 for i, c in enumerate(source) if c == "\n")]
+
+
+def _where(starts: list[int], pos: int) -> tuple[int, int]:
+    """1-based line and column of a source offset."""
+    line = bisect_right(starts, pos)
+    return line, pos - starts[line - 1] + 1
+
+
+def _located(starts: list[int], pos: int, expected: str, found: str) -> ParseError:
+    return ParseError(*_where(starts, pos), expected, found)
 
 
 class _Token(NamedTuple):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 import time
 
 import pytest
@@ -20,11 +21,13 @@ from redtype.checker import (
     check_command,
     check_program,
     infer_expr,
+    matches,
     result_text,
 )
 from redtype import typedict
 from redtype.fuzz import _KEYS, RECORD_POOL, _Generator, generate_program
 from redtype.parser import parse_program
+from redtype.store import MemoryStore
 from redtype.syntax import (
     BOOL,
     FLOAT,
@@ -568,3 +571,120 @@ def test_duplicate_key_search_is_linear():
         with pytest.raises(ValueError, match="key 'k19999' occurs twice"):
             check()
         assert time.perf_counter() - t0 < 0.5
+
+
+# ---------------------------------------------------------------------------
+# the premise: what was read from a store against a starting dictionary
+
+
+def _read(store):
+    """``matches``' view of a MemoryStore: each key's kind and raw payload."""
+    raw = lambda s: s.encode("latin-1")  # noqa: E731
+    out = {}
+    for entry in store.snapshot():
+        value = entry["value"]
+        if entry["type"] == "string":
+            value = raw(value)
+        elif entry["type"] == "hash":
+            value = {f: raw(v) for f, v in value.items()}
+        else:
+            value = [raw(v) for v in value]
+        out[entry["key"]] = (entry["type"], value)
+    return out
+
+
+def _holding(*argvs):
+    store = MemoryStore()
+    for argv in argvs:
+        store.execute([a if isinstance(a, bytes) else a.encode() for a in argv])
+    return _read(store)
+
+
+def _message(id_spelling):
+    return b'{"body":"hi","id":' + id_spelling + b"}"
+
+
+@pytest.mark.parametrize(
+    "value, fits",
+    [
+        (str(2**63 - 1), True),
+        (str(-(2**63)), True),
+        (str(2**63), False),
+        (str(-(2**63) - 1), False),
+        ("99999999999999999999", False),
+        ("007", False),
+        ("-0", False),
+        ("1.5", False),
+    ],
+)
+def test_a_stored_string_int_matches_only_as_a_canonical_int64(value, fits):
+    read = _holding(["SET", "k", value])
+    assert matches(read, [("k", StringOf(INT))], ["k"], strict=False) is fits
+
+
+def test_the_int64_probe_store_checks_clean_but_is_outside_the_premise():
+    program = parse_program("program { declare k : string<int>  n <- get k  incr k }")
+    assert isinstance(check_program(program), CheckOk)
+    read = _holding(["SET", "k", "99999999999999999999"])
+    assert not matches(read, [("k", StringOf(INT))], ["k"], strict=False)
+
+
+@pytest.mark.parametrize("id_value, fits", [(2**63 - 1, True), (-(2**63), True), (2**63, False), (-(2**63) - 1, False)])
+def test_a_record_int_field_matches_only_as_an_int64(id_value, fits):
+    payload = _message(str(id_value).encode())
+    for read, xs in [
+        (_holding(["SET", "m", payload]), [("m", StringOf(RecordRef("Message")))]),
+        (_holding(["HSET", "h", "f", payload]), [("h", hash_of(("f", StringOf(RecordRef("Message")))))]),
+    ]:
+        assert matches(read, xs, ["m", "h"], strict=False, records=RECORDS) is fits
+    read = _holding(["LPUSH", "q", payload])
+    assert matches(read, [("q", ListOf(RecordRef("Message")))], ["q"], strict=True, records=RECORDS) is fits
+
+
+@pytest.mark.parametrize("digits", [5_000, 1_000_000])
+def test_a_long_int_is_refused_by_its_length_in_bounded_time(digits):
+    # int() refuses 5,000 digits only through the interpreter's default
+    # limit on digits, which can be lifted, and then reads a million
+    # digits in seconds; the bound must depend on neither
+    spelling = b"9" * digits
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        t0 = time.perf_counter()
+        assert not matches(_holding(["SET", "k", spelling]), [("k", StringOf(INT))], ["k"], strict=False)
+        read = _holding(["SET", "m", _message(spelling)])
+        assert not matches(read, [("m", StringOf(RecordRef("Message")))], ["m"], False, RECORDS)
+        assert time.perf_counter() - t0 < 0.5
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def test_each_named_key_is_absent_or_tracked_with_its_kind():
+    xs = [("k", StringOf(INT)), ("q", ListOf(INT))]
+    assert matches({}, xs, ["k", "q", "other"], strict=True)
+    assert matches(_holding(["SET", "k", "1"], ["LPUSH", "q", "2"]), xs, ["k", "q"], strict=True)
+    # present but untracked
+    assert not matches(_holding(["SET", "other", "1"]), xs, ["other"], strict=False)
+    # present with another kind
+    assert not matches(_holding(["SADD", "q", "1"]), xs, ["q"], strict=False)
+    # keys the program does not name are not judged
+    assert matches(_holding(["SADD", "q", "1"]), xs, ["k"], strict=False)
+
+
+def test_hash_fields_decode_where_tracked():
+    xs = [("h", hash_of(("f", StringOf(INT))))]
+    assert matches(_holding(["HSET", "h", "g", "text"]), xs, ["h"], strict=False)
+    assert matches(_holding(["HSET", "h", "f", "12"]), xs, ["h"], strict=False)
+    assert not matches(_holding(["HSET", "h", "f", "1.5"]), xs, ["h"], strict=False)
+    assert not matches(_holding(["HSET", "h", "f", str(2**63)]), xs, ["h"], strict=False)
+
+
+def test_container_elements_decode_in_strict_mode_only():
+    for kind, push in (("list", "LPUSH"), ("set", "SADD")):
+        tag = ListOf(INT) if kind == "list" else SetOf(INT)
+        stale = _holding([push, "c", "1"], [push, "c", "x"])
+        assert matches(stale, [("c", tag)], ["c"], strict=False)
+        assert not matches(stale, [("c", tag)], ["c"], strict=True)
+        big = _holding([push, "c", str(2**63)])
+        assert not matches(big, [("c", tag)], ["c"], strict=True)
+        assert matches(_holding([push, "c", "1"]), [("c", tag)], ["c"], strict=True)

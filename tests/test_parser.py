@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -349,12 +351,16 @@ def test_nesting_up_to_the_bound_still_parses():
 # the lexer against the character-at-a-time reference in tests/oracles.py
 
 
+def _lex(source):
+    """The package lexer's whole token stream as ``(kind, text, offset)``."""
+    return [(kind, text, m.start(kind)) for kind, text, m in parser._tokens(source)]
+
+
 def _package_tokens(source):
     """The package lexer's tokens as ``(kind, text, line, col)``."""
-    kinds, texts, offsets = parser._lex(source)
     return [
         (kind, text, source.count("\n", 0, pos) + 1, pos - source.rfind("\n", 0, pos))
-        for kind, text, pos in zip(kinds, texts, offsets)
+        for kind, text, pos in _lex(source)
     ]
 
 
@@ -371,7 +377,7 @@ def _assert_lexes_like_the_reference(source):
         expected = oracles.lex(source)
     except ParseError as ref:
         where = (ref.line, ref.column, ref.expected, ref.found)
-        for run in (parser._lex, parse_program):
+        for run in (_lex, parse_program):
             with pytest.raises(ParseError) as exc:
                 run(source)
             assert (exc.value.line, exc.value.column, exc.value.expected, exc.value.found) == where
@@ -397,7 +403,7 @@ def test_lexer_agrees_with_the_reference_on_token_soup(fragments, sep):
 
 def _lexes(text):
     try:
-        parser._lex(text)
+        _lex(text)
     except ParseError:
         return False
     return True
@@ -513,3 +519,74 @@ def test_parse_error_quotes_at_most_40_characters_of_a_token():
     with pytest.raises(ParseError) as exc:
         parse_type_tag(f"hash<f: list<{long}>>")
     assert exc.value.found == "list<" + "x" * 35 + "..."
+
+
+# ---------------------------------------------------------------------------
+# one streaming pass: memory, error order and spans
+
+
+def _queue_program(cycles):
+    """The quick-start queue shape, four commands per cycle."""
+    lines = ["record Message { body: text, id: int }", "program {", "  declare counter : string<int>"]
+    for i in range(cycles):
+        lines += [
+            f"  i{i} <- incr counter",
+            f'  lpush queue Message{{ "message {i}", i{i} }}',
+            f"  hset h f{i % 8} {i * 7919}",
+            "  rpop queue",
+        ]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def test_a_parse_holds_little_more_than_the_tree_it_returns():
+    source = _queue_program(1000)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        program = parse_program(source)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(program.body) == 4001
+    assert peak - before <= 1.2 * (kept - before)
+
+
+@pytest.mark.parametrize(
+    "source, where",
+    [
+        ("program { set }\n@", (2, 1, "a token", "character '@'")),
+        ("program { ping } trailing\nset k 1.5e", (2, 7, "exponent digits", "malformed float literal")),
+        ('record R { } program {\n  set k "\\q" }', (2, 10, "one of \\\" \\\\ \\n \\t", "'\\q'")),
+        ("program { set k " + "R{" * (MAX_NESTING + 1) + "1 } }\n\n  @", (3, 3, "a token", "character '@'")),
+        ('program { set k 1 }}}\n"open', (2, 1, "closing '\"'", "end of input")),
+    ],
+)
+def test_a_bad_token_after_a_grammar_error_is_still_the_error(source, where):
+    for parse in (parse_program, oracles.parse):
+        with pytest.raises(ParseError) as exc:
+            parse(source)
+        assert (exc.value.line, exc.value.column, exc.value.expected, exc.value.found) == where
+
+
+def test_spans_of_a_multi_line_program_equal_the_reference_spans():
+    source = (
+        "# a queue\n"
+        "record Message { body: text,\n"
+        "                 id: int }\n"
+        "\n"
+        "program {   # body\n"
+        "  declare q : list<Message>\n"
+        "\n"
+        '  n <- incr c  lpush q Message{ "two\nlines", n }\n'
+        "  # a comment with set k 1 in it\n"
+        '  set t "a\n'
+        '\n'
+        'b"   ping\n'
+        "\t\tm <-\n"
+        "   rpop q\n"
+        "}\n"
+    )
+    spans = [c.span for c in parse_program(source).body]
+    assert spans == [c.span for c in oracles.parse(source).body]
+    assert spans == [Span(6, 3), Span(8, 8), Span(8, 16), Span(11, 3), Span(13, 6), Span(15, 4)]
