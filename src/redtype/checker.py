@@ -1,12 +1,13 @@
 """Static checking: fold a symbolic key/type dictionary over a program.
 
 Each command is a dictionary transformer with a precondition, as in the
-paper's type signatures; ``_check_command`` spells each opcode's rule
-(precondition, dictionary update, result type) in one case.  Checking
-walks the body left to right from an initial dictionary (empty unless
-the caller assumes otherwise), threading one insertion-ordered dict of
-key -> tag, which each command updates in place, and an environment of
-binder result types, and stops at the first violated precondition.  The
+paper's type signatures; ``_step`` spells each opcode's rule
+(precondition, dictionary update, result type) in one case, and reads
+the dictionary only through ``_lookup``.  Checking walks the body left
+to right from an initial dictionary (empty unless the caller assumes
+otherwise), threading one insertion-ordered dict of key -> tag, which
+each command updates in place, and an environment of binder result
+types, and stops at the first violated precondition.  The
 dict is the duplicate-free association list of the paper, so a step's
 cost does not grow with the number of tracked keys; the list operations
 of ``typedict`` are the specification it is tested against.
@@ -28,7 +29,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable, Collection, Container, Mapping, NamedTuple
+from typing import Any, Collection, Container, Mapping, NamedTuple
 
 from . import typedict
 from .codec import DecodeError, value_decoder
@@ -225,6 +226,9 @@ def undeclared_record(tag: TypeTag, records: Container[str]) -> str | None:
 # is set again moves to the end, exactly as dict_set and dict_del do.
 _Dict = dict[str, TypeTag]
 
+# The store's TYPE reply for each kind of tag, and its kind word in messages.
+_KINDS = {StringOf: "string", ListOf: "list", SetOf: "set", HashOf: "hash"}
+
 
 def _as_dict(xs: TypeDict) -> _Dict:
     """``xs`` as a dict; raises ValueError if a key occurs twice."""
@@ -253,6 +257,25 @@ def check_command(
     return list(d.items()), result
 
 
+def _lookup(xs: _Dict, k: str, want: type | TypeTag | None = None, or_nx: str | None = None) -> TypeTag | None:
+    """The tag of ``k``: the one place a rule reads the dictionary.
+
+    Without ``want`` this is a plain read, None if ``k`` is untracked.
+    ``want`` is a tag class or a whole tag.  A tracked key with another
+    tag violates ``or_nx``, or GetEquality without it; an untracked key
+    is None under ``or_nx``, and GetStuck without it.
+    """
+    tag = xs.get(k)
+    if want is None or (tag is None and or_nx):
+        return tag
+    if tag is None:
+        raise _fail(GET_STUCK, f"key '{_clip(k)}' is not in the dictionary")
+    if not (isinstance(tag, want) if isinstance(want, type) else tag == want):
+        kind = f"a {_KINDS[want]}" if isinstance(want, type) else tag_text(want)
+        raise _fail(or_nx or GET_EQUALITY, f"key '{_clip(k)}' holds {_clip(tag_text(tag))}, not {kind}")
+    return tag
+
+
 def _step(
     xs: _Dict,
     env: Mapping[str, ResultType],
@@ -263,128 +286,103 @@ def _step(
     """Apply one command to ``xs`` in place and return its result type.
 
     Raises CheckError (with the command's span attached) on the first
-    violated precondition, before ``xs`` is changed.
+    violated precondition, before ``xs`` is changed.  Every read of
+    ``xs`` goes through ``_lookup``.
     """
+    op = cmd.opcode
+    k = cmd.keys[0] if cmd.keys else ""
     try:
-        return _check_command(xs, env, records, cmd, strict)
+        a = infer_expr(env, records, cmd.args[0]) if cmd.args else None
+        match op:
+            case "ping":
+                return STATUS
+            case "set":
+                xs[k] = StringOf(a)
+                return STATUS
+            case "setnx":
+                tag = _lookup(xs, k)
+                if tag is not None and tag != StringOf(a):
+                    raise _fail(
+                        GET_EQUALITY,
+                        f"key '{_clip(k)}' is tracked as {_clip(tag_text(tag))}, but setnx may write a "
+                        f"string<{_clip(base_text(a))}> if the key is unset",
+                    )
+                xs[k] = StringOf(a)
+                return BOOL_RESULT
+            case "get":
+                return MaybeResult(_lookup(xs, k, StringOf).base)
+            case "del":
+                xs.pop(k, None)
+                return INT_RESULT
+            case "incr":
+                _lookup(xs, k, StringOf(INT))
+                return INT_RESULT
+            case "incrbyfloat":
+                if a != FLOAT:
+                    raise _fail(ELEMENT_MISMATCH, f"incrbyfloat takes a float increment, got {_clip(base_text(a))}")
+                _lookup(xs, k, StringOf(FLOAT))
+                return FLOAT_RESULT
+            case "lpush" | "sadd":
+                if op == "lpush":
+                    old, new, verb = _lookup(xs, k, ListOf, LIST_OR_NX), ListOf(a), "push"
+                else:
+                    old, new, verb = _lookup(xs, k, SetOf, SET_OR_NX), SetOf(a), "add"
+                if strict and old is not None and old != new:
+                    raise _fail(
+                        ELEMENT_MISMATCH,
+                        f"key '{_clip(k)}' holds {_clip(tag_text(old))}; "
+                        f"cannot {verb} {_clip(base_text(a))} elements in strict mode",
+                    )
+                xs[k] = new
+                return INT_RESULT
+            case "llen":
+                _lookup(xs, k, ListOf, LIST_OR_NX)
+                return INT_RESULT
+            case "rpop":
+                return MaybeResult(_lookup(xs, k, ListOf).base)
+            case "sinter":
+                k2 = cmd.keys[1]
+                tag, tag2 = _lookup(xs, k, SetOf), _lookup(xs, k2, SetOf)
+                if tag.base != tag2.base:
+                    raise _fail(
+                        GET_EQUALITY,
+                        f"keys '{_clip(k)}' and '{_clip(k2)}' hold {_clip(tag_text(tag))} and "
+                        f"{_clip(tag_text(tag2))}; sinter needs equal element types",
+                    )
+                return ListResult(tag.base)
+            case "hset":
+                assert cmd.field_name is not None
+                old = _lookup(xs, k, HashOf, HASH_OR_NX)
+                fields = old.fields if old is not None else ()
+                xs[k] = HashOf(tuple(typedict.dict_set(fields, cmd.field_name, StringOf(a))))
+                return BOOL_RESULT
+            case "hget":
+                assert cmd.field_name is not None
+                tag = _lookup(xs, k)
+                look = typedict.dict_get(tag.fields, cmd.field_name) if isinstance(tag, HashOf) else typedict.STUCK
+                if not isinstance(look, Found):
+                    raise _fail(GET_STUCK, f"no hash field '{_clip(cmd.field_name)}' is tracked under key '{_clip(k)}'")
+                if not isinstance(look.tag, StringOf):
+                    raise _fail(
+                        GET_EQUALITY,
+                        f"field '{_clip(cmd.field_name)}' of '{_clip(k)}' holds {_clip(tag_text(look.tag))}, not a string",
+                    )
+                return MaybeResult(look.tag.base)
+            case "declare":
+                tag = _lookup(xs, k)
+                if tag is not None:
+                    raise _fail(NOT_MEMBER, f"key '{_clip(k)}' is already tracked as {_clip(tag_text(tag))}")
+                assert cmd.declared is not None
+                bad = undeclared_record(cmd.declared, records)
+                if bad:
+                    raise _fail(UNKNOWN_RECORD, f"no record named '{_clip(bad)}' is declared")
+                xs[k] = cmd.declared
+                return UNIT
+        raise _fail(ARITY_MISMATCH, f"unknown command '{op}'")
     except CheckError as err:
         if err.span is None:
             err.span, err.opcode = cmd.span, cmd.opcode
         raise
-
-
-def _tracked(xs: _Dict, k: str, ok: Callable[[TypeTag], bool], kind: str) -> TypeTag:
-    """The tag of ``k``, which must be tracked as ``kind``; else GetStuck or GetEquality-failed."""
-    tag = xs.get(k)
-    if tag is None:
-        raise _fail(GET_STUCK, f"key '{_clip(k)}' is not in the dictionary")
-    if not ok(tag):
-        raise _fail(GET_EQUALITY, f"key '{_clip(k)}' holds {_clip(tag_text(tag))}, not {kind}")
-    return tag
-
-
-def _or_nx(xs: _Dict, k: str, ok: Callable[[TypeTag], bool], constraint: str, kind: str) -> TypeTag | None:
-    """The tag of ``k``, which must be ``kind`` if tracked at all; else ``constraint``."""
-    tag = xs.get(k)
-    if tag is not None and not ok(tag):
-        raise _fail(constraint, f"key '{_clip(k)}' holds {_clip(tag_text(tag))}, not {kind}")
-    return tag
-
-
-def _check_command(
-    xs: _Dict,
-    env: Mapping[str, ResultType],
-    records: Mapping[str, RecordDecl],
-    cmd: Command,
-    strict: bool,
-) -> ResultType:
-    op = cmd.opcode
-    k = cmd.keys[0] if cmd.keys else ""
-    a = infer_expr(env, records, cmd.args[0]) if cmd.args else None
-    match op:
-        case "ping":
-            return STATUS
-        case "set":
-            xs[k] = StringOf(a)
-            return STATUS
-        case "setnx":
-            tag = xs.setdefault(k, StringOf(a))
-            if tag != StringOf(a):
-                raise _fail(
-                    GET_EQUALITY,
-                    f"key '{_clip(k)}' is tracked as {_clip(tag_text(tag))}, but setnx may write a "
-                    f"string<{_clip(base_text(a))}> if the key is unset",
-                )
-            return BOOL_RESULT
-        case "get":
-            return MaybeResult(_tracked(xs, k, typedict.is_string, "a string").base)
-        case "del":
-            xs.pop(k, None)
-            return INT_RESULT
-        case "incr":
-            _tracked(xs, k, lambda tag: tag == StringOf(INT), "string<int>")
-            return INT_RESULT
-        case "incrbyfloat":
-            if a != FLOAT:
-                raise _fail(ELEMENT_MISMATCH, f"incrbyfloat takes a float increment, got {_clip(base_text(a))}")
-            _tracked(xs, k, lambda tag: tag == StringOf(FLOAT), "string<float>")
-            return FLOAT_RESULT
-        case "lpush" | "sadd":
-            if op == "lpush":
-                old, new, verb = _or_nx(xs, k, typedict.is_list, LIST_OR_NX, "a list"), ListOf(a), "push"
-            else:
-                old, new, verb = _or_nx(xs, k, typedict.is_set, SET_OR_NX, "a set"), SetOf(a), "add"
-            if strict and old is not None and old != new:
-                raise _fail(
-                    ELEMENT_MISMATCH,
-                    f"key '{_clip(k)}' holds {_clip(tag_text(old))}; "
-                    f"cannot {verb} {_clip(base_text(a))} elements in strict mode",
-                )
-            xs[k] = new
-            return INT_RESULT
-        case "llen":
-            _or_nx(xs, k, typedict.is_list, LIST_OR_NX, "a list")
-            return INT_RESULT
-        case "rpop":
-            return MaybeResult(_tracked(xs, k, typedict.is_list, "a list").base)
-        case "sinter":
-            k2 = cmd.keys[1]
-            tag = _tracked(xs, k, typedict.is_set, "a set")
-            tag2 = _tracked(xs, k2, typedict.is_set, "a set")
-            if tag.base != tag2.base:
-                raise _fail(
-                    GET_EQUALITY,
-                    f"keys '{_clip(k)}' and '{_clip(k2)}' hold {_clip(tag_text(tag))} and {_clip(tag_text(tag2))}; "
-                    "sinter needs equal element types",
-                )
-            return ListResult(tag.base)
-        case "hset":
-            assert cmd.field_name is not None
-            old = _or_nx(xs, k, typedict.is_hash, HASH_OR_NX, "a hash")
-            xs[k] = HashOf(tuple(typedict.dict_set(old.fields if old is not None else (), cmd.field_name, StringOf(a))))
-            return BOOL_RESULT
-        case "hget":
-            assert cmd.field_name is not None
-            tag = xs.get(k)
-            look = typedict.dict_get(tag.fields, cmd.field_name) if isinstance(tag, HashOf) else typedict.STUCK
-            if not isinstance(look, Found):
-                raise _fail(GET_STUCK, f"no hash field '{_clip(cmd.field_name)}' is tracked under key '{_clip(k)}'")
-            if not isinstance(look.tag, StringOf):
-                raise _fail(
-                    GET_EQUALITY,
-                    f"field '{_clip(cmd.field_name)}' of '{_clip(k)}' holds {_clip(tag_text(look.tag))}, not a string",
-                )
-            return MaybeResult(look.tag.base)
-        case "declare":
-            if k in xs:
-                raise _fail(NOT_MEMBER, f"key '{_clip(k)}' is already tracked as {_clip(tag_text(xs[k]))}")
-            assert cmd.declared is not None
-            bad = undeclared_record(cmd.declared, records)
-            if bad:
-                raise _fail(UNKNOWN_RECORD, f"no record named '{_clip(bad)}' is declared")
-            xs[k] = cmd.declared
-            return UNIT
-    raise _fail(ARITY_MISMATCH, f"unknown command '{op}'")
 
 
 # ---- programs ---------------------------------------------------------------
@@ -416,9 +414,6 @@ def check_program(
 
 
 # ---- the premise ------------------------------------------------------------
-
-# The store's TYPE reply for each kind of tag.
-_KINDS = {StringOf: "string", ListOf: "list", SetOf: "set", HashOf: "hash"}
 
 # The longest spelling of an int64, "-9223372036854775808".
 _INT64_SPELLING_MAX = 20
@@ -467,9 +462,10 @@ def matches(
     mode so must each element of a list or set.  Every int they spell, a
     ``string<int>`` or a record's int field alike, must be an int64, since
     the store's INCR refuses any other.  ``records`` declares the record
-    bases the tags name.
+    bases the tags name.  Raises ValueError if a list ``xs`` tracks a key
+    twice.
     """
-    tags = dict(xs)
+    tags = xs if isinstance(xs, Mapping) else _as_dict(xs)
     records = records or {}
     for k in keys:
         if k not in read:

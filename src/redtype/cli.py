@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import re
 import sys
@@ -44,6 +43,9 @@ EXIT_CONNECT_ERROR = 5
 EXIT_UNSOUND = 6
 
 DEFAULT_ADDR = "127.0.0.1:6379"
+
+# The longest --timeout, in seconds; socket.settimeout overflows not far above 9e9.
+MAX_TIMEOUT = 10**9
 
 
 class _Bail(Exception):
@@ -87,6 +89,10 @@ def _load_assumption(path: str | None, program: Program) -> TypeDict:
         if not (isinstance(entry, dict) and isinstance(entry.get("key"), str) and isinstance(entry.get("tag"), str)):
             raise _Bail(EXIT_PARSE_ERROR, f"{path}: entry {i} must be {{\"key\": ..., \"tag\": ...}}")
         key = entry["key"]
+        try:
+            key.encode("utf-8")
+        except UnicodeEncodeError:
+            raise _Bail(EXIT_PARSE_ERROR, f"{path}: entry {i}: the key is not valid UTF-8 text") from None
         if key in seen:
             raise _Bail(EXIT_PARSE_ERROR, f"{path}: entry {i}: key '{_clip(key)}' is already assumed by entry {seen[key]}")
         seen[key] = i
@@ -263,9 +269,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--addr", help="HOST:PORT for the resp backend (default $EDIS_ADDR)")
     run.add_argument(
         "--timeout",
-        type=_number(float, lambda t: math.isfinite(t) and t > 0, "a finite number of seconds above 0"),
+        type=_number(float, lambda t: 0 < t <= MAX_TIMEOUT, f"a number of seconds above 0 and at most {MAX_TIMEOUT}"),
         default=5.0,
-        help="reply timeout in seconds (finite, > 0)",
+        help=f"reply timeout in seconds (> 0, <= {MAX_TIMEOUT})",
     )
     run.add_argument("--assume", metavar="FILE", help="initial dictionary (JSON)")
     run.add_argument("--strict", action="store_true")

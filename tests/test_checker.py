@@ -24,7 +24,7 @@ from redtype.checker import (
     matches,
     result_text,
 )
-from redtype import typedict
+from redtype import checker, typedict
 from redtype.fuzz import _KEYS, RECORD_POOL, _Generator, generate_program
 from redtype.parser import parse_program
 from redtype.store import MemoryStore
@@ -48,6 +48,7 @@ from redtype.syntax import (
     TextLit,
     TypeTag,
     Var,
+    OPCODES,
     hash_of,
     record_table,
 )
@@ -562,6 +563,53 @@ def test_duplicate_key_named_is_the_earliest_that_occurs_again():
         check1(xs, Command("ping"))
 
 
+# One accepted command per opcode, checked from LOOKUP_START.
+LOOKUP_START = [
+    ("n", StringOf(INT)),
+    ("x", StringOf(FLOAT)),
+    ("q", ListOf(INT)),
+    ("s", SetOf(INT)),
+    ("t", SetOf(INT)),
+    ("h", hash_of(("f", StringOf(INT)))),
+]
+ONE_OF_EACH = [
+    "ping",
+    "set n 1",
+    "setnx n 2",
+    "get n",
+    "del n",
+    "incr n",
+    "incrbyfloat x 1.5",
+    "lpush q 1",
+    "llen q",
+    "rpop q",
+    "sadd s 1",
+    "sinter s t",
+    "hset h f 1",
+    "hget h f",
+    "declare fresh : string<int>",
+]
+
+
+def test_one_of_each_covers_every_opcode():
+    assert {line.split()[0] for line in ONE_OF_EACH} == OPCODES
+
+
+@pytest.mark.parametrize("line", ONE_OF_EACH)
+def test_every_rule_reads_exactly_its_keys_through_the_lookup(monkeypatch, line):
+    read = []
+    real = checker._lookup
+
+    def lookup(xs, k, *rest):
+        read.append(k)
+        return real(xs, k, *rest)
+
+    monkeypatch.setattr(checker, "_lookup", lookup)
+    (cmd,) = parse_program(f"program {{ {line} }}").body
+    assert isinstance(check_program(Program((), (cmd,)), LOOKUP_START), CheckOk)
+    assert read == ([] if cmd.opcode in ("ping", "set", "del") else list(cmd.keys))
+
+
 def test_duplicate_key_search_is_linear():
     xs = [(f"k{i}", StringOf(INT)) for i in range(20_000)]
     xs.append(xs[-1])
@@ -669,6 +717,13 @@ def test_each_named_key_is_absent_or_tracked_with_its_kind():
     assert not matches(_holding(["SADD", "q", "1"]), xs, ["q"], strict=False)
     # keys the program does not name are not judged
     assert matches(_holding(["SADD", "q", "1"]), xs, ["k"], strict=False)
+
+
+def test_a_key_named_twice_in_a_list_dictionary_is_refused():
+    twice = [("k", StringOf(INT)), ("k", ListOf(INT))]
+    with pytest.raises(ValueError, match="'k' occurs twice"):
+        matches({"k": ("list", [b"1"])}, twice, ["k"], False)
+    assert matches({"k": ("list", [b"1"])}, dict(twice), ["k"], False)
 
 
 def test_hash_fields_decode_where_tracked():

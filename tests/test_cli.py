@@ -336,6 +336,15 @@ def test_assume_rejects_duplicate_keys(tmp_path, capsys):
     assert "entry 1" in err and "'k'" in err
 
 
+def test_assume_key_with_a_lone_surrogate_is_exit_2(tmp_path, capsys):
+    program = write(tmp_path, "p.rt", "program { ping }")
+    assume = write(tmp_path, "a.json", '[{"key": "ok", "tag": "string<int>"}, {"key": "\\ud800", "tag": "string<int>"}]')
+    assert main(["check", "--assume", assume, program]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "entry 1: the key is not valid UTF-8 text" in captured.err
+
+
 def test_assume_errors_quote_at_most_40_characters_of_a_name(tmp_path, capsys):
     program = write(tmp_path, "p.rt", "program { ping }")
     for entries, quoted in [
@@ -401,6 +410,8 @@ def test_run_malformed_server_reply_exit_5(tmp_path, capsys):
         ["run", "--backend", "resp", "--timeout", "0"],
         ["run", "--backend", "resp", "--timeout", "nan"],
         ["run", "--backend", "resp", "--timeout", "inf"],
+        ["run", "--backend", "resp", "--timeout", "1e12"],
+        ["run", "--backend", "resp", "--timeout", "1e300"],
     ],
 )
 def test_out_of_range_flags_are_usage_errors(flags, free_port, tmp_path, capsys):
@@ -416,6 +427,13 @@ def test_smallest_valid_flags_are_accepted(free_port, tmp_path, capsys):
     assert main(["fuzz", "--iterations", "20", "--max-len", "1"]) == 0
     f = write(tmp_path, "p.rt", "program { ping }")
     code = main(["run", "--backend", "resp", "--timeout", "0.5", "--addr", f"127.0.0.1:{free_port}", f])
+    assert code == 5  # validated, then refused by the closed port
+    assert "cannot connect" in capsys.readouterr().err
+
+
+def test_largest_timeout_is_accepted(free_port, tmp_path, capsys):
+    f = write(tmp_path, "p.rt", "program { ping }")
+    code = main(["run", "--backend", "resp", "--timeout", "1e9", "--addr", f"127.0.0.1:{free_port}", f])
     assert code == 5  # validated, then refused by the closed port
     assert "cannot connect" in capsys.readouterr().err
 
