@@ -32,14 +32,13 @@ from dataclasses import dataclass
 from typing import Any, Collection, Container, Mapping, NamedTuple
 
 from . import typedict
-from .codec import DecodeError, value_decoder
-from .parser import _clip, base_text, tag_text
+from .codec import DecodeError, int64_value, value_decoder
+from .parser import _clip, tag_text
 from .syntax import (
     BOOL,
     FLOAT,
     INT,
-    INT64_MAX,
-    INT64_MIN,
+    KINDS,
     TEXT,
     BaseType,
     BoolLit,
@@ -187,8 +186,8 @@ def infer_expr(
         if got != fbase:
             raise _fail(
                 ELEMENT_MISMATCH,
-                f"field '{_clip(fname)}' of record '{_clip(e.name)}' takes {_clip(base_text(fbase))}, "
-                f"got {_clip(base_text(got))}",
+                f"field '{_clip(fname)}' of record '{_clip(e.name)}' takes {_clip(fbase.name)}, "
+                f"got {_clip(got.name)}",
             )
     return RecordRef(e.name)
 
@@ -198,9 +197,9 @@ def result_text(rt: ResultType) -> str:
     if isinstance(rt, ScalarResult):
         return rt.name
     if isinstance(rt, MaybeResult):
-        return f"maybe<{base_text(rt.base)}>"
+        return f"maybe<{rt.base.name}>"
     assert isinstance(rt, ListResult)
-    return f"list<{base_text(rt.base)}>"
+    return f"list<{rt.base.name}>"
 
 
 def undeclared_record(tag: TypeTag, records: Container[str]) -> str | None:
@@ -225,10 +224,6 @@ def undeclared_record(tag: TypeTag, records: Container[str]) -> str | None:
 # assigning to a tracked key keeps its position, and a deleted key that
 # is set again moves to the end, exactly as dict_set and dict_del do.
 _Dict = dict[str, TypeTag]
-
-# The store's TYPE reply for each kind of tag, and its kind word in messages.
-_KINDS = {StringOf: "string", ListOf: "list", SetOf: "set", HashOf: "hash"}
-
 
 def _as_dict(xs: TypeDict) -> _Dict:
     """``xs`` as a dict; raises ValueError if a key occurs twice."""
@@ -271,7 +266,7 @@ def _lookup(xs: _Dict, k: str, want: type | TypeTag | None = None, or_nx: str | 
     if tag is None:
         raise _fail(GET_STUCK, f"key '{_clip(k)}' is not in the dictionary")
     if not (isinstance(tag, want) if isinstance(want, type) else tag == want):
-        kind = f"a {_KINDS[want]}" if isinstance(want, type) else tag_text(want)
+        kind = f"a {KINDS[want]}" if isinstance(want, type) else tag_text(want)
         raise _fail(or_nx or GET_EQUALITY, f"key '{_clip(k)}' holds {_clip(tag_text(tag))}, not {kind}")
     return tag
 
@@ -305,7 +300,7 @@ def _step(
                     raise _fail(
                         GET_EQUALITY,
                         f"key '{_clip(k)}' is tracked as {_clip(tag_text(tag))}, but setnx may write a "
-                        f"string<{_clip(base_text(a))}> if the key is unset",
+                        f"string<{_clip(a.name)}> if the key is unset",
                     )
                 xs[k] = StringOf(a)
                 return BOOL_RESULT
@@ -319,7 +314,7 @@ def _step(
                 return INT_RESULT
             case "incrbyfloat":
                 if a != FLOAT:
-                    raise _fail(ELEMENT_MISMATCH, f"incrbyfloat takes a float increment, got {_clip(base_text(a))}")
+                    raise _fail(ELEMENT_MISMATCH, f"incrbyfloat takes a float increment, got {_clip(a.name)}")
                 _lookup(xs, k, StringOf(FLOAT))
                 return FLOAT_RESULT
             case "lpush" | "sadd":
@@ -331,7 +326,7 @@ def _step(
                     raise _fail(
                         ELEMENT_MISMATCH,
                         f"key '{_clip(k)}' holds {_clip(tag_text(old))}; "
-                        f"cannot {verb} {_clip(base_text(a))} elements in strict mode",
+                        f"cannot {verb} {_clip(a.name)} elements in strict mode",
                     )
                 xs[k] = new
                 return INT_RESULT
@@ -415,30 +410,17 @@ def check_program(
 
 # ---- the premise ------------------------------------------------------------
 
-# The longest spelling of an int64, "-9223372036854775808".
-_INT64_SPELLING_MAX = 20
-
-
-def _int64(spelling: str | bytes) -> int:
-    """The int64 ``spelling`` spells; any other int is refused, a long one before int() reads it."""
-    n = int(spelling) if len(spelling) <= _INT64_SPELLING_MAX else None
-    if n is None or not INT64_MIN <= n <= INT64_MAX:
-        raise ValueError("not an int64")
-    return n
-
-
 # Reads a record payload's JSON only to refuse each int in it that is no int64.
-_int64_json = json.JSONDecoder(parse_int=_int64).decode
+# JSON spells an int in ASCII, so its text encodes as the bytes INCR would read.
+_int64_json = json.JSONDecoder(parse_int=lambda s: int64_value(s.encode("ascii"))).decode
 
 
 def _fits(data: bytes, base: BaseType, records: Mapping[str, RecordDecl]) -> bool:
     """Whether ``data`` decodes at ``base`` through the codec, each int in it an int64."""
     try:
-        if base == INT:
-            _int64(data)
-        elif isinstance(base, RecordRef):
+        if isinstance(base, RecordRef):
             _int64_json(data.decode("utf-8"))
-        value_decoder(base, records)(data)
+        (int64_value if base == INT else value_decoder(base, records))(data)
     except (DecodeError, KeyError, ValueError, RecursionError):
         return False
     return True
@@ -460,8 +442,8 @@ def matches(
     or tracked by ``xs`` and of its tag's kind.  A string's value and each
     tracked field of a hash must decode at the tag's base, and in strict
     mode so must each element of a list or set.  Every int they spell, a
-    ``string<int>`` or a record's int field alike, must be an int64, since
-    the store's INCR refuses any other.  ``records`` declares the record
+    ``string<int>`` or a record's int field alike, must be an int64 as
+    INCR's own reader, ``codec.int64_value``, takes it.  ``records`` declares the record
     bases the tags name.  Raises ValueError if a list ``xs`` tracks a key
     twice.
     """
@@ -472,7 +454,7 @@ def matches(
             continue
         kind, payload = read[k]
         tag = tags.get(k)
-        if tag is None or _KINDS[type(tag)] != kind:
+        if tag is None or KINDS[type(tag)] != kind:
             return False
         if isinstance(tag, StringOf):
             if not _fits(payload, tag.base, records):

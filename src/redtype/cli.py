@@ -30,7 +30,6 @@ from .codec import RecordValue
 from .fuzz import FuzzConfig, run_fuzz
 from .parser import ParseError, _clip, parse_program, parse_type_tag, print_program, scalar_text, tag_text
 from .resp import ProtocolError
-from .store import MemoryStore
 from .syntax import Program, RecordDecl, record_table
 from .typedict import TypeDict
 
@@ -177,18 +176,17 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return EXIT_TYPE_ERROR
 
 
-def _open_backend(args: argparse.Namespace) -> tuple[Backend, MemoryStore | None]:
+def _open_backend(args: argparse.Namespace) -> Backend:
     if args.backend == "mem":
-        store = MemoryStore()
-        return MemoryBackend(store), store
+        return MemoryBackend()
     addr = args.addr or os.environ.get("EDIS_ADDR") or DEFAULT_ADDR
     host, _, port_text = addr.rpartition(":")
     port = int(port_text) if re.fullmatch("[0-9]{1,5}", port_text) else 0
     if not host or not 1 <= port <= 65535:
         raise _Bail(EXIT_CONNECT_ERROR, f"bad address '{addr}', expected HOST:PORT")
     try:
-        return RespBackend(host, port, timeout=args.timeout), None
-    except OSError as err:
+        return RespBackend(host, port, timeout=args.timeout)
+    except (OSError, UnicodeError) as err:  # UnicodeError: a host name the IDNA codec refuses
         raise _Bail(EXIT_CONNECT_ERROR, f"cannot connect to {addr}: {err}") from None
 
 
@@ -199,7 +197,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return EXIT_TYPE_ERROR
     if args.dump_store and args.backend != "mem":
         raise _Bail(EXIT_PARSE_ERROR, "--dump-store needs the mem backend")
-    backend, store = _open_backend(args)
+    backend = _open_backend(args)
     records = record_table(program)
     try:
         outcome = run_program(program, report, backend)
@@ -214,8 +212,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         code = EXIT_RUNTIME_ERROR
     else:
         print(_outcome_text(outcome, records))
-    if args.dump_store and store is not None:
-        print(json.dumps(store.snapshot()))
+    if args.dump_store and isinstance(backend, MemoryBackend):
+        print(json.dumps(backend.store.snapshot()))
     return code
 
 

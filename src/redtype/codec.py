@@ -35,6 +35,8 @@ from .syntax import (
     BOOL,
     FLOAT,
     INT,
+    INT64_MAX,
+    INT64_MIN,
     TEXT,
     BaseType,
     Node,
@@ -113,7 +115,7 @@ def _record_text(decl: RecordDecl, values: Sequence[Any]) -> str:
 
 
 def int_value(data: bytes) -> int:
-    """The int ``data`` spells in the canonical form above (which INCR also uses)."""
+    """The int ``data`` spells in the canonical form above, of any size (INCR reads with ``int64_value``)."""
     # int() also reads spaces, '+', '_' and leading zeros; the round trip
     # through the canonical spelling turns all of those away.
     try:
@@ -121,6 +123,24 @@ def int_value(data: bytes) -> int:
     except ValueError:
         n = None
     if n is None or b"%d" % n != data:
+        raise DecodeError(INT.name, data)
+    return n
+
+
+# The longest spelling of an int64, "-9223372036854775808".
+_LONGEST_INT64 = len(b"%d" % INT64_MIN)
+
+
+def int64_value(data: bytes) -> int:
+    """The int64 ``data`` spells canonically: how INCR, and so the premise, reads a stored int.
+
+    A spelling longer than any int64's is refused before int() reads it.
+    """
+    try:
+        n = int(data) if len(data) <= _LONGEST_INT64 else None
+    except ValueError:
+        n = None
+    if n is None or b"%d" % n != data or not INT64_MIN <= n <= INT64_MAX:
         raise DecodeError(INT.name, data)
     return n
 

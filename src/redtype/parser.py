@@ -17,6 +17,7 @@ from .syntax import (
     COMMAND_SHAPES,
     INT64_MAX,
     INT64_MIN,
+    KINDS,
     OPCODES,
     SCALARS,
     BaseType,
@@ -26,12 +27,10 @@ from .syntax import (
     FloatLit,
     HashOf,
     IntLit,
-    ListOf,
     Program,
     RecordDecl,
     RecordLit,
     RecordRef,
-    SetOf,
     Span,
     StringOf,
     TextLit,
@@ -47,10 +46,9 @@ _T = TypeVar("_T")
 _new = tuple.__new__
 
 _BASE_KEYWORDS = {b.name: b for b in SCALARS}
-_CONTAINER_KEYWORDS = {"string": StringOf, "list": ListOf, "set": SetOf}
-_TAG_KEYWORDS = {*_CONTAINER_KEYWORDS, "hash"}
+_CONTAINER_KEYWORDS = {word: cls for cls, word in KINDS.items() if cls is not HashOf}
 
-RESERVED = frozenset(OPCODES) | _TAG_KEYWORDS | set(_BASE_KEYWORDS) | {
+RESERVED = frozenset(OPCODES) | set(KINDS.values()) | set(_BASE_KEYWORDS) | {
     "program",
     "record",
     "true",
@@ -435,18 +433,12 @@ def parse_type_tag(text: str) -> TypeTag:
 # pretty printing
 
 
-_CONTAINER_NAMES = {cls: name for name, cls in _CONTAINER_KEYWORDS.items()}
-
-
-def base_text(b: BaseType) -> str:
-    return b.name
-
-
 def tag_text(tag: TypeTag) -> str:
     if isinstance(tag, HashOf):
         inner = ", ".join(f"{name}: {tag_text(t)}" for name, t in tag.fields)
-        return f"hash<{inner}>"
-    return f"{_CONTAINER_NAMES[type(tag)]}<{base_text(tag.base)}>"
+    else:
+        inner = tag.base.name
+    return f"{KINDS[type(tag)]}<{inner}>"
 
 
 def float_text(value: float) -> str:
@@ -504,7 +496,7 @@ def command_text(c: Command) -> str:
 def print_program(p: Program) -> str:
     lines: list[str] = []
     for r in p.records:
-        fields = ", ".join(f"{name}: {base_text(b)}" for name, b in r.fields)
+        fields = ", ".join(f"{name}: {b.name}" for name, b in r.fields)
         lines.append(f"record {r.name} {{ {fields} }}")
     lines.append("program {")
     for c in p.body:

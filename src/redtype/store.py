@@ -22,8 +22,8 @@ import math
 from collections import deque
 from typing import NamedTuple, Sequence
 
-from .codec import DecodeError, int_value, redis_float
-from .syntax import INT64_MAX, INT64_MIN, WIRE_ARITIES, Node
+from .codec import DecodeError, int64_value, redis_float
+from .syntax import INT64_MAX, WIRE_ARITIES, Node
 
 WRONGTYPE_MSG = "WRONGTYPE Operation against a key holding the wrong kind of value"
 NOT_INT_MSG = "ERR value is not an integer or out of range"
@@ -114,10 +114,8 @@ def _apply(state: _State, name: str, argv: Sequence[bytes]) -> Reply:
     if name == "INCR":
         v = _holding(state, k, bytes)
         try:
-            n = int_value(b"0" if v is None else v)
+            n = int64_value(b"0" if v is None else v)
         except DecodeError:
-            return ErrReply(NOT_INT_MSG)
-        if not INT64_MIN <= n <= INT64_MAX:
             return ErrReply(NOT_INT_MSG)
         if n == INT64_MAX:
             return ErrReply(OVERFLOW_MSG)

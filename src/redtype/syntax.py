@@ -97,6 +97,11 @@ class HashOf(TypeTag, NamedTuple("HashOf", [("fields", tuple[tuple[str, TypeTag]
     __slots__ = ()
 
 
+# Each tag class's keyword in source programs, which is also the store's
+# TYPE reply for a key holding a value of that kind.
+KINDS: dict[type[TypeTag], str] = {StringOf: "string", ListOf: "list", SetOf: "set", HashOf: "hash"}
+
+
 def hash_of(*fields: tuple[str, TypeTag]) -> HashOf:
     """Convenience constructor so callers don't spell nested tuples."""
     return HashOf(tuple(fields))
@@ -136,18 +141,6 @@ class RecordLit(Expr, NamedTuple("RecordLit", [("name", str), ("args", tuple[Exp
     """Record construction with positional arguments, e.g. Message{"hi", 1}."""
 
     __slots__ = ()
-
-
-def expr_free_vars(e: Expr) -> set[str]:
-    """Names of all variables occurring in ``e``."""
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, RecordLit):
-        out: set[str] = set()
-        for a in e.args:
-            out |= expr_free_vars(a)
-        return out
-    return set()
 
 
 # ---------------------------------------------------------------------------

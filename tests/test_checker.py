@@ -7,6 +7,7 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from redtype.checker import (
     BOOL_RESULT,
@@ -27,7 +28,7 @@ from redtype.checker import (
 from redtype import checker, typedict
 from redtype.fuzz import _KEYS, RECORD_POOL, _Generator, generate_program
 from redtype.parser import parse_program
-from redtype.store import MemoryStore
+from redtype.store import NOT_FLOAT_MSG, NOT_INT_MSG, ErrReply, MemoryStore
 from redtype.syntax import (
     BOOL,
     FLOAT,
@@ -705,6 +706,45 @@ def test_a_long_int_is_refused_by_its_length_in_bounded_time(digits):
         assert time.perf_counter() - t0 < 0.5
     finally:
         sys.set_int_max_str_digits(previous)
+
+
+# Stored spellings at the edges of what INCR reads: signs, zeros, blanks,
+# separators, non-ASCII digits, the int64 bounds and beyond, long digit runs.
+_EDGE_SPELLINGS = [
+    b"0", b"-0", b"007", b"+5", b" 5", b"1_0", b"", b"1.5", "\u0661\u0662".encode(),
+    *(b"%d" % n for n in (2**63 - 1, -(2**63 - 1), -(2**63), 2**63, -(2**63) - 1)),
+    b"9" * 20, b"9" * 5_000,
+]
+
+
+def _premise_agrees_with_the_store(value):
+    """``matches`` takes ``value`` as string<int> iff INCR reads it, and as string<float> only if INCRBYFLOAT does."""
+    store = MemoryStore()
+    store.execute([b"SET", b"k", value])
+    read = _read(store)
+    incr = store.execute([b"INCR", b"k"])
+    assert matches(read, [("k", StringOf(INT))], ["k"], strict=False) is (incr != ErrReply(NOT_INT_MSG))
+    store.execute([b"SET", b"k", value])
+    if matches(read, [("k", StringOf(FLOAT))], ["k"], strict=False):
+        assert store.execute([b"INCRBYFLOAT", b"k", b"1.5"]) != ErrReply(NOT_FLOAT_MSG)
+
+
+@pytest.mark.parametrize("value", _EDGE_SPELLINGS, ids=lambda v: repr(v[:24]))
+def test_the_premise_reads_a_stored_number_as_the_store_does(value):
+    _premise_agrees_with_the_store(value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.integers(-(2**65), 2**65).map(lambda n: b"%d" % n),
+        st.from_regex(rb"\A[-+ ]?0?[0-9]{1,21}(\.[0-9]*)?\Z"),
+        st.floats(allow_nan=False).map(lambda f: repr(f).encode()),
+        st.binary(max_size=22),
+    )
+)
+def test_the_premise_reads_drawn_numbers_as_the_store_does(value):
+    _premise_agrees_with_the_store(value)
 
 
 def test_each_named_key_is_absent_or_tracked_with_its_kind():

@@ -288,6 +288,22 @@ def test_addr_env_port_in_non_ascii_digits_is_a_bad_address(tmp_path, monkeypatc
     assert "bad address" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("host", ["a" * 300, "h\udcffst"], ids=["300-char-label", "byte-0xff"])
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_host_the_idna_codec_refuses_is_exit_5(host, via, tmp_path, monkeypatch, capfd):
+    # The host is encoded before any lookup, so this needs no network.
+    # capfd, not capsys: like a process's own stderr, it escapes the
+    # surrogate that stands for byte 0xff instead of raising.
+    f = write(tmp_path, "p.rt", "program { ping }")
+    argv = ["run", "--backend", "resp", f]
+    if via == "flag":
+        argv[3:3] = ["--addr", f"{host}:6379"]
+    else:
+        monkeypatch.setenv("EDIS_ADDR", f"{host}:6379")
+    assert main(argv) == 5
+    assert "cannot connect" in capfd.readouterr().err
+
+
 def test_addr_env_default(tmp_path, monkeypatch, free_port):
     # EDIS_ADDR supplies the address when --addr is absent
     monkeypatch.setenv("EDIS_ADDR", f"127.0.0.1:{free_port}")

@@ -26,27 +26,10 @@ from redtype.syntax import (
     Span,
     TextLit,
     Var,
-    expr_free_vars,
     hash_of,
 )
 from redtype.syntax import INT, TEXT, StringOf
 from redtype.typedict import Found
-
-
-def test_free_vars_of_literals_is_empty():
-    assert expr_free_vars(IntLit(3)) == set()
-    assert expr_free_vars(TextLit("x")) == set()
-
-
-def test_free_vars_of_var():
-    assert expr_free_vars(Var("i")) == {"i"}
-
-
-def test_free_vars_of_record_literal():
-    e = RecordLit("Message", (TextLit("hello"), Var("i")))
-    assert expr_free_vars(e) == {"i"}
-    nested = RecordLit("Outer", (Var("a"), RecordLit("Inner", (Var("b"),))))
-    assert expr_free_vars(nested) == {"a", "b"}
 
 
 def test_command_shapes_cover_all_opcodes():
