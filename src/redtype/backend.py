@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import math
 import socket
-from dataclasses import dataclass
-from typing import Any, Mapping, Protocol
+from typing import Any, Mapping, NamedTuple, Protocol
 
 from . import codec
 from .checker import (
@@ -50,12 +49,14 @@ from .syntax import (
     Expr,
     FloatLit,
     IntLit,
+    Node,
     Program,
     RecordDecl,
     RecordLit,
     Span,
     TextLit,
     Var,
+    new_node,
     record_table,
 )
 
@@ -106,16 +107,12 @@ class RespBackend:
 # ---- outcomes ----------------------------------------------------------------
 
 
-@dataclass
-class RunValue:
-    result: ResultType
-    value: Any
+class RunValue(Node, NamedTuple("RunValue", [("result", ResultType), ("value", Any)])):
+    __slots__ = ()
 
 
-@dataclass
-class RunError:
-    message: str
-    span: Span
+class RunError(Node, NamedTuple("RunError", [("message", str), ("span", Span)])):
+    __slots__ = ()
 
 
 RunOutcome = RunValue | RunError
@@ -152,7 +149,7 @@ def _wire_command(
         argv.append(cmd.field_name.encode("utf-8"))
     for arg in cmd.args:
         base = infer_expr(env, records, arg)
-        argv.append(codec.encode(TypedValue(base, eval_expr(arg, values)), records))
+        argv.append(codec.encode(new_node(TypedValue, (base, eval_expr(arg, values))), records))
     return argv
 
 

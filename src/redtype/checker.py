@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from typing import Any, Collection, Container, Mapping, NamedTuple
 
 from . import typedict
@@ -59,7 +58,9 @@ from .syntax import (
     TextLit,
     TypeTag,
     Var,
+    new_node,
     record_table,
+    shared,
 )
 from .typedict import Found, TypeDict
 
@@ -93,11 +94,13 @@ class ScalarResult(ResultType, NamedTuple("ScalarResult", [("name", str), ("bind
     __slots__ = ()
 
 
+@shared
 class MaybeResult(ResultType, NamedTuple("MaybeResult", [("base", BaseType)])):
     __slots__ = ()
     binds = None
 
 
+@shared
 class ListResult(ResultType, NamedTuple("ListResult", [("base", BaseType)])):
     __slots__ = ()
     binds = None
@@ -135,13 +138,16 @@ def _fail(constraint: str, detail: str) -> CheckError:
     return CheckError(None, None, constraint, detail)
 
 
-@dataclass
-class CheckOk:
+class _CheckOkFields(NamedTuple):
     initial: TypeDict
     final: TypeDict
     result: ResultType
     # One result type per body command, in order; the runtime decodes by them.
     results: tuple[ResultType, ...]
+
+
+class CheckOk(Node, _CheckOkFields):
+    __slots__ = ()
 
 
 CheckReport = CheckOk | CheckError
@@ -189,7 +195,7 @@ def infer_expr(
                 f"field '{_clip(fname)}' of record '{_clip(e.name)}' takes {_clip(fbase.name)}, "
                 f"got {_clip(got.name)}",
             )
-    return RecordRef(e.name)
+    return new_node(RecordRef, (e.name,))
 
 
 def result_text(rt: ResultType) -> str:
@@ -295,14 +301,14 @@ def _step(
                 xs[k] = StringOf(a)
                 return STATUS
             case "setnx":
-                tag = _lookup(xs, k)
-                if tag is not None and tag != StringOf(a):
+                tag, new = _lookup(xs, k), StringOf(a)
+                if tag is not None and tag != new:
                     raise _fail(
                         GET_EQUALITY,
                         f"key '{_clip(k)}' is tracked as {_clip(tag_text(tag))}, but setnx may write a "
                         f"string<{_clip(a.name)}> if the key is unset",
                     )
-                xs[k] = StringOf(a)
+                xs[k] = new
                 return BOOL_RESULT
             case "get":
                 return MaybeResult(_lookup(xs, k, StringOf).base)
@@ -401,7 +407,9 @@ def check_program(
         try:
             result = _step(xs, env, records, cmd, strict)
         except CheckError as err:
-            return err
+            # The error is a value from here on, so drop its traceback: the frames in
+            # it would otherwise hold the caller's frame, and so this error, in a cycle.
+            return err.with_traceback(None)
         results.append(result)
         if cmd.binder is not None:
             env[cmd.binder] = result

@@ -191,12 +191,12 @@ def _open_backend(args: argparse.Namespace) -> Backend:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if args.dump_store and args.backend != "mem":  # a usage error, refused before the file is read
+        raise _Bail(EXIT_PARSE_ERROR, "--dump-store needs the mem backend")
     program, report = _load_and_check(args)
     if isinstance(report, CheckError):
         print(f"{args.file}:{report}", file=sys.stderr)
         return EXIT_TYPE_ERROR
-    if args.dump_store and args.backend != "mem":
-        raise _Bail(EXIT_PARSE_ERROR, "--dump-store needs the mem backend")
     backend = _open_backend(args)
     records = record_table(program)
     try:

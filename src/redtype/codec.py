@@ -42,6 +42,7 @@ from .syntax import (
     Node,
     RecordDecl,
     RecordRef,
+    new_node,
 )
 
 
@@ -239,4 +240,4 @@ def decode(
     data: bytes, base: BaseType, records: Mapping[str, RecordDecl] | None = None
 ) -> TypedValue:
     """``data`` decoded by ``value_decoder(base, records)``, with its base."""
-    return TypedValue(base, value_decoder(base, records)(data))
+    return new_node(TypedValue, (base, value_decoder(base, records)(data)))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import checker
 from .backend import MemoryBackend, RunError, run_program
@@ -42,6 +42,7 @@ from .syntax import (
     HashOf,
     IntLit,
     ListOf,
+    Node,
     Program,
     RecordDecl,
     RecordLit,
@@ -52,6 +53,7 @@ from .syntax import (
     TextLit,
     TypeTag,
     Var,
+    new_node,
 )
 
 ILL_TYPED_RATE = 0.2
@@ -62,17 +64,21 @@ RECORD_POOL: tuple[RecordDecl, ...] = (
     RecordDecl("Flag", (("label", TEXT), ("armed", BOOL))),
 )
 
+_RECORDS = {r.name: r for r in RECORD_POOL}  # read only
 _KEYS = ("alpha", "beta", "gamma", "delta", "some-key", "cache_0")
 _FIELDS = ("f0", "f1", "f2")
 _TEXT_ALPHABET = "abdeghjkmpqsuwyz 0159_-#é日\"\\\n\t"
 
 
-@dataclass
-class FuzzConfig:
+class _ConfigFields(NamedTuple):
     iterations: int
     seed: int
     max_len: int = 20
     strict: bool = False
+
+
+class FuzzConfig(Node, _ConfigFields):
+    __slots__ = ()
 
 
 @dataclass
@@ -97,11 +103,14 @@ class FuzzStats:
         ]
 
 
-@dataclass
-class FuzzResult:
+class _ResultFields(NamedTuple):
     stats: FuzzStats
     counterexample: Program | None = None
     failure: str | None = None
+
+
+class FuzzResult(Node, _ResultFields):
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +123,8 @@ class FuzzResult:
 _DRAW_CAP = 64
 
 _OPCODES = tuple(COMMAND_SHAPES)
+# the tags whose base an argument mostly takes
+_ELEMENT_TAGS = (StringOf, ListOf, SetOf)
 
 # Arguments no dictionary makes well typed: an unbound name, an undeclared
 # record, a record of the wrong arity and one with a wrongly typed field.
@@ -129,42 +140,54 @@ class _Generator:
     def __init__(self, rng: random.Random, strict: bool):
         self.rng = rng
         self.strict = strict
-        self.records = {r.name: r for r in RECORD_POOL}
+        self.records = _RECORDS
         # the checker's dictionary before the next step
         self.xs: dict[str, TypeTag] = {}
         self.env: dict[str, ResultType] = {}
+        # The binders so far, in binding order, as Vars: those usable in an
+        # expression by their base type, the rest among the malformed arguments.
+        self.binders: dict[BaseType, list[Var]] = {}
+        self.malformed: list[Expr] = list(_MALFORMED)
         self.steps = 0
         # the last accepted draw's dictionary after it, and its result type
         self.accepted: tuple[dict[str, TypeTag], ResultType] | None = None
+
+    def bind(self, name: str, rt: ResultType) -> None:
+        self.env[name] = rt
+        var = new_node(Var, (name,))
+        if rt.binds is None:
+            self.malformed.append(var)
+        else:
+            self.binders.setdefault(rt.binds, []).append(var)
 
     # ---- small pieces ----
 
     def any_base(self) -> BaseType:
         if self.rng.random() < 0.25:
-            return RecordRef(self.rng.choice(RECORD_POOL).name)
+            return new_node(RecordRef, (self.rng.choice(RECORD_POOL).name,))
         return self.rng.choice(SCALARS)
 
     def value(self, base: BaseType) -> Expr:
         """Expression of the given base type: a usable binder or a literal."""
         rng = self.rng
         if rng.random() < 0.3:
-            names = [n for n, rt in self.env.items() if rt.binds == base]
-            if names:
-                return Var(rng.choice(names))
+            usable = self.binders.get(base)
+            if usable:
+                return rng.choice(usable)
         if base == INT:
-            return IntLit(rng.randint(-(10**9), 10**9))
+            return new_node(IntLit, (rng.randint(-(10**9), 10**9),))
         if base == FLOAT:
-            return FloatLit(round(rng.uniform(-1e6, 1e6), rng.randint(0, 6)))
+            return new_node(FloatLit, (round(rng.uniform(-1e6, 1e6), rng.randint(0, 6)),))
         if base == BOOL:
-            return BoolLit(rng.random() < 0.5)
+            return new_node(BoolLit, (rng.random() < 0.5,))
         if base == TEXT:
-            return TextLit("".join(rng.choices(_TEXT_ALPHABET, k=rng.randint(0, 8))))
+            return new_node(TextLit, ("".join(rng.choices(_TEXT_ALPHABET, k=rng.randint(0, 8))),))
         assert isinstance(base, RecordRef)
         decl = self.records[base.name]
-        return RecordLit(base.name, tuple(self.value(fb) for _, fb in decl.fields))
+        return new_node(RecordLit, (base.name, tuple([self.value(fb) for _, fb in decl.fields])))
 
     def random_tag(self) -> TypeTag:
-        kind = self.rng.choices((StringOf, ListOf, SetOf, HashOf), weights=(4, 3, 3, 2))[0]
+        kind = self.rng.choices((StringOf, ListOf, SetOf, HashOf), cum_weights=(4, 7, 10, 12))[0]
         if kind is HashOf:
             names = self.rng.sample(_FIELDS, self.rng.randint(1, 2))
             return HashOf(tuple((f, StringOf(self.any_base())) for f in names))
@@ -172,11 +195,6 @@ class _Generator:
         if kind is StringOf and self.rng.random() < 0.4:
             return StringOf(INT)
         return kind(self.any_base())
-
-    def key(self, d: dict[str, TypeTag]) -> str:
-        if d and self.rng.random() < 0.75:
-            return self.rng.choice(list(d))
-        return self.rng.choice(_KEYS)
 
     def field(self, tag: TypeTag | None) -> str:
         if isinstance(tag, HashOf) and tag.fields and self.rng.random() < 0.75:
@@ -189,33 +207,34 @@ class _Generator:
         if rng.random() < 0.05:
             # a malformed argument, or a binder whose result type cannot
             # appear in an expression
-            unusable = [Var(n) for n, rt in self.env.items() if rt.binds is None]
-            return rng.choice(_MALFORMED + tuple(unusable))
-        if isinstance(tag, StringOf | ListOf | SetOf) and rng.random() < 0.6:
+            return rng.choice(self.malformed)
+        if isinstance(tag, _ELEMENT_TAGS) and rng.random() < 0.6:
             return self.value(tag.base)
         return self.value(self.any_base())
 
-    def draw(self, d: dict[str, TypeTag], span: Span) -> Command:
-        """A random command laid out as COMMAND_SHAPES says, aimed at the keys in ``d``."""
+    def draw(self, d: dict[str, TypeTag], tracked: list[str], span: Span) -> Command:
+        """A random command laid out as COMMAND_SHAPES says, aimed at the keys in ``d``, listed in ``tracked``."""
         rng = self.rng
         op = rng.choice(_OPCODES)
         n_keys, has_field, n_values, takes_tag = COMMAND_SHAPES[op]
-        keys = [self.key(d) for _ in range(n_keys)]
+        # keys mostly among those the dictionary tracks
+        keys = tuple([rng.choice(tracked if tracked and rng.random() < 0.75 else _KEYS) for _ in range(n_keys)])
         if n_keys > 1 and rng.random() < 0.5:
-            keys[1] = keys[0]
+            keys = (keys[0], keys[0])
         tag = d.get(keys[0]) if keys else None
         field = self.field(tag) if has_field else None
         if field is not None and isinstance(tag, HashOf):
             tag = dict(tag.fields).get(field)
-        return Command(
+        # the fields in Command's order, drawn in that order
+        return new_node(Command, (
             op,
-            tuple(keys),
-            tuple([self.arg(tag) for _ in range(n_values)]),
+            keys,
+            (self.arg(tag),) if n_values == 1 else tuple([self.arg(tag) for _ in range(n_values)]),
             field,
             self.random_tag() if takes_tag else None,
             f"v{self.steps}" if rng.random() < 0.4 else None,
             span,
-        )
+        ))
 
     def step(self, ill_typed: bool) -> tuple[Command, bool]:
         """Draw until the checker rejects (``ill_typed``) or accepts a command.
@@ -226,10 +245,11 @@ class _Generator:
         what classifies the draws.
         """
         self.steps += 1
-        span = Span(self.steps + 1, 3)
+        span = new_node(Span, (self.steps + 1, 3))
+        after = dict(self.xs)
+        tracked = list(after)
         for _ in range(_DRAW_CAP):
-            after = dict(self.xs)
-            cmd = self.draw(after, span)
+            cmd = self.draw(after, tracked, span)
             try:
                 self.accepted = after, checker._step(after, self.env, self.records, cmd, self.strict)
                 rejected = False
@@ -237,6 +257,8 @@ class _Generator:
                 rejected = True
             if rejected == ill_typed:
                 break
+            if not rejected:  # the checker changed ``after``; a rejected draw leaves it as it was
+                after = dict(self.xs)
         return cmd, rejected
 
 
@@ -256,8 +278,8 @@ def generate_program(
         assert gen.accepted is not None
         gen.xs, rt = gen.accepted
         if cmd.binder is not None:
-            gen.env[cmd.binder] = rt
-    return Program(RECORD_POOL, tuple(body))
+            gen.bind(cmd.binder, rt)
+    return new_node(Program, (RECORD_POOL, tuple(body)))
 
 
 # ---------------------------------------------------------------------------

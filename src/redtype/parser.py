@@ -36,14 +36,10 @@ from .syntax import (
     TextLit,
     TypeTag,
     Var,
+    new_node,
 )
 
 _T = TypeVar("_T")
-
-# The syntax nodes are named tuples, listed in field order.  Building them
-# with tuple.__new__ skips the named tuple's Python-level __new__, which is
-# about half of each node's cost and so a large share of parsing a command.
-_new = tuple.__new__
 
 _BASE_KEYWORDS = {b.name: b for b in SCALARS}
 _CONTAINER_KEYWORDS = {word: cls for cls, word in KINDS.items() if cls is not HashOf}
@@ -331,7 +327,7 @@ class _Parser:
             self.line += newlines
             self.line_start = self.source.rfind("\n", self.last, pos) + 1
         self.last = pos
-        span = _new(Span, (self.line, pos - self.line_start + 1))
+        span = new_node(Span, (self.line, pos - self.line_start + 1))
         keys: tuple[str, ...] = ()
         for _ in range(n_keys):
             tok = nxt()
@@ -351,7 +347,7 @@ class _Parser:
         if takes_tag:
             self.expect("COLON", "':'")
             declared = self.type_tag()
-        return _new(Command, (opcode, keys, args, field_name, declared, binder, span))
+        return new_node(Command, (opcode, keys, args, field_name, declared, binder, span))
 
     def expr(self, depth: int = 0) -> Expr:
         tok = self.tok
@@ -366,25 +362,25 @@ class _Parser:
             if not INT64_MIN <= value <= INT64_MAX:
                 raise self.error(tok, "a signed 64-bit integer", "literal out of range")
             self.tok = self.next()
-            return _new(IntLit, (value,))
+            return new_node(IntLit, (value,))
         if kind == "FLOAT":
             value = float(text)
             if value in (float("inf"), float("-inf")):
                 raise self.error(tok, "a representable float", "literal out of range")
             self.tok = self.next()
-            return _new(FloatLit, (value,))
+            return new_node(FloatLit, (value,))
         if kind == "STRING":
             self.tok = self.next()
-            return _new(TextLit, (text,))
+            return new_node(TextLit, (text,))
         if kind != "IDENT":
             raise self.fail(tok, "an expression")
         self.tok = self.next()
         if text == "true":
-            return _new(BoolLit, (True,))
+            return new_node(BoolLit, (True,))
         if text == "false":
-            return _new(BoolLit, (False,))
+            return new_node(BoolLit, (False,))
         if self.tok[0] != "LBRACE":
-            return _new(Var, (text,))
+            return new_node(Var, (text,))
         inner = self.deeper(tok, depth)
         self.tok = self.next()
         args = [self.expr(inner)]
@@ -392,7 +388,7 @@ class _Parser:
             self.tok = self.next()
             args.append(self.expr(inner))
         self.expect("RBRACE", "'}'")
-        return _new(RecordLit, (text, tuple(args)))
+        return new_node(RecordLit, (text, tuple(args)))
 
 
 def _parse(source: str, production: Callable[[_Parser], _T]) -> _T:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .codec import quote
 from .store import BulkReply, ErrReply, IntReply, MultiBulk, Reply, SimpleStatus
-from .syntax import INT64_MAX, INT64_MIN
+from .syntax import INT64_MAX, INT64_MIN, new_node
 
 CRLF = b"\r\n"
 
@@ -94,7 +94,7 @@ class ReplyDecoder:
             if self._due:
                 return None
             items, self._items = self._items, None
-            return MultiBulk(tuple(items))
+            return new_node(MultiBulk, (tuple(items),))
         finally:
             del self._buf[:at]
 
@@ -110,7 +110,7 @@ class ReplyDecoder:
         if buf[0] == _BULK:
             out: list[bytes | None] = []
             at, _ = self._bulks(0, 1, out)
-            return (BulkReply(out[0]), at) if out else None
+            return (new_node(BulkReply, (out[0],)), at) if out else None
         marker = buf[:1]
         if marker in (b":", b"*"):
             head = self._int(1)
@@ -118,7 +118,7 @@ class ReplyDecoder:
                 return None
             n, at = head
             if marker == b":":
-                return IntReply(n), at
+                return new_node(IntReply, (n,)), at
             if n < 0:
                 raise ProtocolError(f"unsupported array length {n}")
             if n > MAX_ARRAY_LEN:
@@ -130,9 +130,9 @@ class ReplyDecoder:
             return None
         text = buf[1:end].decode("latin-1")
         if marker == b"+":
-            return SimpleStatus(text), end + 2
+            return new_node(SimpleStatus, (text,)), end + 2
         if marker == b"-":
-            return ErrReply(text), end + 2
+            return new_node(ErrReply, (text,)), end + 2
         raise ProtocolError(f"unknown reply marker {bytes(marker)!r}")
 
     def _bulks(self, at: int, due: int, out: list) -> tuple[int, int]:

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .codec import DecodeError, int64_value, redis_float
-from .syntax import INT64_MAX, WIRE_ARITIES, Node
+from .syntax import INT64_MAX, WIRE_ARITIES, Node, new_node
 
 WRONGTYPE_MSG = "WRONGTYPE Operation against a key holding the wrong kind of value"
 NOT_INT_MSG = "ERR value is not an integer or out of range"
@@ -59,8 +59,10 @@ class ErrReply(Node, NamedTuple("ErrReply", [("message", str)])):
 
 Reply = SimpleStatus | IntReply | BulkReply | MultiBulk | ErrReply
 
+# Replies that many commands give, shared rather than built per command.
 OK = SimpleStatus("OK")
 PONG = SimpleStatus("PONG")
+ZERO, ONE, NIL = IntReply(0), IntReply(1), BulkReply(None)
 
 
 def _key(argv: Sequence[bytes], i: int) -> str:
@@ -85,103 +87,129 @@ def _holding(state: _State, k: str, kind: type) -> _Value | None:
     return v
 
 
-def _apply(state: _State, name: str, argv: Sequence[bytes]) -> Reply:
-    """Run one arity-checked command, updating ``state`` in place.
+# One function per wire command: it runs the arity-checked command on
+# ``state`` in place, and raises _WrongType before any update.
 
-    Raises _WrongType before any update.
-    """
-    if name == "PING":
-        return PONG
+
+def _ping(state: _State, argv: Sequence[bytes]) -> Reply:
+    return PONG
+
+
+def _set(state: _State, argv: Sequence[bytes]) -> Reply:
+    state[_key(argv, 1)] = bytes(argv[2])
+    return OK
+
+
+def _setnx(state: _State, argv: Sequence[bytes]) -> Reply:
     k = _key(argv, 1)
+    if k in state:
+        return ZERO
+    state[k] = bytes(argv[2])
+    return ONE
 
-    if name == "SET":
-        state[k] = bytes(argv[2])
-        return OK
 
-    if name == "SETNX":
-        if k in state:
-            return IntReply(0)
-        state[k] = bytes(argv[2])
-        return IntReply(1)
+def _get(state: _State, argv: Sequence[bytes]) -> Reply:
+    v = _holding(state, _key(argv, 1), bytes)
+    return NIL if v is None else new_node(BulkReply, (v,))
 
-    if name == "GET":
-        v = _holding(state, k, bytes)
-        return BulkReply(v)
 
-    if name == "DEL":
-        return IntReply(0 if state.pop(k, None) is None else 1)
+def _del(state: _State, argv: Sequence[bytes]) -> Reply:
+    return ZERO if state.pop(_key(argv, 1), None) is None else ONE
 
-    if name == "INCR":
-        v = _holding(state, k, bytes)
-        try:
-            n = int64_value(b"0" if v is None else v)
-        except DecodeError:
-            return ErrReply(NOT_INT_MSG)
-        if n == INT64_MAX:
-            return ErrReply(OVERFLOW_MSG)
-        state[k] = str(n + 1).encode("ascii")
-        return IntReply(n + 1)
 
-    if name == "INCRBYFLOAT":
-        v = _holding(state, k, bytes)  # the type first, as the real store checks it
-        d = redis_float(argv[2])
-        old = redis_float(b"0" if v is None else v)
-        if d is None or old is None:
-            return ErrReply(NOT_FLOAT_MSG)
-        result = old + d
-        if not math.isfinite(result):
-            return ErrReply(NONFINITE_MSG)
-        encoded = repr(result).encode("ascii")
-        state[k] = encoded
-        return BulkReply(encoded)
+def _incr(state: _State, argv: Sequence[bytes]) -> Reply:
+    k = _key(argv, 1)
+    v = _holding(state, k, bytes)
+    try:
+        n = int64_value(b"0" if v is None else v)
+    except DecodeError:
+        return ErrReply(NOT_INT_MSG)
+    if n == INT64_MAX:
+        return ErrReply(OVERFLOW_MSG)
+    state[k] = b"%d" % (n + 1)
+    return new_node(IntReply, (n + 1,))
 
-    if name == "LPUSH":
-        items = _holding(state, k, deque)
-        if items is None:
-            items = state[k] = deque()
-        items.appendleft(bytes(argv[2]))
-        return IntReply(len(items))
 
-    if name == "LLEN":
-        items = _holding(state, k, deque)
-        return IntReply(0 if items is None else len(items))
+def _incrbyfloat(state: _State, argv: Sequence[bytes]) -> Reply:
+    k = _key(argv, 1)
+    v = _holding(state, k, bytes)  # the type first, as the real store checks it
+    d = redis_float(argv[2])
+    old = redis_float(b"0" if v is None else v)
+    if d is None or old is None:
+        return ErrReply(NOT_FLOAT_MSG)
+    result = old + d
+    if not math.isfinite(result):
+        return ErrReply(NONFINITE_MSG)
+    encoded = repr(result).encode("ascii")
+    state[k] = encoded
+    return new_node(BulkReply, (encoded,))
 
-    if name == "RPOP":
-        items = _holding(state, k, deque)
-        if items is None:
-            return BulkReply(None)
-        last = items.pop()
-        if not items:
-            del state[k]
-        return BulkReply(last)
 
-    if name == "SADD":
-        member = bytes(argv[2])
-        members = _holding(state, k, set)
-        if members is None:
-            members = state[k] = set()
-        elif member in members:
-            return IntReply(0)
-        members.add(member)
-        return IntReply(1)
+def _lpush(state: _State, argv: Sequence[bytes]) -> Reply:
+    k = _key(argv, 1)
+    items = _holding(state, k, deque)
+    if items is None:
+        items = state[k] = deque()
+    items.appendleft(bytes(argv[2]))
+    return new_node(IntReply, (len(items),))
 
-    if name == "SINTER":
-        a, b = (_holding(state, _key(argv, i), set) for i in (1, 2))
-        common = set() if a is None or b is None else a & b
-        return MultiBulk(tuple(sorted(common)))
 
-    if name == "HSET":
-        fields = _holding(state, k, dict)
-        if fields is None:
-            fields = state[k] = {}
-        f = argv[2].decode("latin-1")
-        created = f not in fields
-        fields[f] = bytes(argv[3])
-        return IntReply(1 if created else 0)
+def _llen(state: _State, argv: Sequence[bytes]) -> Reply:
+    items = _holding(state, _key(argv, 1), deque)
+    return ZERO if items is None else new_node(IntReply, (len(items),))
 
-    assert name == "HGET"
+
+def _rpop(state: _State, argv: Sequence[bytes]) -> Reply:
+    k = _key(argv, 1)
+    items = _holding(state, k, deque)
+    if items is None:
+        return NIL
+    last = items.pop()
+    if not items:
+        del state[k]
+    return new_node(BulkReply, (last,))
+
+
+def _sadd(state: _State, argv: Sequence[bytes]) -> Reply:
+    k = _key(argv, 1)
+    member = bytes(argv[2])
+    members = _holding(state, k, set)
+    if members is None:
+        members = state[k] = set()
+    elif member in members:
+        return ZERO
+    members.add(member)
+    return ONE
+
+
+def _sinter(state: _State, argv: Sequence[bytes]) -> Reply:
+    a, b = (_holding(state, _key(argv, i), set) for i in (1, 2))
+    common = set() if a is None or b is None else a & b
+    return new_node(MultiBulk, (tuple(sorted(common)),))
+
+
+def _hset(state: _State, argv: Sequence[bytes]) -> Reply:
+    k = _key(argv, 1)
     fields = _holding(state, k, dict)
-    return BulkReply(None if fields is None else fields.get(argv[2].decode("latin-1")))
+    if fields is None:
+        fields = state[k] = {}
+    f = argv[2].decode("latin-1")
+    created = f not in fields
+    fields[f] = bytes(argv[3])
+    return ONE if created else ZERO
+
+
+def _hget(state: _State, argv: Sequence[bytes]) -> Reply:
+    fields = _holding(state, _key(argv, 1), dict)
+    v = None if fields is None else fields.get(argv[2].decode("latin-1"))
+    return NIL if v is None else new_node(BulkReply, (v,))
+
+
+# Wire name -> (argument count including the name, the function named by
+# that name in lower case).
+_COMMANDS: dict[bytes, tuple[int, Callable[[_State, Sequence[bytes]], Reply]]] = {
+    name.encode("ascii"): (arity, globals()["_" + name.lower()]) for name, arity in WIRE_ARITIES.items()
+}
 
 
 class MemoryStore:
@@ -194,14 +222,15 @@ class MemoryStore:
         """Run one wire command, updating the store in place; never raises."""
         if not argv:
             return ErrReply("ERR empty command")
-        name = argv[0].decode("latin-1").upper()
-        arity = WIRE_ARITIES.get(name)
-        if arity is None:
+        # Names come upper case from the backend; any other case is looked up again.
+        command = _COMMANDS.get(argv[0]) or _COMMANDS.get(argv[0].upper())
+        if command is None:
             return ErrReply(f"ERR unknown command '{argv[0].decode('latin-1')}'")
+        arity, run = command
         if len(argv) != arity:
-            return ErrReply(f"ERR wrong number of arguments for '{name.lower()}' command")
+            return ErrReply(f"ERR wrong number of arguments for '{argv[0].decode('latin-1').lower()}' command")
         try:
-            return _apply(self._state, name, argv)
+            return run(self._state, argv)
         except _WrongType:
             return ErrReply(WRONGTYPE_MSG)
 

@@ -539,7 +539,7 @@ def test_check_program_final_equals_the_typedict_fold_in_order():
             assert gen.xs == before, "check_command must not mutate its input"
             gen.xs = xs
             if cmd.binder is not None:
-                gen.env[cmd.binder] = rt
+                gen.bind(cmd.binder, rt)
             body.append(cmd)
         program = Program(RECORD_POOL, tuple(body))
         report = check_program(program, initial, strict=gen.strict)
@@ -783,3 +783,12 @@ def test_container_elements_decode_in_strict_mode_only():
         big = _holding([push, "c", str(2**63)])
         assert not matches(big, [("c", tag)], ["c"], strict=True)
         assert matches(_holding([push, "c", "1"]), [("c", tag)], ["c"], strict=True)
+
+
+def test_a_returned_check_error_holds_no_frames():
+    # A traceback would hold the caller's frame, and the caller the error: a
+    # cycle that only the cyclic collector frees, program and all.
+    report = check_program(parse_program("program { set k 1  get j }"))
+    assert isinstance(report, CheckError)
+    assert report.__traceback__ is None
+    assert str(report) == "1:20: GetStuck: get: key 'j' is not in the dictionary"

@@ -252,6 +252,17 @@ def test_run_dump_store_needs_mem_backend(tmp_path, capsys):
     assert main(["run", "--dump-store", "--backend", "resp", f]) == 2
 
 
+def test_run_dump_store_on_resp_is_refused_before_the_program_is_checked(tmp_path, capsys):
+    f = write(tmp_path, "ill.rt", "program { set k 1  lpush k 2 }")
+    assert main(["run", "--dump-store", "--backend", "resp", f]) == 2
+    assert capsys.readouterr().err == "redtype: --dump-store needs the mem backend\n"
+
+
+def test_run_dump_store_on_resp_is_refused_before_the_program_is_read(tmp_path, capsys):
+    assert main(["run", "--dump-store", "--backend", "resp", str(tmp_path / "missing.rt")]) == 2
+    assert capsys.readouterr().err == "redtype: --dump-store needs the mem backend\n"
+
+
 def test_run_resp_backend_against_loopback(resp_server, tmp_path, capsys):
     host, port, store = resp_server
     store.reset()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -31,6 +32,29 @@ def test_same_seed_same_programs():
     c = [generate_program(two, max_len=10) for _ in range(50)]
     assert b == c
     assert a[0] == b[0]
+
+
+# sha256 of the printed text of the first 500 programs that generate_program
+# draws from Random(seed) with max_len 20, as run_fuzz draws them, recorded
+# before the generator built its nodes by tuple.__new__ and shared its tags.
+# Every seeded fuzz figure, the README's (seed 42) included, rests on these.
+_GOLDEN_DRAWS = {
+    (42, False): "6393038d62099efd4a76304140b4fcd06d79d7ddd61a47c20b1becd7dc3b8163",
+    (42, True): "d45cbb7da58b0fec19960ad2203f2bfd040ec90534f37f38fac9731f7a78bfa8",
+    (7, False): "0a0cddd47192db3739437f9c0753852d4422be0a1fab2e75aae7ed457f2ed610",
+    (7, True): "ed963994ab7b420f8abe5629eb7e770e4e2436076e06013e9f3a6c8db9dedefe",
+    (1234, False): "7803350f247318de9f958505748ab8163dad3024373ce84b113df55ebcc7a4dd",
+    (1234, True): "1a6bd12ef20520a9d29434258f7060a6295c40b22ac3d352dba4bf7c89b34813",
+}
+
+
+@pytest.mark.parametrize("seed, strict", _GOLDEN_DRAWS)
+def test_a_seed_draws_the_recorded_programs(seed, strict):
+    rng = random.Random(seed)
+    digest = hashlib.sha256()
+    for _ in range(500):
+        digest.update(print_program(generate_program(rng, 20, strict)).encode("utf-8"))
+    assert digest.hexdigest() == _GOLDEN_DRAWS[seed, strict]
 
 
 def test_run_fuzz_is_deterministic():

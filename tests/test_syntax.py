@@ -1,13 +1,19 @@
+import copy
 import dataclasses
 import importlib
+import pickle
 import pkgutil
+import random
 
 import pytest
 
 import redtype
-from redtype.checker import INT_RESULT, ListResult, MaybeResult, ScalarResult
-from redtype.codec import RecordValue, TypedValue
-from redtype.store import BulkReply, ErrReply, IntReply, MultiBulk, SimpleStatus
+from redtype.checker import INT_RESULT, CheckOk, ListResult, MaybeResult, ScalarResult, check_program
+from redtype.codec import RecordValue, TypedValue, decode
+from redtype.fuzz import generate_program
+from redtype.parser import parse_program, parse_type_tag
+from redtype.resp import ReplyDecoder, encode_reply
+from redtype.store import BulkReply, ErrReply, IntReply, MemoryStore, MultiBulk, SimpleStatus
 from redtype.syntax import (
     COMMAND_SHAPES,
     OPCODES,
@@ -28,7 +34,7 @@ from redtype.syntax import (
     Var,
     hash_of,
 )
-from redtype.syntax import INT, TEXT, StringOf
+from redtype.syntax import INT, SCALARS, TEXT, Node, StringOf
 from redtype.typedict import Found
 
 
@@ -59,6 +65,9 @@ def test_hash_of_builds_ordered_fields():
 
 
 # One sample of each node class, built twice so equal nodes are distinct objects.
+# A tag or result over a scalar base is one shared node, so those classes are
+# sampled over a record base; test_shared_nodes covers the scalar bases.
+_MESSAGE = RecordRef("Message")
 NODES = {
     "IntLit": lambda: IntLit(1),
     "FloatLit": lambda: FloatLit(1.0),
@@ -70,15 +79,15 @@ NODES = {
     "Command": lambda: Command("set", ("k",), (IntLit(1),), binder="v", span=Span(2, 3)),
     "Scalar": lambda: Scalar("int"),
     "RecordRef": lambda: RecordRef("Message"),
-    "StringOf": lambda: StringOf(INT),
-    "ListOf": lambda: ListOf(INT),
-    "SetOf": lambda: SetOf(TEXT),
+    "StringOf": lambda: StringOf(_MESSAGE),
+    "ListOf": lambda: ListOf(_MESSAGE),
+    "SetOf": lambda: SetOf(_MESSAGE),
     "HashOf": lambda: hash_of(("a", StringOf(INT)), ("b", StringOf(TEXT))),
     "RecordDecl": lambda: RecordDecl("Message", (("body", TEXT), ("id", INT))),
     "Program": lambda: Program((RecordDecl("Message", (("id", INT),)),), (Command("ping"),)),
     "ScalarResult": lambda: ScalarResult("integer", INT),
-    "MaybeResult": lambda: MaybeResult(INT),
-    "ListResult": lambda: ListResult(TEXT),
+    "MaybeResult": lambda: MaybeResult(_MESSAGE),
+    "ListResult": lambda: ListResult(_MESSAGE),
     "SimpleStatus": lambda: SimpleStatus("OK"),
     "IntReply": lambda: IntReply(1),
     "BulkReply": lambda: BulkReply(b"1"),
@@ -164,3 +173,116 @@ def test_no_class_is_a_frozen_dataclass():
             if isinstance(obj, type) and dataclasses.is_dataclass(obj) and obj.__dataclass_params__.frozen:
                 frozen.append(f"{info.name}.{name}")
     assert frozen == []
+
+
+# ---------------------------------------------------------------------------
+# shared and fast-built nodes: identity is a fast path, never a semantics
+
+_SHARED = (StringOf, ListOf, SetOf, MaybeResult, ListResult)
+
+
+@pytest.mark.parametrize("cls", _SHARED, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("base", SCALARS, ids=lambda b: b.name)
+def test_a_scalar_based_tag_or_result_built_twice_is_one_node(cls, base):
+    node = cls(base)
+    assert type(node) is cls and node.base is base
+    assert cls(base) is node and cls(base=base) is node and cls(Scalar(base.name)) is node
+    assert copy.copy(node) is node and pickle.loads(pickle.dumps(node)) is node
+
+
+def test_callers_get_the_shared_nodes():
+    assert parse_type_tag("list<int>") is ListOf(INT)
+    program = parse_program("program { declare s : set<text>  set k 1  get k  sinter s s }")
+    report = check_program(program)
+    assert isinstance(report, CheckOk)
+    assert [tag for _, tag in report.final] == [SetOf(TEXT), StringOf(INT)]
+    assert all(a is b for (_, a), b in zip(report.final, [SetOf(TEXT), StringOf(INT)]))
+    assert report.results[2] is MaybeResult(INT) and report.results[3] is ListResult(TEXT)
+
+
+@pytest.mark.parametrize("cls", _SHARED, ids=lambda c: c.__name__)
+def test_a_record_based_tag_or_result_is_built_anew_and_compared_by_fields(cls):
+    a, b = cls(RecordRef("Message")), cls(RecordRef("Message"))
+    assert a is not b and type(a) is cls
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1 and repr(a) == repr(b)
+    assert a != cls(RecordRef("Other")) and a != cls(TEXT)
+
+
+def test_hash_tags_are_never_shared():
+    a, b = hash_of(("f", StringOf(INT))), hash_of(("f", StringOf(INT)))
+    assert a is not b and a == b and hash(a) == hash(b)
+
+
+def _same_node(built, by_class):
+    assert type(built) is type(by_class)
+    assert built == by_class and by_class == built
+    assert hash(built) == hash(by_class)
+    assert repr(built) == repr(by_class)
+
+
+def _rebuilt(value):
+    """``value`` built again field by field through each node class's constructor."""
+    if isinstance(value, Node):
+        return type(value)(*map(_rebuilt, value))
+    if isinstance(value, tuple):
+        return tuple(map(_rebuilt, value))
+    return value
+
+
+_STORE_TRANSCRIPT = [
+    (["PING"], SimpleStatus("PONG")),
+    (["SET", "k", "v"], SimpleStatus("OK")),
+    (["GET", "k"], BulkReply(b"v")),
+    (["GET", "nope"], BulkReply(None)),
+    (["SETNX", "k", "w"], IntReply(0)),
+    (["SETNX", "n", "41"], IntReply(1)),
+    (["INCR", "n"], IntReply(42)),
+    (["INCR", "k"], ErrReply("ERR value is not an integer or out of range")),
+    (["INCRBYFLOAT", "f", "1.5"], BulkReply(b"1.5")),
+    (["LPUSH", "q", "a"], IntReply(1)),
+    (["LPUSH", "q", "b"], IntReply(2)),
+    (["LLEN", "q"], IntReply(2)),
+    (["LLEN", "nope"], IntReply(0)),
+    (["RPOP", "q"], BulkReply(b"a")),
+    (["RPOP", "nope"], BulkReply(None)),
+    (["SADD", "s", "x"], IntReply(1)),
+    (["SADD", "s", "x"], IntReply(0)),
+    (["SINTER", "s", "s"], MultiBulk((b"x",))),
+    (["HSET", "h", "f", "1"], IntReply(1)),
+    (["HSET", "h", "f", "2"], IntReply(0)),
+    (["HGET", "h", "f"], BulkReply(b"2")),
+    (["HGET", "h", "g"], BulkReply(None)),
+    (["DEL", "h"], IntReply(1)),
+    (["DEL", "h"], IntReply(0)),
+    (["GET", "q"], ErrReply("WRONGTYPE Operation against a key holding the wrong kind of value")),
+    (["get", "k"], BulkReply(b"v")),
+    (["NOPE"], ErrReply("ERR unknown command 'NOPE'")),
+    (["get"], ErrReply("ERR wrong number of arguments for 'get' command")),
+]
+
+
+def test_replies_are_as_built_by_their_classes():
+    store = MemoryStore()
+    for argv, want in _STORE_TRANSCRIPT:
+        reply = store.execute([a.encode() for a in argv])
+        _same_node(reply, want)
+        decoder = ReplyDecoder()
+        decoder.feed(encode_reply(reply))
+        _same_node(decoder.poll(), want)
+
+
+def test_decoded_values_are_as_built_by_their_class():
+    _same_node(decode(b"1", INT), TypedValue(INT, 1))
+    _same_node(decode(b"hi", TEXT), TypedValue(TEXT, "hi"))
+
+
+def test_generated_nodes_are_as_built_by_their_classes():
+    rng = random.Random(3)
+    for _ in range(100):
+        program = generate_program(rng)
+        _same_node(program, _rebuilt(program))
+        for cmd in program.body:
+            _same_node(cmd, _rebuilt(cmd))
+            _same_node(cmd.span, _rebuilt(cmd.span))
+            for arg in cmd.args:
+                _same_node(arg, _rebuilt(arg))
