@@ -120,21 +120,21 @@ class CheckError(Exception):
     """A violated precondition, located at one command."""
 
     def __init__(self, span: Span | None, opcode: str | None, constraint: str, detail: str):
-        super().__init__(constraint, detail)  # not span and opcode, which _step may fill in
+        # Exception keeps the arguments as given, so copy and pickle rebuild the error.
         self.span = span
         self.opcode = opcode
         self.constraint = constraint
         self.detail = detail
 
     def __str__(self) -> str:
-        # formatted when read, so that _step can locate the error in place
+        # formatted when read, so that a caller of _step can locate the error in place
         at = f"{self.span.line}:{self.span.col}: " if self.span else ""
         op = f"{self.opcode}: " if self.opcode else ""
         return f"{at}{self.constraint}: {op}{self.detail}"
 
 
 def _fail(constraint: str, detail: str) -> CheckError:
-    """A violation not yet located; check_command adds the command's span."""
+    """A violation not yet located; the caller of ``_step`` that reports it adds the command's span."""
     return CheckError(None, None, constraint, detail)
 
 
@@ -254,7 +254,11 @@ def check_command(
     violated precondition, and ValueError if ``xs`` tracks a key twice.
     """
     d = _as_dict(xs)
-    result = _step(d, env, records, cmd, strict)
+    try:
+        result = _step(d, env, records, cmd, strict)
+    except CheckError as err:
+        err.span, err.opcode = cmd.span, cmd.opcode
+        raise
     return list(d.items()), result
 
 
@@ -286,104 +290,100 @@ def _step(
 ) -> ResultType:
     """Apply one command to ``xs`` in place and return its result type.
 
-    Raises CheckError (with the command's span attached) on the first
+    Raises CheckError (span-less; the caller locates it) on the first
     violated precondition, before ``xs`` is changed.  Every read of
     ``xs`` goes through ``_lookup``.
     """
     op = cmd.opcode
     k = cmd.keys[0] if cmd.keys else ""
-    try:
-        a = infer_expr(env, records, cmd.args[0]) if cmd.args else None
-        match op:
-            case "ping":
-                return STATUS
-            case "set":
-                xs[k] = StringOf(a)
-                return STATUS
-            case "setnx":
-                tag, new = _lookup(xs, k), StringOf(a)
-                if tag is not None and tag != new:
-                    raise _fail(
-                        GET_EQUALITY,
-                        f"key '{_clip(k)}' is tracked as {_clip(tag_text(tag))}, but setnx may write a "
-                        f"string<{_clip(a.name)}> if the key is unset",
-                    )
-                xs[k] = new
-                return BOOL_RESULT
-            case "get":
-                return MaybeResult(_lookup(xs, k, StringOf).base)
-            case "del":
-                xs.pop(k, None)
-                return INT_RESULT
-            case "incr":
-                _lookup(xs, k, StringOf(INT))
-                return INT_RESULT
-            case "incrbyfloat":
-                if a != FLOAT:
-                    raise _fail(ELEMENT_MISMATCH, f"incrbyfloat takes a float increment, got {_clip(a.name)}")
-                _lookup(xs, k, StringOf(FLOAT))
-                return FLOAT_RESULT
-            case "lpush" | "sadd":
-                if op == "lpush":
-                    old, new, verb = _lookup(xs, k, ListOf, LIST_OR_NX), ListOf(a), "push"
-                else:
-                    old, new, verb = _lookup(xs, k, SetOf, SET_OR_NX), SetOf(a), "add"
-                if strict and old is not None and old != new:
-                    raise _fail(
-                        ELEMENT_MISMATCH,
-                        f"key '{_clip(k)}' holds {_clip(tag_text(old))}; "
-                        f"cannot {verb} {_clip(a.name)} elements in strict mode",
-                    )
-                xs[k] = new
-                return INT_RESULT
-            case "llen":
-                _lookup(xs, k, ListOf, LIST_OR_NX)
-                return INT_RESULT
-            case "rpop":
-                return MaybeResult(_lookup(xs, k, ListOf).base)
-            case "sinter":
-                k2 = cmd.keys[1]
-                tag, tag2 = _lookup(xs, k, SetOf), _lookup(xs, k2, SetOf)
-                if tag.base != tag2.base:
-                    raise _fail(
-                        GET_EQUALITY,
-                        f"keys '{_clip(k)}' and '{_clip(k2)}' hold {_clip(tag_text(tag))} and "
-                        f"{_clip(tag_text(tag2))}; sinter needs equal element types",
-                    )
-                return ListResult(tag.base)
-            case "hset":
-                assert cmd.field_name is not None
-                old = _lookup(xs, k, HashOf, HASH_OR_NX)
-                fields = old.fields if old is not None else ()
-                xs[k] = HashOf(tuple(typedict.dict_set(fields, cmd.field_name, StringOf(a))))
-                return BOOL_RESULT
-            case "hget":
-                assert cmd.field_name is not None
-                tag = _lookup(xs, k)
-                look = typedict.dict_get(tag.fields, cmd.field_name) if isinstance(tag, HashOf) else typedict.STUCK
-                if not isinstance(look, Found):
-                    raise _fail(GET_STUCK, f"no hash field '{_clip(cmd.field_name)}' is tracked under key '{_clip(k)}'")
-                if not isinstance(look.tag, StringOf):
-                    raise _fail(
-                        GET_EQUALITY,
-                        f"field '{_clip(cmd.field_name)}' of '{_clip(k)}' holds {_clip(tag_text(look.tag))}, not a string",
-                    )
-                return MaybeResult(look.tag.base)
-            case "declare":
-                tag = _lookup(xs, k)
-                if tag is not None:
-                    raise _fail(NOT_MEMBER, f"key '{_clip(k)}' is already tracked as {_clip(tag_text(tag))}")
-                assert cmd.declared is not None
-                bad = undeclared_record(cmd.declared, records)
-                if bad:
-                    raise _fail(UNKNOWN_RECORD, f"no record named '{_clip(bad)}' is declared")
-                xs[k] = cmd.declared
-                return UNIT
-        raise _fail(ARITY_MISMATCH, f"unknown command '{op}'")
-    except CheckError as err:
-        if err.span is None:
-            err.span, err.opcode = cmd.span, cmd.opcode
-        raise
+    a = infer_expr(env, records, cmd.args[0]) if cmd.args else None
+    match op:
+        case "ping":
+            return STATUS
+        case "set":
+            xs[k] = StringOf(a)
+            return STATUS
+        case "setnx":
+            tag, new = _lookup(xs, k), StringOf(a)
+            if tag is not None and tag != new:
+                raise _fail(
+                    GET_EQUALITY,
+                    f"key '{_clip(k)}' is tracked as {_clip(tag_text(tag))}, but setnx may write a "
+                    f"{KINDS[StringOf]}<{_clip(a.name)}> if the key is unset",
+                )
+            xs[k] = new
+            return BOOL_RESULT
+        case "get":
+            return MaybeResult(_lookup(xs, k, StringOf).base)
+        case "del":
+            xs.pop(k, None)
+            return INT_RESULT
+        case "incr":
+            _lookup(xs, k, StringOf(INT))
+            return INT_RESULT
+        case "incrbyfloat":
+            if a != FLOAT:
+                raise _fail(ELEMENT_MISMATCH, f"incrbyfloat takes a float increment, got {_clip(a.name)}")
+            _lookup(xs, k, StringOf(FLOAT))
+            return FLOAT_RESULT
+        case "lpush" | "sadd":
+            if op == "lpush":
+                old, new, verb = _lookup(xs, k, ListOf, LIST_OR_NX), ListOf(a), "push"
+            else:
+                old, new, verb = _lookup(xs, k, SetOf, SET_OR_NX), SetOf(a), "add"
+            if strict and old is not None and old != new:
+                raise _fail(
+                    ELEMENT_MISMATCH,
+                    f"key '{_clip(k)}' holds {_clip(tag_text(old))}; "
+                    f"cannot {verb} {_clip(a.name)} elements in strict mode",
+                )
+            xs[k] = new
+            return INT_RESULT
+        case "llen":
+            _lookup(xs, k, ListOf, LIST_OR_NX)
+            return INT_RESULT
+        case "rpop":
+            return MaybeResult(_lookup(xs, k, ListOf).base)
+        case "sinter":
+            k2 = cmd.keys[1]
+            tag, tag2 = _lookup(xs, k, SetOf), _lookup(xs, k2, SetOf)
+            if tag.base != tag2.base:
+                raise _fail(
+                    GET_EQUALITY,
+                    f"keys '{_clip(k)}' and '{_clip(k2)}' hold {_clip(tag_text(tag))} and "
+                    f"{_clip(tag_text(tag2))}; sinter needs equal element types",
+                )
+            return ListResult(tag.base)
+        case "hset":
+            assert cmd.field_name is not None
+            old = _lookup(xs, k, HashOf, HASH_OR_NX)
+            fields = old.fields if old is not None else ()
+            xs[k] = HashOf(tuple(typedict.dict_set(fields, cmd.field_name, StringOf(a))))
+            return BOOL_RESULT
+        case "hget":
+            assert cmd.field_name is not None
+            tag = _lookup(xs, k)
+            look = typedict.dict_get(tag.fields, cmd.field_name) if isinstance(tag, HashOf) else typedict.STUCK
+            if not isinstance(look, Found):
+                raise _fail(GET_STUCK, f"no hash field '{_clip(cmd.field_name)}' is tracked under key '{_clip(k)}'")
+            if not isinstance(look.tag, StringOf):
+                raise _fail(
+                    GET_EQUALITY,
+                    f"field '{_clip(cmd.field_name)}' of '{_clip(k)}' holds {_clip(tag_text(look.tag))}, "
+                    f"not a {KINDS[StringOf]}",
+                )
+            return MaybeResult(look.tag.base)
+        case "declare":
+            tag = _lookup(xs, k)
+            if tag is not None:
+                raise _fail(NOT_MEMBER, f"key '{_clip(k)}' is already tracked as {_clip(tag_text(tag))}")
+            assert cmd.declared is not None
+            bad = undeclared_record(cmd.declared, records)
+            if bad:
+                raise _fail(UNKNOWN_RECORD, f"no record named '{_clip(bad)}' is declared")
+            xs[k] = cmd.declared
+            return UNIT
+    raise _fail(ARITY_MISMATCH, f"unknown command '{op}'")
 
 
 # ---- programs ---------------------------------------------------------------
@@ -407,6 +407,7 @@ def check_program(
         try:
             result = _step(xs, env, records, cmd, strict)
         except CheckError as err:
+            err.span, err.opcode = cmd.span, cmd.opcode
             # The error is a value from here on, so drop its traceback: the frames in
             # it would otherwise hold the caller's frame, and so this error, in a cycle.
             return err.with_traceback(None)

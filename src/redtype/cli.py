@@ -124,8 +124,6 @@ def _check_json(report: CheckOk | CheckError) -> dict[str, Any]:
 
 
 def _value_text(value: Any, records: Mapping[str, RecordDecl]) -> str:
-    if value is None:
-        return "nil"
     if isinstance(value, (bool, int, float, str)):
         return scalar_text(value)
     if isinstance(value, RecordValue):

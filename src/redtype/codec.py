@@ -137,13 +137,11 @@ def int64_value(data: bytes) -> int:
 
     A spelling longer than any int64's is refused before int() reads it.
     """
-    try:
-        n = int(data) if len(data) <= _LONGEST_INT64 else None
-    except ValueError:
-        n = None
-    if n is None or b"%d" % n != data or not INT64_MIN <= n <= INT64_MAX:
-        raise DecodeError(INT.name, data)
-    return n
+    if len(data) <= _LONGEST_INT64:
+        n = int_value(data)
+        if INT64_MIN <= n <= INT64_MAX:
+            return n
+    raise DecodeError(INT.name, data)
 
 
 def _float_value(data: bytes) -> float:

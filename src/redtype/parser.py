@@ -43,6 +43,7 @@ _T = TypeVar("_T")
 
 _BASE_KEYWORDS = {b.name: b for b in SCALARS}
 _CONTAINER_KEYWORDS = {word: cls for cls, word in KINDS.items() if cls is not HashOf}
+_TYPE_TAG = f"a type tag ({', '.join(KINDS.values())})"
 
 RESERVED = frozenset(OPCODES) | set(KINDS.values()) | set(_BASE_KEYWORDS) | {
     "program",
@@ -279,26 +280,26 @@ class _Parser:
         return RecordRef(word)
 
     def type_tag(self, depth: int = 0) -> TypeTag:
-        tok = self.expect("IDENT", "a type tag (string, list, set, hash)")
+        tok = self.expect("IDENT", _TYPE_TAG)
         word = tok[1]
         if word in _CONTAINER_KEYWORDS:
             self.expect("LT", "'<'")
             base = self.base_type(allow_record=True)
             self.expect("GT", "'>'")
             return _CONTAINER_KEYWORDS[word](base)
-        if word == "hash":
+        if word == KINDS[HashOf]:
             inner = self.deeper(tok, depth)
             self.expect("LT", "'<'")
             fields = self.fields("hash field name", "a new hash field", lambda: self.field_tag(inner))
             self.expect("GT", "'>'")
             return HashOf(fields)
-        raise self.fail(tok, "a type tag (string, list, set, hash)")
+        raise self.fail(tok, _TYPE_TAG)
 
     def field_tag(self, depth: int) -> StringOf:
         tok = self.tok
         tag = self.type_tag(depth)
         if not isinstance(tag, StringOf):
-            raise self.error(tok, "a string<...> field tag", _clip(tag_text(tag)))
+            raise self.error(tok, f"a {KINDS[StringOf]}<...> field tag", _clip(tag_text(tag)))
         return tag
 
     def command(self, binders: set[str]) -> Command:
@@ -438,16 +439,10 @@ def tag_text(tag: TypeTag) -> str:
 
 
 def float_text(value: float) -> str:
-    """Shortest float form that the lexer accepts (always has a '.')."""
-    s = repr(value)
-    if "e" in s or "E" in s:
-        mantissa, _, exponent = s.partition("e")
-        if "." not in mantissa:
-            mantissa += ".0"
-        return f"{mantissa}e{exponent}"
-    if "." not in s:
-        s += ".0"
-    return s
+    """Shortest form of a finite float that the lexer accepts (always has a '.')."""
+    s = repr(value)  # has a '.' or, as in 1e+16, an exponent
+    mantissa, _, exponent = s.partition("e")
+    return s if "." in mantissa else f"{mantissa}.0e{exponent}"
 
 
 _ESCAPED = {c: "\\" + esc for esc, c in _ESCAPES.items()}

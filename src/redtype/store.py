@@ -23,7 +23,7 @@ from collections import deque
 from typing import Callable, NamedTuple, Sequence
 
 from .codec import DecodeError, int64_value, redis_float
-from .syntax import INT64_MAX, WIRE_ARITIES, Node, new_node
+from .syntax import INT64_MAX, KINDS, WIRE_ARITIES, HashOf, ListOf, Node, SetOf, StringOf, new_node
 
 WRONGTYPE_MSG = "WRONGTYPE Operation against a key holding the wrong kind of value"
 NOT_INT_MSG = "ERR value is not an integer or out of range"
@@ -77,6 +77,9 @@ class _WrongType(Exception):
 # and hashes as field dicts.
 _Value = bytes | deque | set | dict
 _State = dict[str, _Value]
+
+# The kind of each value class, as the store's TYPE reply names it.
+_KIND_OF: dict[type, str] = {bytes: KINDS[StringOf], deque: KINDS[ListOf], set: KINDS[SetOf], dict: KINDS[HashOf]}
 
 
 def _holding(state: _State, k: str, kind: type) -> _Value | None:
@@ -243,15 +246,10 @@ class MemoryStore:
         for k in sorted(self._state):
             v = self._state[k]
             if isinstance(v, bytes):
-                entry: dict[str, object] = {"type": "string", "value": v.decode("latin-1")}
-            elif isinstance(v, deque):
-                entry = {"type": "list", "value": [b.decode("latin-1") for b in v]}
-            elif isinstance(v, set):
-                entry = {"type": "set", "value": [b.decode("latin-1") for b in sorted(v)]}
+                value: object = v.decode("latin-1")
+            elif isinstance(v, dict):
+                value = {f: data.decode("latin-1") for f, data in sorted(v.items())}
             else:
-                entry = {
-                    "type": "hash",
-                    "value": {f: data.decode("latin-1") for f, data in sorted(v.items())},
-                }
-            out.append({"key": k, **entry})
+                value = [b.decode("latin-1") for b in (sorted(v) if isinstance(v, set) else v)]
+            out.append({"key": k, "type": _KIND_OF[type(v)], "value": value})
         return out

@@ -1,8 +1,8 @@
 """Symbolic key/type dictionaries: the paper's list operations.
 
 A dictionary is an ordered association list of (key, tag) pairs.  Order
-matters and duplicate keys are representable: every operation here is
-defined by first-match recursion over the list, and the test suite pins
+matters and duplicate keys are representable: every operation here acts
+on the first matching entry, found by one scan, and the test suite pins
 each one against an independent naive model, duplicates included.
 
 These operations are the specification the checker is tested against.
@@ -49,12 +49,26 @@ STUCK = Stuck()
 Lookup = Found | Stuck
 
 
+def _first(xs: Sequence[Entry], k: str, kind: type = object) -> int:
+    """Index of the first entry for ``k`` whose tag is a ``kind``, or len(xs) if there is none.
+
+    The one scan of the list: every operation below acts on the entry it finds.
+    """
+    for i, (key, tag) in enumerate(xs):
+        if key == k and isinstance(tag, kind):
+            return i
+    return len(xs)
+
+
+def _splice(xs: Sequence[Entry], i: int, entries: list[Entry]) -> TypeDict:
+    """A new list: ``xs`` with its i-th entry replaced by ``entries``, which are appended if i == len(xs)."""
+    return [*xs[:i], *entries, *xs[i + 1 :]]
+
+
 def dict_get(xs: Sequence[Entry], k: str) -> Lookup:
     """Tag of the first entry for ``k``, or STUCK if there is none."""
-    for key, tag in xs:
-        if key == k:
-            return Found(tag)
-    return STUCK
+    i = _first(xs, k)
+    return Found(xs[i][1]) if i < len(xs) else STUCK
 
 
 def dict_set(xs: Sequence[Entry], k: str, x: TypeTag) -> TypeDict:
@@ -63,26 +77,16 @@ def dict_set(xs: Sequence[Entry], k: str, x: TypeTag) -> TypeDict:
     Position is preserved on replacement; later duplicates are left
     untouched.
     """
-    for i, (key, _) in enumerate(xs):
-        if key == k:
-            return list(xs[:i]) + [(k, x)] + list(xs[i + 1 :])
-    return list(xs) + [(k, x)]
+    return _splice(xs, _first(xs, k), [(k, x)])
 
 
 def dict_del(xs: Sequence[Entry], k: str) -> TypeDict:
     """Remove the first entry for ``k``; no-op if absent."""
-    out: TypeDict = []
-    skipped = False
-    for key, tag in xs:
-        if not skipped and key == k:
-            skipped = True
-            continue
-        out.append((key, tag))
-    return out
+    return _splice(xs, _first(xs, k), [])
 
 
 def dict_member(xs: Sequence[Entry], k: str) -> bool:
-    return any(key == k for key, _ in xs)
+    return _first(xs, k) < len(xs)
 
 
 # ---------------------------------------------------------------------------
@@ -101,11 +105,9 @@ def hash_get(xs: Sequence[Entry], k: str, f: str) -> Lookup:
     a hash the lookup is STUCK, it does not keep searching for a later
     hash entry under the same key.
     """
-    for key, tag in xs:
-        if key == k:
-            if isinstance(tag, HashOf):
-                return dict_get(tag.fields, f)
-            return STUCK
+    look = dict_get(xs, k)
+    if isinstance(look, Found) and isinstance(look.tag, HashOf):
+        return dict_get(look.tag.fields, f)
     return STUCK
 
 
@@ -118,11 +120,9 @@ def hash_set(xs: Sequence[Entry], k: str, f: str, a: TypeTag) -> TypeDict:
     rules that situation out up front, but the operation itself keeps
     the skip-and-append behavior.
     """
-    for i, (key, tag) in enumerate(xs):
-        if key == k and isinstance(tag, HashOf):
-            updated = HashOf(tuple(dict_set(tag.fields, f, a)))
-            return list(xs[:i]) + [(k, updated)] + list(xs[i + 1 :])
-    return list(xs) + [(k, HashOf(tuple(dict_set((), f, a))))]
+    i = _first(xs, k, HashOf)
+    fields = xs[i][1].fields if i < len(xs) else ()
+    return _splice(xs, i, [(k, HashOf(tuple(dict_set(fields, f, a))))])
 
 
 def hash_del(xs: Sequence[Entry], k: str, f: str) -> TypeDict:
@@ -131,11 +131,10 @@ def hash_del(xs: Sequence[Entry], k: str, f: str) -> TypeDict:
     Dictionaries with no hash entry for ``k`` come back unchanged;
     non-hash entries under ``k`` are skipped, as in hash_set.
     """
-    for i, (key, tag) in enumerate(xs):
-        if key == k and isinstance(tag, HashOf):
-            updated = HashOf(tuple(dict_del(tag.fields, f)))
-            return list(xs[:i]) + [(k, updated)] + list(xs[i + 1 :])
-    return list(xs)
+    i = _first(xs, k, HashOf)
+    if i == len(xs):
+        return list(xs)
+    return _splice(xs, i, [(k, HashOf(tuple(dict_del(xs[i][1].fields, f))))])
 
 
 def hash_member(xs: Sequence[Entry], k: str, f: str) -> bool:
@@ -144,10 +143,7 @@ def hash_member(xs: Sequence[Entry], k: str, f: str) -> bool:
     A non-hash first entry answers False outright (no fallthrough to
     later duplicates).
     """
-    for key, tag in xs:
-        if key == k:
-            return isinstance(tag, HashOf) and dict_member(tag.fields, f)
-    return False
+    return isinstance(hash_get(xs, k, f), Found)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +172,5 @@ def or_nx(pred: Callable[[TypeTag], bool], xs: Sequence[Entry], k: str) -> bool:
     Membership is evaluated first: an absent key short-circuits to True
     without consulting ``pred`` (there is no tag to consult).
     """
-    look = dict_get(xs, k)
-    if isinstance(look, Stuck):
-        return True
-    return pred(look.tag)
+    i = _first(xs, k)
+    return i == len(xs) or pred(xs[i][1])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 import sys
 import time
@@ -792,3 +794,33 @@ def test_a_returned_check_error_holds_no_frames():
     assert isinstance(report, CheckError)
     assert report.__traceback__ is None
     assert str(report) == "1:20: GetStuck: get: key 'j' is not in the dictionary"
+
+
+def test_a_rejection_survives_copy_and_pickle():
+    report = check_program(parse_program("program { set k 1  get j }"))
+    assert isinstance(report, CheckError)
+    for clone in (copy.copy(report), copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
+        assert type(clone) is CheckError
+        assert str(clone) == str(report)
+        assert (clone.span, clone.opcode, clone.constraint) == (report.span, report.opcode, report.constraint)
+
+
+def test_the_rules_raise_span_less_errors_that_their_reporting_callers_locate():
+    cmd = parse_program("program {\n  ping\n  get j\n}").body[1]
+    with pytest.raises(CheckError) as exc:
+        checker._step({}, {}, {}, cmd, False)
+    assert (exc.value.span, exc.value.opcode) == (None, None)
+    assert str(exc.value) == "GetStuck: key 'j' is not in the dictionary"
+    with pytest.raises(CheckError) as exc:
+        check_command([], {}, {}, cmd)
+    assert (exc.value.span, exc.value.opcode) == (cmd.span, "get")
+    assert str(exc.value) == "3:3: GetStuck: get: key 'j' is not in the dictionary"
+
+
+def test_hget_of_a_field_whose_tag_is_not_a_string_is_get_equality():
+    # The parser allows only string<...> field tags; an assumed dictionary is built directly.
+    initial = [("h", hash_of(("f", ListOf(INT))))]
+    report = check_program(parse_program("program {\n  hget h f\n}"), initial)
+    assert isinstance(report, CheckError)
+    assert report.constraint == "GetEquality-failed"
+    assert str(report) == "2:3: GetEquality-failed: hget: field 'f' of 'h' holds list<int>, not a string"

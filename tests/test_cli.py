@@ -9,6 +9,8 @@ import threading
 
 import pytest
 
+from redtype import checker
+from redtype.checker import STATUS
 from redtype.cli import main
 from redtype.resp import ReplyDecoder, encode_reply
 from redtype.store import BulkReply
@@ -562,3 +564,44 @@ def test_rpop_of_a_non_canonical_record_is_exit_4(payload, reason, tmp_path, cap
         assert main(["run", "--backend", "resp", "--addr", addr, f]) == 4
     message = f"DECODE cannot decode {_shown(payload)} as Message ({reason})"
     assert capsys.readouterr().err == f"runtime error at 4:3: {message}\n"
+
+
+def test_a_server_that_closes_mid_reply_is_exit_5(tmp_path, capsys):
+    f = write(tmp_path, "p.rt", "program {\n  declare k : string<int>\n  get k\n}")
+    with _serving([b"$5\r\n12"]) as addr:  # the server closes once it has sent this
+        assert main(["run", "--backend", "resp", "--addr", addr, f]) == 5
+    assert capsys.readouterr().err == "redtype: connection failed: connection closed mid-reply\n"
+
+
+def test_an_array_answer_to_get_is_exit_5(tmp_path, capsys):
+    f = write(tmp_path, "p.rt", "program {\n  declare k : string<int>\n  get k\n}")
+    with _serving([b"*2\r\n$1\r\n1\r\n$1\r\n2\r\n"]) as addr:
+        assert main(["run", "--backend", "resp", "--addr", addr, f]) == 5
+    err = capsys.readouterr().err
+    assert err == "redtype: connection failed: reply MultiBulk of 2 items does not fit result type maybe<int>\n"
+
+
+# ---------------------------------------------------------------------------
+# paths no other test runs
+
+
+def test_fuzz_against_an_unsound_checker_is_exit_6(monkeypatch, capsys):
+    monkeypatch.setattr(checker, "_step", lambda xs, env, records, cmd, strict: STATUS)
+    assert main(["fuzz", "--iterations", "100", "--seed", "1"]) == 6
+    err = capsys.readouterr().err
+    assert err.startswith("soundness violation: ")
+    assert "\nprogram {\n" in err
+
+
+def test_a_program_file_that_is_not_utf8_is_exit_3(tmp_path, capsys):
+    f = tmp_path / "p.rt"
+    f.write_bytes(b"program { set k \"\xff\" }")
+    assert main(["check", str(f)]) == 3
+    assert capsys.readouterr().err.startswith(f"redtype: cannot read {f}: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_a_non_numeric_iteration_count_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fuzz", "--iterations", "abc"])
+    assert exit_info.value.code == 2
+    assert "argument --iterations: 'abc' is not an integer of at least 1" in capsys.readouterr().err

@@ -590,3 +590,10 @@ def test_spans_of_a_multi_line_program_equal_the_reference_spans():
     spans = [c.span for c in parse_program(source).body]
     assert spans == [c.span for c in oracles.parse(source).body]
     assert spans == [Span(6, 3), Span(8, 8), Span(8, 16), Span(11, 3), Span(13, 6), Span(15, 4)]
+
+
+def test_a_reserved_word_is_not_a_record_base():
+    with pytest.raises(ParseError) as exc:
+        parse_program("program { declare k : string<program> }")
+    assert (exc.value.expected, exc.value.found) == ("a base type", "reserved word 'program'")
+    assert str(exc.value) == "1:30: expected a base type, found reserved word 'program'"
