@@ -4,11 +4,15 @@ Usage, from the repository root:
 
   python3 probes/parse_scaling.py [--sizes 10000 40000 160000] [--repeat 3] [--src src]
 
-After one untimed parse, for each size n, parses a program of n
-``set k<i> <i>`` commands, one per line, --repeat times after
-``gc.collect()`` and keeps the best wall time; then does the same with
-the garbage collector disabled during each timed parse.  Prints one
-JSON object per size, with microseconds per command;
+After one untimed parse, for each size n and each of two shapes, parses a
+program of n commands, one per line, --repeat times after ``gc.collect()``
+and keeps the best wall time; then does the same with the garbage
+collector disabled during each timed parse.  The shapes are ``set``, n
+``set k<i> <i>`` commands, and ``queue``, the quick-start queue: a binder
+``incr``, an ``lpush`` of a record literal, an ``hset`` and an ``rpop`` per
+four commands, after one ``declare``.  A shape that the parser's statement
+path hands to the token path shows as a higher cost per command.  Prints
+one JSON object per size and shape, with microseconds per command;
 the collector's runs and seconds per generation (0, 1, 2) during one more
 parse with it enabled, taken from ``gc.callbacks``; and the ``tracemalloc``
 peak of one parse, and the part of it the returned program keeps, in bytes
@@ -90,6 +94,21 @@ def set_program(n: int) -> str:
     return "program {\n" + "".join(f"  set k{i} {i}\n" for i in range(n)) + "}\n"
 
 
+def queue_program(n: int) -> str:
+    lines = ["record Message { body: text, id: int }", "program {", "  declare counter : string<int>"]
+    for i in range(n // 4):
+        lines += [
+            f"  i{i} <- incr counter",
+            f'  lpush queue Message{{ "message {i}", i{i} }}',
+            f"  hset h f{i % 8} {i * 7919}",
+            "  rpop queue",
+        ]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+SHAPES = {"set": set_program, "queue": queue_program}
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--sizes", type=int, nargs="+", default=[10_000, 40_000, 160_000])
@@ -99,21 +118,25 @@ def main() -> None:
     sys.path.insert(0, args.src)
     from redtype.parser import parse_program
 
-    parse_program(set_program(args.sizes[0]))  # so that the first size pays no warm-up
-    for n in args.sizes:
-        source = set_program(n)
-        on = best_parse_s(parse_program, source, args.repeat, collector=True)
-        off = best_parse_s(parse_program, source, args.repeat, collector=False)
-        peak, kept = traced_bytes(parse_program, source)
-        print(json.dumps({
-            "commands": n,
-            "bytes": len(source),
-            "gc_on_us_per_cmd": round(on / n * 1e6, 2),
-            "gc_off_us_per_cmd": round(off / n * 1e6, 2),
-            **collector_work(parse_program, source),
-            "peak_bytes_per_source_byte": round(peak / len(source), 1),
-            "kept_bytes_per_source_byte": round(kept / len(source), 1),
-        }))
+    for build in SHAPES.values():
+        parse_program(build(args.sizes[0]))  # so that the first size pays no warm-up
+    for size in args.sizes:
+        for shape, build in SHAPES.items():
+            source = build(size)
+            n = len(parse_program(source).body)
+            on = best_parse_s(parse_program, source, args.repeat, collector=True)
+            off = best_parse_s(parse_program, source, args.repeat, collector=False)
+            peak, kept = traced_bytes(parse_program, source)
+            print(json.dumps({
+                "shape": shape,
+                "commands": n,
+                "bytes": len(source),
+                "gc_on_us_per_cmd": round(on / n * 1e6, 2),
+                "gc_off_us_per_cmd": round(off / n * 1e6, 2),
+                **collector_work(parse_program, source),
+                "peak_bytes_per_source_byte": round(peak / len(source), 1),
+                "kept_bytes_per_source_byte": round(kept / len(source), 1),
+            }))
 
     n = args.sizes[0]
     source = set_program(n)

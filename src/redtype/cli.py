@@ -164,11 +164,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(json.dumps(_check_json(report)))
         return EXIT_OK if isinstance(report, CheckOk) else EXIT_TYPE_ERROR
     if isinstance(report, CheckOk):
-        print("ok")
-        print("final dictionary:")
-        for k, t in report.final:
-            print(f"  {k} : {tag_text(t)}")
-        print(f"result: {result_text(report.result)}")
+        lines = ["ok", "final dictionary:"]
+        lines += [f"  {k} : {tag_text(t)}" for k, t in report.final]
+        lines.append(f"result: {result_text(report.result)}")
+        print("\n".join(lines))
         return EXIT_OK
     print(f"{args.file}:{report}", file=sys.stderr)
     return EXIT_TYPE_ERROR

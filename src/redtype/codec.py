@@ -65,12 +65,14 @@ def quote(payload: Any) -> str:
 
 class DecodeError(Exception):
     def __init__(self, base_name: str, data: bytes, reason: str = ""):
-        msg = f"cannot decode {quote(data)} as {base_name}"
-        if reason:
-            msg += f" ({reason})"
-        super().__init__(msg)
+        # Exception keeps the arguments as given, so copy and pickle rebuild the error.
         self.base_name = base_name
         self.data = data
+        self.reason = reason
+
+    def __str__(self) -> str:
+        why = f" ({self.reason})" if self.reason else ""
+        return f"cannot decode {quote(self.data)} as {self.base_name}{why}"
 
 
 def _record_decl(base: RecordRef, records: Mapping[str, RecordDecl] | None) -> RecordDecl:

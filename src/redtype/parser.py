@@ -1,22 +1,45 @@
-"""Surface syntax: lexer, parser, and pretty printer.
+"""Surface syntax: parser and pretty printer.
 
 The grammar is whitespace-insensitive with '#' line comments.  Keys and
 hash fields are bare symbols and may contain hyphens (some-set); binder
 and record names must avoid the reserved words so that printed programs
 re-lex unambiguously.  ``print_program`` emits a canonical form that
 parses back to a structurally equal tree.
+
+A program body is read by two paths.  The statement path reads each plain
+command (one with no type tag and at most one value) with two pattern
+matches and builds its nodes from the match groups; its value is a scalar
+literal, true, false, a binder name or a flat record literal of those.
+Everything else, ``declare``, record declarations and any text the
+statement path does not accept, is read by recursive descent over the
+token stream of ``lexer``, from that statement on; the token path builds
+every ParseError, so the first bad token in the source still wins.
 """
 
 from __future__ import annotations
 
+import functools
 import gc
 import re
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, TypeVar
 
+from .lexer import _ESCAPE, _TOKEN, _bad_token, _unescape  # noqa: F401 tests/oracles.py imports them from here
+from .lexer import (
+    _BLANKS,
+    _ESCAPES,
+    _FLOAT,
+    _IDENT,
+    _INT,
+    _OPEN_TEXT,
+    ParseError,
+    _located,
+    _number,
+    _text,
+    _Token,
+    _tokens,
+)
 from .syntax import (
     COMMAND_SHAPES,
-    INT64_MAX,
-    INT64_MIN,
     KINDS,
     OPCODES,
     SCALARS,
@@ -60,105 +83,12 @@ RESERVED = frozenset(OPCODES) | set(KINDS.values()) | set(_BASE_KEYWORDS) | {
 MAX_NESTING = 64
 
 
-class ParseError(Exception):
-    def __init__(self, line: int, column: int, expected: str, found: str):
-        super().__init__(f"{line}:{column}: expected {expected}, found {found}")
-        self.line = line
-        self.column = column
-        self.expected = expected
-        self.found = found
-
-
 # Longest stretch of token text an error message quotes.
 _QUOTE_MAX = 40
 
 
 def _clip(text: str) -> str:
     return text if len(text) <= _QUOTE_MAX else text[:_QUOTE_MAX] + "..."
-
-
-_ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
-
-# A text literal as far as it is well formed, without its closing quote.
-# The possessive quantifiers (Python 3.11) keep no backtracking state, so
-# a literal of a million escapes costs no more memory to match than its
-# own text.
-_OPEN_TEXT = r'"[^"\\]*+(?:\\["\\nt][^"\\]*+)*+'
-
-# Blanks and comments are a skipped prefix of each match.  Then one group
-# per token kind, in priority order; character classes are spelled out
-# because \d and \w admit Unicode digits and letters.  EOF matches only at
-# the end and BAD takes any other character, so the matches tile the source.
-_TOKEN = re.compile(
-    r"(?:[ \t\r\n]++|#[^\n]*+)*+(?:"
-    r"(?P<IDENT>[A-Za-z_][A-Za-z0-9_-]*)"
-    r"|(?P<FLOAT>-?[0-9]+\.[0-9]+(?:[eE][+-]?[0-9]*)?)"
-    r"|(?P<INT>-?[0-9]+)"
-    rf'|(?P<STRING>{_OPEN_TEXT}")'
-    r"|(?P<ARROW><-)"
-    r"|(?P<LBRACE>\{)|(?P<RBRACE>\})|(?P<LT><)|(?P<GT>>)|(?P<COLON>:)|(?P<COMMA>,)"
-    r"|(?P<EOF>\Z)|(?P<BAD>.))",
-    re.DOTALL,
-)
-_OPEN_TEXT_RE = re.compile(_OPEN_TEXT)
-_ESCAPE = re.compile(r'\\(["\\nt])')
-
-
-def _unescape(m: re.Match[str]) -> str:
-    return _ESCAPES[m[1]]
-
-
-def _located(source: str, pos: int, expected: str, found: str) -> ParseError:
-    """The error at a source offset, located by counting lines on the error path only."""
-    line_start = source.rfind("\n", 0, pos) + 1
-    return ParseError(source.count("\n", 0, pos) + 1, pos - line_start + 1, expected, found)
-
-
-def _bad_token(source: str, pos: int) -> ParseError:
-    """The error for a character that starts no token."""
-    if source[pos] != '"':
-        return _located(source, pos, "a token", f"character {source[pos]!r}")
-    # the literal stops short at a bad escape or at the end of input
-    end = _OPEN_TEXT_RE.match(source, pos).end()
-    if end == len(source):
-        return _located(source, pos, "closing '\"'", "end of input")
-    if end + 1 == len(source):
-        return _located(source, end, "escape character", "end of input")
-    return _located(source, end, "one of \\\" \\\\ \\n \\t", f"'\\{source[end + 1]}'")
-
-
-_Token = tuple[str, str, re.Match[str]]
-
-# The kinds the lexer does more for than pass on.
-_SCREENED = frozenset({"STRING", "FLOAT", "BAD", "EOF"})
-
-
-def _tokens(source: str) -> Iterator[_Token]:
-    """The tokens of ``source``, read on demand, ending with one EOF token.
-
-    Each token is a kind (IDENT INT FLOAT STRING LBRACE RBRACE LT GT COLON
-    COMMA ARROW EOF), a text, and the match it came from, whose
-    ``start(kind)`` is the token's offset; the offset is asked for only
-    where a span or an error needs it.  A character that starts no token
-    raises its ParseError when the scan reaches it, which ends the stream.
-    """
-    for m in _TOKEN.finditer(source):
-        kind = m.lastgroup
-        text = m[kind]
-        if kind in _SCREENED:
-            if kind == "STRING":
-                text = text[1:-1]
-                if "\\" in text:
-                    text = _ESCAPE.sub(_unescape, text)
-            elif kind == "FLOAT":
-                if text[-1] in "eE+-":  # an exponent without digits
-                    raise _located(source, m.start(kind), "exponent digits", "malformed float literal")
-            elif kind == "BAD":
-                raise _bad_token(source, m.start(kind))
-            else:
-                yield kind, text, m
-                return
-        yield kind, text, m
 
 
 def _describe(token: _Token) -> str:
@@ -170,29 +100,104 @@ def _describe(token: _Token) -> str:
     return f"'{_clip(text)}'"
 
 
+_BOOLS = {"true": BoolLit(True), "false": BoolLit(False)}
+_IN_RANGE = {"INT": "a signed 64-bit integer", "FLOAT": "a representable float"}
+
+# The statement path reads a plain command with two matches: _HEAD reads an
+# optional binder and the opcode, and the tail of the opcode's shape reads
+# the keys and the hash field (unnamed groups), a value, and the blanks
+# after the command.  A value is a scalar literal, true, false or a binder
+# name, or a flat record literal of those, whose arguments _ARG then reads
+# one by one.  A name followed by a '{' that opens no flat record literal
+# makes the tail fail, as does any other text that is not a plain command.
+# _SCALAR has one named group per kind of value token, the name last, so
+# that a record literal's braces can follow it; _ATOM is the same
+# alternation without groups.
+_SCALAR = rf'(?P<FLOAT>{_FLOAT})|(?P<INT>{_INT})|(?P<STRING>{_OPEN_TEXT}")|(?P<IDENT>{_IDENT})'
+_ATOM = rf'(?>{_FLOAT}|{_INT}|{_OPEN_TEXT}"|{_IDENT})'
+_VALUE = (
+    rf"{_BLANKS}(?>{_SCALAR}"
+    rf"(?:{_BLANKS}\{{(?P<args>{_BLANKS}{_ATOM}{_BLANKS}(?:,{_BLANKS}{_ATOM}{_BLANKS})*+)\}})?+)"
+)
+_ARG = re.compile(rf"{_BLANKS}(?>{_SCALAR}){_BLANKS},?+").finditer
+_HEAD = re.compile(rf"(?:({_IDENT}){_BLANKS}<-{_BLANKS})?+({_IDENT})").match
 # Each opcode maps to itself, so that a command keeps the table's string
 # rather than its own copy of the source text.
 _OPCODES = {op: op for op in OPCODES}
 
 
-class _Parser:
-    """Recursive descent over the token stream with one token of lookahead.
+@functools.cache
+def _statement_table() -> dict[str, tuple[str, Callable[..., re.Match[str] | None], int, bool]]:
+    """opcode -> (the opcode, its shape's tail, number of keys, has a hash field).
 
-    ``tok`` is the next unread token and ``next`` reads the one after it;
-    the stream is never read past its EOF token.  The command productions
-    keep the current token in a local and store it back in ``tok`` when
-    they hand over, so a well-formed command calls no parser method per
-    token.  A command's line is counted from the newlines since the
-    previous command's opcode: ``line`` is that opcode's line, ``line_start``
-    the offset that line starts at and ``last`` the opcode's offset.
+    One tail per shape that has no type tag and at most one value.  The
+    tails take about 3 ms to compile, so they are compiled at the first
+    parse: a process that parses nothing (the fuzzer, a store server) does
+    not pay for them.
+    """
+    tails = {
+        (n_keys, has_field, n_values, takes_tag): re.compile(
+            rf"{_BLANKS}({_IDENT})" * (n_keys + has_field) + _VALUE * n_values + rf"{_BLANKS}(?!\{{)"
+        ).match
+        for n_keys, has_field, n_values, takes_tag in set(COMMAND_SHAPES.values())
+        if n_values <= 1 and not takes_tag
+    }
+    return {op: (op, tails[shape], *shape[:2]) for op, shape in COMMAND_SHAPES.items() if shape in tails}
+
+
+def _atom(kind: str, text: str) -> Expr | None:
+    """The node of a value token the statement path read, or None if the token path must judge it."""
+    if kind == "IDENT":
+        return _BOOLS.get(text) or new_node(Var, (text,))
+    if kind == "STRING":
+        return new_node(TextLit, (_text(text),))
+    return _number(kind, text)
+
+
+def _args(source: str, m: re.Match[str]) -> tuple[Expr, ...] | None:
+    """The value arguments a tail match read, or None if the token path must judge them."""
+    kind = m.lastgroup  # None if the shape takes no value
+    if kind is None:
+        return ()
+    if kind != "args":
+        node = _atom(kind, m[kind])
+        return None if node is None else (node,)
+    name = m["IDENT"]
+    if name in _BOOLS:  # a bool, then a brace that starts no command
+        return None
+    args = []
+    for a in _ARG(source, *m.span(kind)):
+        kind = a.lastgroup
+        node = _atom(kind, a[kind])
+        if node is None:
+            return None
+        args.append(node)
+    return (new_node(RecordLit, (name, tuple(args))),)
+
+
+class _Parser:
+    """The statement path, then recursive descent over the token stream.
+
+    ``statements`` reads the plain commands of a program body.  At the first
+    one it does not accept, ``resume`` starts the token stream there, and
+    the token productions read that statement or the body's end: they
+    build every ParseError.  ``tok`` is the next unread token and ``next``
+    reads the one after it; the stream is never read past its EOF token.
+    A command's line is counted from the newlines since the previous
+    command's opcode: ``line`` is that opcode's line, ``line_start`` the
+    offset that line starts at and ``last`` the opcode's offset.
     """
 
     def __init__(self, source: str):
         self.source = source
-        self.tokens = _tokens(source)
+        self.line, self.line_start, self.last = 1, 0, 0
+        self.resume(0)
+
+    def resume(self, pos: int) -> None:
+        """Starts the token stream at offset ``pos``."""
+        self.tokens = _tokens(self.source, pos)
         self.next = self.tokens.__next__
         self.tok = self.next()
-        self.line, self.line_start, self.last = 1, 0, 0
 
     def error(self, tok: _Token, expected: str, found: str) -> ParseError:
         return _located(self.source, tok[2].start(tok[0]), expected, found)
@@ -220,6 +225,15 @@ class _Parser:
             raise self.error(tok, f"{role} name", f"reserved word '{name}'")
         return name
 
+    def span(self, pos: int) -> Span:
+        """The span of the opcode at offset ``pos``, which follows the previous command's."""
+        newlines = self.source.count("\n", self.last, pos)
+        if newlines:
+            self.line += newlines
+            self.line_start = self.source.rfind("\n", self.last, pos) + 1
+        self.last = pos
+        return new_node(Span, (self.line, pos - self.line_start + 1))
+
     # ---- grammar productions ------------------------------------------
 
     def program(self) -> Program:
@@ -233,12 +247,44 @@ class _Parser:
         self.expect("LBRACE", "'{'")
         body: list[Command] = []
         binders: set[str] = set()
-        while self.tok[0] != "RBRACE":
+        while True:
+            pos = self.tok[2].start(self.tok[0])
+            end = self.statements(pos, body, binders)
+            if end != pos:  # else the token stream is still at the statement
+                self.resume(end)
+            if self.tok[0] == "RBRACE":
+                break
             if self.tok[0] == "EOF":
                 raise self.fail(self.tok, "'}'")
             body.append(self.command(binders))
         self.tok = self.next()
         return Program(tuple(records), tuple(body))
+
+    def statements(self, pos: int, body: list[Command], binders: set[str]) -> int:
+        """Reads plain commands from offset ``pos`` into ``body``, two matches each.
+
+        Returns the offset of the first statement it does not accept,
+        having read nothing of it.
+        """
+        source = self.source
+        table = _statement_table()
+        while (head := _HEAD(source, pos)) is not None:
+            binder, op = head.groups()
+            statement = table.get(op)
+            if statement is None or binder in RESERVED or binder in binders:
+                break
+            opcode, tail, n_keys, has_field = statement
+            m = tail(source, head.end())
+            if m is None or (args := _args(source, m)) is None:
+                break
+            if binder is not None:
+                binders.add(binder)
+            words = m.groups()
+            field_name = words[n_keys] if has_field else None
+            span = self.span(head.start(2))
+            body.append(new_node(Command, (opcode, words[:n_keys], args, field_name, None, binder, span)))
+            pos = m.end()
+        return pos
 
     def record_decl(self, seen_records: set[str]) -> RecordDecl:
         self.tok = self.next()  # the word 'record'
@@ -303,10 +349,7 @@ class _Parser:
         return tag
 
     def command(self, binders: set[str]) -> Command:
-        nxt = self.next
-        tok = self.tok
-        if tok[0] != "IDENT":
-            raise self.fail(tok, "a command")
+        tok = self.expect("IDENT", "a command")
         binder: str | None = None
         opcode = _OPCODES.get(tok[1])
         if opcode is None:
@@ -314,36 +357,16 @@ class _Parser:
             if binder in binders:
                 raise self.error(tok, "a new binder name", f"duplicate binder '{_clip(binder)}'")
             binders.add(binder)
-            tok = nxt()
-            if tok[0] != "ARROW":
-                raise self.fail(tok, "'<-'")
-            tok = nxt()
+            self.expect("ARROW", "'<-'")
+            tok = self.expect("IDENT", "a command")
             opcode = _OPCODES.get(tok[1])
-            if tok[0] != "IDENT" or opcode is None:
+            if opcode is None:
                 raise self.fail(tok, "a command")
         n_keys, has_field, n_values, takes_tag = COMMAND_SHAPES[opcode]
-        pos = tok[2].start(tok[0])
-        newlines = self.source.count("\n", self.last, pos)
-        if newlines:
-            self.line += newlines
-            self.line_start = self.source.rfind("\n", self.last, pos) + 1
-        self.last = pos
-        span = new_node(Span, (self.line, pos - self.line_start + 1))
-        keys: tuple[str, ...] = ()
-        for _ in range(n_keys):
-            tok = nxt()
-            if tok[0] != "IDENT":
-                raise self.fail(tok, "a key")
-            keys += (tok[1],)
-        field_name = None
-        if has_field:
-            tok = nxt()
-            if tok[0] != "IDENT":
-                raise self.fail(tok, "a hash field")
-            field_name = tok[1]
-        self.tok = nxt()
-        # one value is the common case; a comprehension costs a call
-        args = (self.expr(),) if n_values == 1 else tuple([self.expr() for _ in range(n_values)])
+        span = self.span(tok[2].start(tok[0]))
+        keys = tuple([self.expect("IDENT", "a key")[1] for _ in range(n_keys)])
+        field_name = self.expect("IDENT", "a hash field")[1] if has_field else None
+        args = tuple([self.expr() for _ in range(n_values)])
         declared = None
         if takes_tag:
             self.expect("COLON", "':'")
@@ -353,33 +376,18 @@ class _Parser:
     def expr(self, depth: int = 0) -> Expr:
         tok = self.tok
         kind, text, _ = tok
-        if kind == "INT":
-            # counting digits first keeps int() off unbounded text, leading
-            # zeros included
-            digits = text.lstrip("-0")
-            value = int(digits or "0") if len(digits) <= 19 else 2**64  # out of range either sign
-            if text[0] == "-":
-                value = -value
-            if not INT64_MIN <= value <= INT64_MAX:
-                raise self.error(tok, "a signed 64-bit integer", "literal out of range")
-            self.tok = self.next()
-            return new_node(IntLit, (value,))
-        if kind == "FLOAT":
-            value = float(text)
-            if value in (float("inf"), float("-inf")):
-                raise self.error(tok, "a representable float", "literal out of range")
-            self.tok = self.next()
-            return new_node(FloatLit, (value,))
         if kind == "STRING":
             self.tok = self.next()
             return new_node(TextLit, (text,))
-        if kind != "IDENT":
-            raise self.fail(tok, "an expression")
-        self.tok = self.next()
-        if text == "true":
-            return new_node(BoolLit, (True,))
-        if text == "false":
-            return new_node(BoolLit, (False,))
+        if kind in _IN_RANGE:
+            number = _number(kind, text)
+            if number is None:
+                raise self.error(tok, _IN_RANGE[kind], "literal out of range")
+            self.tok = self.next()
+            return number
+        self.expect("IDENT", "an expression")
+        if text in _BOOLS:
+            return _BOOLS[text]
         if self.tok[0] != "LBRACE":
             return new_node(Var, (text,))
         inner = self.deeper(tok, depth)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -161,6 +163,21 @@ def test_decode_error_truncates_long_payloads():
     err = DecodeError("int", b"x" * 200)
     assert "..." in str(err)
     assert len(str(err)) < 160
+
+
+@pytest.mark.parametrize(
+    "data, base, message",
+    [(b"007", INT, "cannot decode b'007' as int"), (b"1.50", FLOAT, "cannot decode b'1.50' as float (not canonical)")],
+)
+def test_a_decode_error_survives_copy_and_pickle(data, base, message):
+    with pytest.raises(DecodeError) as exc:
+        decode(data, base)
+    err = exc.value
+    assert str(err) == message
+    for clone in (copy.copy(err), copy.deepcopy(err), pickle.loads(pickle.dumps(err))):
+        assert type(clone) is DecodeError
+        assert str(clone) == message
+        assert (clone.base_name, clone.data) == (err.base_name, err.data)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ import random
 
 import pytest
 
-from redtype import checker
+from redtype import checker, fuzz
 from redtype.backend import RunError
-from redtype.checker import BOOL_RESULT, GET_STUCK, STATUS, CheckError, CheckOk, check_program
+from redtype.checker import BOOL_RESULT, GET_STUCK, INT_RESULT, STATUS, CheckError, CheckOk, check_program
 from redtype.fuzz import (
     FuzzConfig,
     FuzzStats,
@@ -293,6 +293,22 @@ def test_an_unfit_reply_is_described_in_bounded_space(monkeypatch):
     assert kind == "unfit"
     assert "does not fit result type" in message
     assert len(message) < 1024
+
+
+def test_an_integer_parse_error_on_the_store_is_counted_and_reported(monkeypatch):
+    program = parse_program('program { set k "x"  incr k }')
+    results = {"set": STATUS, "incr": INT_RESULT}
+
+    def accept(p, xs, strict):
+        rts = tuple(results[c.opcode] for c in p.body)
+        return CheckOk([], [], rts[-1], rts)
+
+    monkeypatch.setattr(fuzz, "generate_program", lambda rng, max_len, strict: program)
+    monkeypatch.setattr(fuzz, "check_program", accept)
+    result = run_fuzz(FuzzConfig(iterations=10, seed=1))
+    assert (result.stats.iterations, result.stats.accepted, result.stats.parse_errors) == (1, 1, 1)
+    assert result.counterexample == program
+    assert result.failure == "ERR value is not an integer or out of range"
 
 
 def test_an_argument_the_runtime_cannot_type_is_a_violation(monkeypatch):

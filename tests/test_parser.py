@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import gc
+import pickle
 import random
 import time
 import tracemalloc
@@ -597,3 +599,107 @@ def test_a_reserved_word_is_not_a_record_base():
         parse_program("program { declare k : string<program> }")
     assert (exc.value.expected, exc.value.found) == ("a base type", "reserved word 'program'")
     assert str(exc.value) == "1:30: expected a base type, found reserved word 'program'"
+
+
+def test_a_parse_error_survives_copy_and_pickle():
+    with pytest.raises(ParseError) as exc:
+        parse_program("program {")
+    err = exc.value
+    assert str(err) == "1:10: expected '}', found end of input"
+    for clone in (copy.copy(err), copy.deepcopy(err), pickle.loads(pickle.dumps(err))):
+        assert type(clone) is ParseError
+        assert str(clone) == str(err)
+        assert (clone.line, clone.column, clone.expected, clone.found) == (err.line, err.column, err.expected, err.found)
+
+
+# ---------------------------------------------------------------------------
+# the statement path: where a plain command ends, and what it hands to the
+# token path, against the reference parser
+
+
+_QUEUE_RECORD = "record Message { body: text, id: int }\n"
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        # no blank between tokens
+        "set k 5get k",
+        "x<-incr k",
+        'set k"a"',
+        'x<-incr k set k"a"get k',
+        # comments, tabs and carriage returns between a command's tokens
+        "x\t<-\r\n# c\n incr\t# d\n k\r\n  set\tk\r# e\n\t5",
+        "hset\th # c\n f\r\n\t-7 # end",
+        # a name followed by '{' on a later line is a record literal, not a variable
+        "x <- incr c\n  set k Message # c\n  { \"hi\", x }",
+        "x <- incr c\n  set k x # c\n  { 1 }",
+        "x <- incr c\n  set k x # c\n  get k",
+        "set k x # c\n  {",
+        # floats the lexer refuses or splits
+        "set k 1.5e3e",
+        "set k 1.5e",
+        "set k 1.5E+",
+        "set k 5.",
+        "set k 5.x",
+        "set k 1" + "0" * 400 + ".0",
+        # ints at and beyond the int64 bounds
+        "set k -0",
+        "set k 007",
+        "set k 9223372036854775807",
+        "set k -9223372036854775807",
+        "set k -9223372036854775808",
+        "set k 9223372036854775808",
+        "set k -9223372036854775809",
+        "set k 12345678901234567890",
+        "set k " + "0" * 5000 + "1",
+        # keys that are reserved words
+        "set program 1  get set  sinter record true  hset hash list false  incr declare",
+        # reserved and repeated binders
+        "set <- incr k",
+        "program <- incr k",
+        "true <- incr k",
+        "x <- incr a  x <- incr b",
+        "x <- incr a  y <- incr b  x <- incr c",
+        # true, false and a name that starts like them
+        "set a true  set b false  set c truex  set d falsex",
+        "set k true{1}",
+        "set k Message{true, false}",
+        # a comma or a brace inside a text argument of a record literal
+        'lpush q Message{"a,b", 1}  lpush q Message{"}", 2}  lpush q Message{"{", 3}',
+        'lpush q Message{"\\"}\\\\", 4}',
+        # a nested record literal, and malformed ones
+        "set k Message{Message{1}, 2}",
+        "set k Message{}",
+        "set k Message{1,}",
+        "set k Message{1 2}",
+        "set k Message{1",
+        'set k 5 {1}  set k "a"{1}',
+        "set k Message{9223372036854775808}",
+        # declare between plain commands
+        "set a 1  declare b : string<int>  get b  x <- declare c : list<int>  llen c",
+        # malformed text after a plain command
+        "set k 1 @",
+        'set k 1 "open',
+        "set k 1 }}",
+        "ping ping <",
+        # one program in each benchmark shape
+        "set k1 -5  set k2 7  incr k1  get k2",
+        "declare counter : string<int>\n  declare queue : list<Message>\n  i1 <- incr counter\n"
+        '  lpush queue Message{ "abc", i1 }\n  hset h f1 7919\n  rpop queue',
+        "sadd s1 1  sadd s1 2  sadd s2 2  sinter s1 s2",
+    ],
+)
+def test_the_statement_path_parses_like_the_reference(body):
+    _assert_parses_like_the_reference(_QUEUE_RECORD + "program {\n  " + body + "\n}\n")
+
+
+def test_the_token_path_reads_only_the_declares_and_the_end_of_the_quick_start_queue(monkeypatch):
+    streams = []
+    tokens = parser._tokens
+    monkeypatch.setattr(parser, "_tokens", lambda source, pos=0: streams.append(pos) or tokens(source, pos))
+    program = parse_program(_queue_program(1000))
+    assert len(program.body) == 4001
+    # one stream from the start, which reads the declare, and one for the closing brace
+    assert streams == [0, len(_queue_program(1000)) - 2]
+
