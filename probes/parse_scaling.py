@@ -10,16 +10,22 @@ and keeps the best wall time; then does the same with the garbage
 collector disabled during each timed parse.  The shapes are ``set``, n
 ``set k<i> <i>`` commands, and ``queue``, the quick-start queue: a binder
 ``incr``, an ``lpush`` of a record literal, an ``hset`` and an ``rpop`` per
-four commands, after one ``declare``.  A shape that the parser's statement
-path hands to the token path shows as a higher cost per command.  Prints
-one JSON object per size and shape, with microseconds per command;
+four commands, after one ``declare``; and ``declare``, ``set k<i> 1``
+lines alternating with ``declare d<i> : string<int>``, so that the
+parser moves between its two paths at every command.  A shape that the
+parser's statement path hands to the token path shows as a higher cost
+per command.  Prints one JSON object per size and shape, with
+microseconds per command;
 the collector's runs and seconds per generation (0, 1, 2) during one more
 parse with it enabled, taken from ``gc.callbacks``; and the ``tracemalloc``
 peak of one parse, and the part of it the returned program keeps, in bytes
 per source byte.  A last object gives what a parsed command keeps alive:
 the objects the collector tracks after ``gc.collect()`` (reachable from
 one ``set`` command, classes excluded) and the bytes ``tracemalloc`` sees
-retained per command by a parse of the smallest size.
+retained per command by a parse of the smallest size.  The final object
+gives the first parse of a 3-command program in a fresh interpreter, in
+milliseconds, best and all of --repeat interpreters: the cost of a
+one-shot ``redtype check`` that the in-process sizes above never see.
 --src selects the source tree to import redtype from, so that two
 checkouts can be compared with the same probe.
 """
@@ -29,6 +35,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -106,7 +113,31 @@ def queue_program(n: int) -> str:
     return "\n".join(lines + ["}"]) + "\n"
 
 
-SHAPES = {"set": set_program, "queue": queue_program}
+def declare_program(n: int) -> str:
+    pairs = (f"  set k{i} 1\n  declare d{i} : string<int>\n" for i in range(n // 2))
+    return "program {\n" + "".join(pairs) + "}\n"
+
+
+SHAPES = {"set": set_program, "queue": queue_program, "declare": declare_program}
+
+# Imports the parser, then times its first parse of a small program.
+_FIRST_PARSE = """
+import sys, time
+sys.path.insert(0, sys.argv[1])
+from redtype.parser import parse_program
+t0 = time.perf_counter()
+parse_program("program {\\n  set k 1\\n  incr k\\n  get k\\n}\\n")
+print(time.perf_counter() - t0)
+"""
+
+
+def first_parse_ms(src: str, repeat: int) -> list[float]:
+    """The first parse of a 3-command program in each of ``repeat`` fresh interpreters."""
+    runs = []
+    for _ in range(repeat):
+        out = subprocess.run([sys.executable, "-c", _FIRST_PARSE, src], check=True, capture_output=True, text=True)
+        runs.append(round(float(out.stdout) * 1e3, 3))
+    return runs
 
 
 def main() -> None:
@@ -153,6 +184,8 @@ def main() -> None:
         "retained_bytes_per_cmd": round(retained / len(program.body)),
         "commands": n,
     }))
+    runs = first_parse_ms(args.src, args.repeat)
+    print(json.dumps({"first_parse_ms": min(runs), "runs": runs}))
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Tokens of the surface syntax: token patterns, the token stream and the literal reader.
+"""Tokens of the surface syntax: token patterns, the token at an offset and the literal reader.
 
 The lexer's ``_TOKEN`` and the parser's statement patterns are built from
 the fragments here, so each token is spelled once.  ``_text`` and
@@ -10,7 +10,6 @@ one owner.
 from __future__ import annotations
 
 import re
-from typing import Iterator
 
 from .syntax import INT64_MAX, INT64_MIN, FloatLit, IntLit, new_node
 
@@ -107,24 +106,23 @@ def _number(kind: str, text: str) -> IntLit | FloatLit | None:
     return new_node(FloatLit, (value,)) if -_INF < value < _INF else None
 
 
-def _tokens(source: str, pos: int = 0) -> Iterator[_Token]:
-    """The tokens of ``source`` from offset ``pos``, read on demand, ending with one EOF token.
+def _token(source: str, pos: int) -> _Token:
+    """The token at offset ``pos`` of ``source``, after the blanks and comments there.
 
-    Each token is a kind (IDENT INT FLOAT STRING LBRACE RBRACE LT GT COLON
-    COMMA ARROW EOF), a text, and the match it came from, whose
-    ``start(kind)`` is the token's offset; the offset is asked for only
-    where a span or an error needs it.  A character that starts no token
-    raises its ParseError when the scan reaches it, which ends the stream.
+    A token is a kind (IDENT INT FLOAT STRING LBRACE RBRACE LT GT COLON
+    COMMA ARROW EOF), a text, and the match it came from: ``start(kind)``
+    is the token's offset, asked for only where a span or an error needs
+    it, and ``end()`` is where the next token's blanks begin.  At the end
+    of the source the token is EOF.  A character that starts no token
+    raises its ParseError.
     """
-    for m in _TOKEN.finditer(source, pos):
-        kind = m.lastgroup
-        text = m[kind]
-        if kind == "STRING":
-            text = _text(text)
-        elif kind == "FLOAT" and text[-1] in "eE+-":  # an exponent without digits
-            raise _located(source, m.start(kind), "exponent digits", "malformed float literal")
-        elif kind == "BAD":
-            raise _bad_token(source, m.start(kind))
-        yield kind, text, m
-        if kind == "EOF":
-            return
+    m = _TOKEN.match(source, pos)
+    kind = m.lastgroup
+    text = m[kind]
+    if kind == "STRING":
+        text = _text(text)
+    elif kind == "FLOAT" and text[-1] in "eE+-":  # an exponent without digits
+        raise _located(source, m.start(kind), "exponent digits", "malformed float literal")
+    elif kind == "BAD":
+        raise _bad_token(source, m.start(kind))
+    return kind, text, m

@@ -12,18 +12,16 @@ matches and builds its nodes from the match groups; its value is a scalar
 literal, true, false, a binder name or a flat record literal of those.
 Everything else, ``declare``, record declarations and any text the
 statement path does not accept, is read by recursive descent over the
-token stream of ``lexer``, from that statement on; the token path builds
-every ParseError, so the first bad token in the source still wins.
+tokens of ``lexer``, one at a time from that statement on; the token path
+builds every ParseError, so the first bad token in the source still wins.
 """
 
 from __future__ import annotations
 
-import functools
 import gc
 import re
 from typing import Callable, TypeVar
 
-from .lexer import _ESCAPE, _TOKEN, _bad_token, _unescape  # noqa: F401 tests/oracles.py imports them from here
 from .lexer import (
     _BLANKS,
     _ESCAPES,
@@ -36,7 +34,7 @@ from .lexer import (
     _number,
     _text,
     _Token,
-    _tokens,
+    _token,
 )
 from .syntax import (
     COMMAND_SHAPES,
@@ -126,23 +124,26 @@ _HEAD = re.compile(rf"(?:({_IDENT}){_BLANKS}<-{_BLANKS})?+({_IDENT})").match
 _OPCODES = {op: op for op in OPCODES}
 
 
-@functools.cache
-def _statement_table() -> dict[str, tuple[str, Callable[..., re.Match[str] | None], int, bool]]:
-    """opcode -> (the opcode, its shape's tail, number of keys, has a hash field).
+# opcode -> (the opcode, its shape's tail, number of keys, has a hash
+# field), for each opcode of a plain command that a parse has met.
+_Statement = tuple[str, Callable[..., re.Match[str] | None], int, bool]
+_STATEMENTS: dict[str, _Statement] = {}
 
-    One tail per shape that has no type tag and at most one value.  The
-    tails take about 3 ms to compile, so they are compiled at the first
-    parse: a process that parses nothing (the fuzzer, a store server) does
-    not pay for them.
+
+def _statement(op: str) -> _Statement | None:
+    """Adds ``op`` to ``_STATEMENTS``, or None if it is not the opcode of a plain command.
+
+    A tail takes up to 1.6 ms to compile, so it is compiled when a parse
+    first meets an opcode of its shape; ``re``'s cache gives the other
+    opcodes of that shape the same tail.
     """
-    tails = {
-        (n_keys, has_field, n_values, takes_tag): re.compile(
-            rf"{_BLANKS}({_IDENT})" * (n_keys + has_field) + _VALUE * n_values + rf"{_BLANKS}(?!\{{)"
-        ).match
-        for n_keys, has_field, n_values, takes_tag in set(COMMAND_SHAPES.values())
-        if n_values <= 1 and not takes_tag
-    }
-    return {op: (op, tails[shape], *shape[:2]) for op, shape in COMMAND_SHAPES.items() if shape in tails}
+    shape = COMMAND_SHAPES.get(op)
+    if shape is None or shape[2] > 1 or shape[3]:
+        return None
+    n_keys, has_field, n_values, _ = shape
+    tail = re.compile(rf"{_BLANKS}({_IDENT})" * (n_keys + has_field) + _VALUE * n_values + rf"{_BLANKS}(?!\{{)")
+    _STATEMENTS[op] = statement = (_OPCODES[op], tail.match, n_keys, has_field)
+    return statement
 
 
 def _atom(kind: str, text: str) -> Expr | None:
@@ -176,13 +177,13 @@ def _args(source: str, m: re.Match[str]) -> tuple[Expr, ...] | None:
 
 
 class _Parser:
-    """The statement path, then recursive descent over the token stream.
+    """The statement path, then recursive descent over the tokens.
 
-    ``statements`` reads the plain commands of a program body.  At the first
-    one it does not accept, ``resume`` starts the token stream there, and
-    the token productions read that statement or the body's end: they
-    build every ParseError.  ``tok`` is the next unread token and ``next``
-    reads the one after it; the stream is never read past its EOF token.
+    ``tok`` is the next unread token and ``next`` reads the one after it.
+    ``statements`` reads the plain commands of a program body from ``tok``
+    on and leaves ``tok`` at the first one it does not accept; the token
+    productions read that statement or the body's end, and build every
+    ParseError.
     A command's line is counted from the newlines since the previous
     command's opcode: ``line`` is that opcode's line, ``line_start`` the
     offset that line starts at and ``last`` the opcode's offset.
@@ -191,15 +192,21 @@ class _Parser:
     def __init__(self, source: str):
         self.source = source
         self.line, self.line_start, self.last = 1, 0, 0
-        self.resume(0)
+        self.tok = _token(source, 0)
 
-    def resume(self, pos: int) -> None:
-        """Starts the token stream at offset ``pos``."""
-        self.tokens = _tokens(self.source, pos)
-        self.next = self.tokens.__next__
-        self.tok = self.next()
+    def next(self) -> _Token:
+        """The token after ``tok``."""
+        return _token(self.source, self.tok[2].end())
 
     def error(self, tok: _Token, expected: str, found: str) -> ParseError:
+        """The grammar error at ``tok``, unless a token after ``self.tok`` is bad.
+
+        The first bad token in the source wins over a grammar error, as if
+        the whole source had been lexed first, so its error is raised here.
+        """
+        after = self.tok
+        while after[0] != "EOF":
+            after = _token(self.source, after[2].end())
         return _located(self.source, tok[2].start(tok[0]), expected, found)
 
     def fail(self, tok: _Token, expected: str) -> ParseError:
@@ -248,10 +255,7 @@ class _Parser:
         body: list[Command] = []
         binders: set[str] = set()
         while True:
-            pos = self.tok[2].start(self.tok[0])
-            end = self.statements(pos, body, binders)
-            if end != pos:  # else the token stream is still at the statement
-                self.resume(end)
+            self.statements(body, binders)
             if self.tok[0] == "RBRACE":
                 break
             if self.tok[0] == "EOF":
@@ -260,17 +264,14 @@ class _Parser:
         self.tok = self.next()
         return Program(tuple(records), tuple(body))
 
-    def statements(self, pos: int, body: list[Command], binders: set[str]) -> int:
-        """Reads plain commands from offset ``pos`` into ``body``, two matches each.
-
-        Returns the offset of the first statement it does not accept,
-        having read nothing of it.
-        """
+    def statements(self, body: list[Command], binders: set[str]) -> None:
+        """Reads plain commands from ``tok`` on into ``body``, two matches each."""
         source = self.source
-        table = _statement_table()
+        table = _STATEMENTS
+        start = pos = self.tok[2].start(self.tok[0])
         while (head := _HEAD(source, pos)) is not None:
             binder, op = head.groups()
-            statement = table.get(op)
+            statement = table.get(op) or _statement(op)
             if statement is None or binder in RESERVED or binder in binders:
                 break
             opcode, tail, n_keys, has_field = statement
@@ -284,7 +285,8 @@ class _Parser:
             span = self.span(head.start(2))
             body.append(new_node(Command, (opcode, words[:n_keys], args, field_name, None, binder, span)))
             pos = m.end()
-        return pos
+        if pos != start:
+            self.tok = _token(source, pos)
 
     def record_decl(self, seen_records: set[str]) -> RecordDecl:
         self.tok = self.next()  # the word 'record'
@@ -403,17 +405,10 @@ class _Parser:
 def _parse(source: str, production: Callable[[_Parser], _T]) -> _T:
     """``production`` over the whole of ``source``, which it must consume."""
     p = _Parser(source)
-    try:
-        result = production(p)
-        if p.tok[0] != "EOF":
-            raise p.fail(p.tok, "end of input")
-        return result
-    except ParseError:
-        # the first bad token in the source wins over a grammar error, as
-        # if the whole source had been lexed first
-        for _ in p.tokens:
-            pass
-        raise
+    result = production(p)
+    if p.tok[0] != "EOF":
+        raise p.fail(p.tok, "end of input")
+    return result
 
 
 def parse_program(source: str) -> Program:

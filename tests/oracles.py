@@ -18,17 +18,14 @@ import json
 from bisect import bisect_right
 from typing import Any, Callable, NamedTuple, Sequence, TypeVar
 
+from redtype.lexer import _ESCAPE, _TOKEN, _bad_token, _unescape
 from redtype.parser import (
     _BASE_KEYWORDS,
     _CONTAINER_KEYWORDS,
-    _ESCAPE,
-    _TOKEN,
     MAX_NESTING,
     RESERVED,
     ParseError,
-    _bad_token,
     _clip,
-    _unescape,
     tag_text,
 )
 from redtype.resp import CRLF, MAX_ARRAY_LEN, MAX_BULK_LEN, MAX_LINE_LEN, ProtocolError

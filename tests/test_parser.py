@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from redtype import parser
+from redtype import lexer, parser
 from redtype.fuzz import generate_program
 from redtype.parser import (
     MAX_NESTING,
@@ -354,16 +354,23 @@ def test_nesting_up_to_the_bound_still_parses():
 
 
 def _lex(source):
-    """The package lexer's whole token stream as ``(kind, text, offset)``."""
-    return [(kind, text, m.start(kind)) for kind, text, m in parser._tokens(source)]
+    """The package lexer's tokens as ``(kind, text, offset)``, one at a time, ending with EOF."""
+    tokens, pos = [], 0
+    while True:
+        kind, text, m = lexer._token(source, pos)
+        tokens.append((kind, text, m.start(kind)))
+        if kind == "EOF":
+            return tokens
+        pos = m.end()
+
+
+def _line_col(text, pos):
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
 def _package_tokens(source):
     """The package lexer's tokens as ``(kind, text, line, col)``."""
-    return [
-        (kind, text, source.count("\n", 0, pos) + 1, pos - source.rfind("\n", 0, pos))
-        for kind, text, pos in _lex(source)
-    ]
+    return [(kind, text, *_line_col(source, pos)) for kind, text, pos in _lex(source)]
 
 
 _FRAGMENTS = [
@@ -397,6 +404,37 @@ def test_lexer_agrees_with_the_reference_on_arbitrary_text(source):
 @given(st.lists(st.sampled_from(_FRAGMENTS), max_size=20), st.sampled_from(["", " ", "\n"]))
 def test_lexer_agrees_with_the_reference_on_token_soup(fragments, sep):
     _assert_lexes_like_the_reference(sep.join(fragments))
+
+
+def _offset(text, line, column):
+    start = 0
+    for _ in range(line - 1):
+        start = text.index("\n", start) + 1
+    return start + column - 1
+
+
+@settings(max_examples=1000)
+@given(st.lists(st.sampled_from(_FRAGMENTS), max_size=12), st.sampled_from(["", " ", "\n"]), st.data())
+def test_the_token_at_an_offset_is_the_reference_lexers_first_token_from_there(fragments, sep, data):
+    source = sep.join(fragments)
+    pos = data.draw(st.integers(0, len(source)))
+    rest = source[pos:]
+    try:
+        expected = oracles.lex(rest)[0]
+    except ParseError as ref:
+        expected = ref
+    try:
+        kind, text, m = lexer._token(source, pos)
+    except ParseError as err:
+        assert isinstance(expected, ParseError)
+        at = _offset(source, err.line, err.column) - pos
+        assert (*_line_col(rest, at), err.expected, err.found) == (
+            expected.line, expected.column, expected.expected, expected.found
+        )
+        return
+    if isinstance(expected, ParseError):  # a later token of the rest is bad, so the first is read alone
+        expected = oracles.lex(rest[: m.end() - pos])[0]
+    assert (kind, text, *_line_col(rest, m.start(kind) - pos)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -695,11 +733,18 @@ def test_the_statement_path_parses_like_the_reference(body):
 
 
 def test_the_token_path_reads_only_the_declares_and_the_end_of_the_quick_start_queue(monkeypatch):
-    streams = []
-    tokens = parser._tokens
-    monkeypatch.setattr(parser, "_tokens", lambda source, pos=0: streams.append(pos) or tokens(source, pos))
+    read = []
+    command = parser._Parser.command
+    monkeypatch.setattr(parser._Parser, "command", lambda p, binders: read.append(p.tok[1]) or command(p, binders))
     program = parse_program(_queue_program(1000))
     assert len(program.body) == 4001
-    # one stream from the start, which reads the declare, and one for the closing brace
-    assert streams == [0, len(_queue_program(1000)) - 2]
+    assert program.body[-1].opcode == "rpop"
+    # the program's one declare; the closing brace ends the statement path's last batch
+    assert read == ["declare"]
+
+
+def test_a_parse_compiles_the_statement_tails_of_the_opcodes_it_meets(monkeypatch):
+    monkeypatch.setattr(parser, "_STATEMENTS", {})
+    parse_program("program {\n  set a 1\n  get a\n  declare b : string<int>\n  set b 2\n}\n")
+    assert sorted(parser._STATEMENTS) == ["get", "set"]
 
