@@ -1,4 +1,4 @@
-"""Cost of one codec.encode and one codec.decode, per Message record and per int.
+"""Cost of one codec.encode and one codec.decode per record and per int, and of one command run.
 
 Usage, from the repository root:
 
@@ -7,10 +7,13 @@ Usage, from the repository root:
 Times, with ``timeit`` (minimum over --repeat rounds of --number calls
 each), ``codec.encode`` and ``codec.decode`` on the quick-start queue's
 ``Message{ "hello", 1 }`` record, ``{"body":"hello","id":1}`` on the
-wire, and on the int 1992.  Also times ``INT == INT``, the base test
-the codec and the run loop make.  Prints one JSON object, in nanoseconds.
---src selects the source tree to import redtype from, so that two
-checkouts can be compared with the same probe.
+wire, on the fuzz pool's ``Point{ 1.5, -0.25 }`` and ``Flag{ "on", true }``
+records, and on the int 1992.  Also times ``INT == INT``, the base test
+the codec and the run loop make, and ``run_program`` of the quick-start
+queue program on a fresh mem backend, per command it sends (--number /
+100 runs per round).  Prints one JSON object, in nanoseconds.  --src
+selects the source tree to import redtype from, so that two checkouts
+can be compared with the same probe.
 """
 
 from __future__ import annotations
@@ -20,9 +23,28 @@ import json
 import sys
 import timeit
 
+QUEUE_SOURCE = """\
+record Message { body: text, id: int }
+program {
+  declare counter : string<int>
+  declare queue   : list<Message>
+  i <- incr counter
+  lpush queue Message{ "hello", i }
+  j <- incr counter
+  lpush queue Message{ "world", j }
+  rpop queue
+}
+"""
+
+RECORDS = {
+    "message": ("Message", ("hello", 1), b'{"body":"hello","id":1}'),
+    "point": ("Point", (1.5, -0.25), b'{"x":1.5,"y":-0.25}'),
+    "flag": ("Flag", ("on", True), b'{"label":"on","armed":true}'),
+}
+
 STATEMENTS = {
-    "encode_message_ns": "encode(message, records)",
-    "decode_message_ns": "decode(message_bytes, MSG, records)",
+    **{f"encode_{row}_ns": f"encode({row}, records)" for row in RECORDS},
+    **{f"decode_{row}_ns": f"decode({row}_bytes, {row}.base, records)" for row in RECORDS},
     "encode_int_ns": "encode(number)",
     "decode_int_ns": "decode(b'1992', INT)",
     "int_eq_int_ns": "INT == INT",
@@ -36,26 +58,33 @@ def main() -> None:
     ap.add_argument("--src", default="src")
     args = ap.parse_args()
     sys.path.insert(0, args.src)
+    from redtype.backend import MemoryBackend, run_program
+    from redtype.checker import check_program
     from redtype.codec import RecordValue, TypedValue, decode, encode
+    from redtype.fuzz import RECORD_POOL
+    from redtype.parser import parse_program
     from redtype.syntax import INT, TEXT, RecordDecl, RecordRef
 
-    env = {
-        "encode": encode,
-        "decode": decode,
-        "INT": INT,
-        "MSG": RecordRef("Message"),
-        "records": {"Message": RecordDecl("Message", (("body", TEXT), ("id", INT)))},
-        "number": TypedValue(INT, 1992),
-    }
-    env["message"] = TypedValue(env["MSG"], RecordValue("Message", ("hello", 1)))
-    env["message_bytes"] = encode(env["message"], env["records"])
-    assert env["message_bytes"] == b'{"body":"hello","id":1}'
-    best = {key: float("inf") for key in STATEMENTS}
+    records = {d.name: d for d in RECORD_POOL}
+    records["Message"] = RecordDecl("Message", (("body", TEXT), ("id", INT)))
+    env = {"encode": encode, "decode": decode, "INT": INT, "records": records, "number": TypedValue(INT, 1992)}
+    for row, (name, values, data) in RECORDS.items():
+        env[row] = TypedValue(RecordRef(name), RecordValue(name, values))
+        env[f"{row}_bytes"] = encode(env[row], records)
+        assert env[f"{row}_bytes"] == data, env[f"{row}_bytes"]
+    program = parse_program(QUEUE_SOURCE)
+    report = check_program(program)
+    sent = sum(cmd.opcode != "declare" for cmd in program.body)
+    run = {"run": lambda: run_program(program, report, MemoryBackend())}
+    best = {key: float("inf") for key in [*STATEMENTS, "run_queue_ns_per_cmd"]}
     # Rounds interleave the statements, so a slow spell of the host falls
     # on all of them rather than on one.
     for _ in range(args.repeat):
         for key, stmt in STATEMENTS.items():
             best[key] = min(best[key], timeit.timeit(stmt, globals=env, number=args.number) / args.number)
+        runs = max(1, args.number // 100)
+        per_cmd = timeit.timeit("run()", globals=run, number=runs) / runs / sent
+        best["run_queue_ns_per_cmd"] = min(best["run_queue_ns_per_cmd"], per_cmd)
     print(json.dumps({key: round(t * 1e9, 1) for key, t in best.items()}))
 
 

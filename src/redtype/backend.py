@@ -14,21 +14,26 @@ from __future__ import annotations
 
 import math
 import socket
-from typing import Any, Mapping, NamedTuple, Protocol
+from typing import Any, Callable, Mapping, NamedTuple, Protocol
 
 from . import codec
 from .checker import (
+    _LITERAL_BASES,
+    BOOL_RESULT,
+    FLOAT_RESULT,
+    INT_RESULT,
     STATUS,
     UNIT,
     CheckOk,
     ListResult,
     MaybeResult,
     ResultType,
+    ScalarResult,
     check_command,  # noqa: F401  not called; kept for the benchmark tracer, which wraps this name
     infer_expr,
     result_text,
 )
-from .codec import RecordValue, TypedValue
+from .codec import RecordValue
 from .resp import ProtocolError, ReplyDecoder, encode_command
 from .store import (
     BulkReply,
@@ -40,21 +45,14 @@ from .store import (
     SimpleStatus,
 )
 from .syntax import (
-    BOOL,
     FLOAT,
-    INT,
     WIRE_ARITIES,
-    BoolLit,
-    Command,
     Expr,
-    FloatLit,
-    IntLit,
     Node,
     Program,
     RecordDecl,
-    RecordLit,
+    RecordRef,
     Span,
-    TextLit,
     Var,
     new_node,
     record_table,
@@ -118,75 +116,79 @@ class RunError(Node, NamedTuple("RunError", [("message", str), ("span", Span)]))
 RunOutcome = RunValue | RunError
 
 
-# ---- expression evaluation ----------------------------------------------------
-
-
-def eval_expr(e: Expr, values: Mapping[str, Any]) -> Any:
-    if isinstance(e, (IntLit, FloatLit, BoolLit, TextLit)):
-        return e.value
-    if isinstance(e, Var):
-        return values[e.name]
-    assert isinstance(e, RecordLit)
-    return RecordValue(e.name, tuple(eval_expr(a, values) for a in e.args))
+# ---- arguments and replies ---------------------------------------------------
 
 
 _WIRE_NAMES: dict[str, bytes] = {name.lower(): name.encode("ascii") for name in WIRE_ARITIES}
+_LITERAL_BYTES = {cls: codec.value_encoder(base) for cls, base in _LITERAL_BASES.items()}
 
 
-def _wire_command(
-    cmd: Command,
-    env: Mapping[str, ResultType],
-    values: Mapping[str, Any],
-    records: Mapping[str, RecordDecl],
-) -> list[bytes] | None:
-    """Wire form of one command; None for declare (purely static)."""
-    name = _WIRE_NAMES.get(cmd.opcode)
-    if name is None:
-        return None
-    argv = [name]
-    argv.extend(k.encode("utf-8") for k in cmd.keys)
-    if cmd.field_name is not None:
-        argv.append(cmd.field_name.encode("utf-8"))
-    for arg in cmd.args:
-        base = infer_expr(env, records, arg)
-        argv.append(codec.encode(new_node(TypedValue, (base, eval_expr(arg, values))), records))
-    return argv
+def _argument(e: Expr, env: dict[str, ResultType], values: dict[str, Any], records: dict[str, RecordDecl]) -> bytes:
+    """A value argument's payload, encoded at the base the checker proved for it.
+
+    That base is a literal's class's, a binder's recorded result type's, or
+    a record literal's declaration.  Only an argument the run cannot encode
+    reaches ``infer_expr``, which raises the checker's CheckError for it.
+    """
+    encode = _LITERAL_BYTES.get(type(e))
+    if encode is not None:
+        return encode(e.value)
+    try:
+        if type(e) is Var:  # a binder that binds no base (None) has no encoder: KeyError
+            return codec.value_encoder(env[e.name].binds, records)(values[e.name])
+        # A field holds a literal's value, or a binder's if it binds a base; else None, which no field takes.
+        fields = [
+            values[a.name] if type(a) is Var and env[a.name].binds else getattr(a, "value", None) for a in e.args
+        ]
+        encode = codec.value_encoder(new_node(RecordRef, (e.name,)), records)
+        return encode(new_node(RecordValue, (e.name, tuple(fields))))
+    except (KeyError, ValueError):
+        infer_expr(env, records, e)
+        raise
 
 
-def _decode_reply(
-    reply: Reply, rt: ResultType, records: Mapping[str, RecordDecl]
-) -> Any:
+def _float_reply(reply: BulkReply, rt: ResultType, records: Mapping[str, RecordDecl]) -> float:
+    # Increment replies are bulk; real servers may format them more loosely
+    # than the codec image (e.g. "3"), so read them in the store's own grammar.
+    if reply.data is None:
+        raise _unfit(reply, rt)
+    f = codec.redis_float(reply.data)
+    if f is None or not math.isfinite(f):
+        raise codec.DecodeError(FLOAT.name, reply.data)
+    return f
+
+
+# Per scalar result type, and per class of the result types with a base:
+# the reply kind that fits it and the function that reads such a reply.
+_READERS: dict[Any, tuple[type, Callable[..., Any]]] = {
+    STATUS: (SimpleStatus, lambda r, rt, recs: r.text),
+    INT_RESULT: (IntReply, lambda r, rt, recs: r.value),
+    BOOL_RESULT: (IntReply, lambda r, rt, recs: r.value != 0),
+    FLOAT_RESULT: (BulkReply, _float_reply),
+    MaybeResult: (BulkReply, lambda r, rt, recs: None if r.data is None else codec.decode(r.data, rt.base, recs).value),
+    ListResult: (MultiBulk, lambda r, rt, recs: list(map(codec.value_decoder(rt.base, recs), r.items))),
+}
+
+
+def _decode_reply(reply: Reply, rt: ResultType, records: Mapping[str, RecordDecl]) -> Any:
     """The value ``reply`` carries as a result of type ``rt``.
 
     Raises codec.DecodeError if a payload does not decode, and
     ProtocolError if the reply's kind does not fit ``rt``.
     """
-    binds = rt.binds
-    if isinstance(reply, IntReply) and binds in (INT, BOOL):
-        return reply.value if binds == INT else reply.value != 0
-    if isinstance(reply, BulkReply):
-        if isinstance(rt, MaybeResult):
-            return None if reply.data is None else codec.decode(reply.data, rt.base, records).value
-        if binds == FLOAT and reply.data is not None:
-            # Increment replies are bulk; real servers may format them more
-            # loosely than the codec image (e.g. "3"), so read them in the
-            # store's own float grammar.
-            f = codec.redis_float(reply.data)
-            if f is None or not math.isfinite(f):
-                raise codec.DecodeError(FLOAT.name, reply.data)
-            return f
-    if isinstance(reply, MultiBulk) and isinstance(rt, ListResult):
-        return list(map(codec.value_decoder(rt.base, records), reply.items))
-    if isinstance(reply, SimpleStatus) and rt == STATUS:
-        return reply.text
-    raise ProtocolError(f"reply {_reply_text(reply)} does not fit result type {result_text(rt)}")
+    kind, read = _READERS.get(rt if type(rt) is ScalarResult else type(rt), (None, None))
+    if type(reply) is not kind:
+        raise _unfit(reply, rt)
+    return read(reply, rt, records)
 
 
-def _reply_text(reply: Reply) -> str:
-    """The reply's kind and its payload, quoted as codec.DecodeError quotes data."""
+def _unfit(reply: Reply, rt: ResultType) -> ProtocolError:
+    # The reply's kind and its payload, quoted as codec.DecodeError quotes data.
     if isinstance(reply, MultiBulk):
-        return f"MultiBulk of {len(reply.items)} items"
-    return f"{type(reply).__name__}({codec.quote(reply[0])})"  # the other kinds carry one value each
+        text = f"MultiBulk of {len(reply.items)} items"
+    else:
+        text = f"{type(reply).__name__}({codec.quote(reply[0])})"  # the other kinds carry one value each
+    return ProtocolError(f"reply {text} does not fit result type {result_text(rt)}")
 
 
 def run_program(program: Program, report: CheckOk, backend: Backend) -> RunOutcome:
@@ -201,10 +203,14 @@ def run_program(program: Program, report: CheckOk, backend: Backend) -> RunOutco
     rt: ResultType = UNIT  # the last command's result type and value
     value: Any = None
     for cmd, rt in zip(program.body, report.results):
-        argv = _wire_command(cmd, env, values, records)
-        if argv is None:
+        name = _WIRE_NAMES.get(cmd.opcode)
+        if name is None:  # declare: static only
             value = None
         else:
+            argv = [name, *[k.encode("utf-8") for k in cmd.keys]]
+            if cmd.field_name is not None:
+                argv.append(cmd.field_name.encode("utf-8"))
+            argv += [_argument(arg, env, values, records) for arg in cmd.args]
             reply = backend.send(argv)
             if isinstance(reply, ErrReply):
                 return RunError(reply.message, cmd.span)

@@ -13,14 +13,18 @@ read back without ever leaving the codec's image.
   record -> compact JSON object, fields in declaration order,
             e.g. {"body":"hello","id":1}
 
-A record is spelled directly, not through ``json.dumps``: field names
-and text as JSON strings with only the escapes JSON requires (non-ASCII
+Each record declaration gets one encoder and one decoder, built at its
+first use and kept in a table bounded to 64 declarations.  The encoder
+spells a record directly, not through ``json.dumps``: field names and
+text as JSON strings with only the escapes JSON requires (non-ASCII
 stays unescaped), ints and floats by ``repr``, bools as true/false.
 That is byte for byte what ``json.dumps(obj, separators=(",", ":"),
 ensure_ascii=False)`` gives; ``tests/oracles.py`` keeps that encoder as
-the reference.  A record payload is canonical when its UTF-8 text is
-this spelling of the values it parses to, so escapes JSON does not
-require, including one of a lone surrogate, are rejected.
+the reference.  The decoder makes one match of the declaration's pattern
+and one conversion per field, and a field's token must be the spelling
+of its value, so escapes JSON does not require, including one of a lone
+surrogate, are rejected.  Only a payload that fails goes on to the JSON
+reader, which names the DecodeError's reason.
 """
 
 from __future__ import annotations
@@ -28,8 +32,9 @@ from __future__ import annotations
 import json
 import math
 import re
-from functools import partial
-from typing import Any, Callable, Mapping, NamedTuple, Sequence
+from functools import lru_cache
+from operator import call
+from typing import Any, Callable, Mapping, NamedTuple
 
 from .syntax import (
     BOOL,
@@ -95,26 +100,12 @@ def redis_float(data: bytes) -> float | None:
 
 
 def encode(v: TypedValue, records: Mapping[str, RecordDecl] | None = None) -> bytes:
-    base, value = v
-    scalar = _SCALAR_BYTES.get(base)
-    if scalar is not None:
-        return scalar(value)
-    assert isinstance(base, RecordRef)
-    decl = _record_decl(base, records)
-    # Field payloads were validated at construction time, so this only
-    # guards against drift.
-    assert all(_IS_PAYLOAD[fbase](val) for (_, fbase), val in zip(decl.fields, value.values))
-    return _record_text(decl, value.values).encode("utf-8")
+    """``v``'s payload, through ``value_encoder(v.base, records)``."""
+    return value_encoder(v.base, records)(v.value)
 
 
-_json_str: Callable[[str], str] = json.JSONEncoder(ensure_ascii=False).encode
+_json_str: Callable[[str], str] = json.encoder.encode_basestring  # as json.dumps(s, ensure_ascii=False)
 _json_decode: Callable[[str], Any] = json.JSONDecoder(object_pairs_hook=list).decode
-
-
-def _record_text(decl: RecordDecl, values: Sequence[Any]) -> str:
-    """The canonical JSON text of a record with these field values."""
-    pairs = [f"{_json_str(name)}:{_JSON_SPELLINGS[fbase](val)}" for (name, fbase), val in zip(decl.fields, values)]
-    return "{" + ",".join(pairs) + "}"
 
 
 def int_value(data: bytes) -> int:
@@ -172,31 +163,25 @@ def _text_value(data: bytes) -> str:
         raise DecodeError(TEXT.name, data, "invalid UTF-8") from None
 
 
-def _record_value(decl: RecordDecl, data: bytes) -> RecordValue:
+def _refusal(decl: RecordDecl, data: bytes) -> DecodeError:
+    """Why ``data`` is no payload of ``decl``, as the JSON reader sees it."""
     try:
-        text = data.decode("utf-8")
-        pairs = _json_decode(text)
+        pairs = _json_decode(data.decode("utf-8"))
     except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
-        raise DecodeError(decl.name, data, "not a JSON object") from None
+        return DecodeError(decl.name, data, "not a JSON object")
     if not (isinstance(pairs, list) and all(isinstance(p, tuple) for p in pairs)):
-        raise DecodeError(decl.name, data, "not a JSON object")
+        return DecodeError(decl.name, data, "not a JSON object")
     if [p[0] for p in pairs] != [n for n, _ in decl.fields]:
-        raise DecodeError(decl.name, data, "field names or order mismatch")
-    values = tuple(raw for _, raw in pairs)
-    for (fname, fbase), raw in zip(decl.fields, values):
+        return DecodeError(decl.name, data, "field names or order mismatch")
+    for (fname, fbase), (_, raw) in zip(decl.fields, pairs):
         if not _IS_PAYLOAD[fbase](raw):
-            raise DecodeError(decl.name, data, f"field '{fname}' has the wrong type")
-    # One canonical byte string per value: reject every other spelling
-    # (whitespace, escapes JSON does not require, exponent variants) by
-    # comparing the text with the canonical spelling of what it parsed to.
-    if _record_text(decl, values) != text:
-        raise DecodeError(decl.name, data, "not canonical")
-    return RecordValue(decl.name, values)
+            return DecodeError(decl.name, data, f"field '{fname}' has the wrong type")
+    return DecodeError(decl.name, data, "not canonical")  # whitespace, needless escapes, exponent variants
 
 
 # Per scalar base: its payload decoder and encoder, its spelling as a
-# record field's JSON value, and whether a field value as JSON holds it
-# has this base.
+# record field's JSON value, whether a field value as JSON holds it has
+# this base, and the pattern of a field's JSON token with its reader.
 _SCALAR_VALUES: dict[BaseType, Callable[[bytes], Any]] = {
     INT: int_value,
     FLOAT: _float_value,
@@ -221,23 +206,61 @@ _IS_PAYLOAD: dict[BaseType, Callable[[Any], bool]] = {
     BOOL: lambda v: isinstance(v, bool),
     TEXT: lambda v: isinstance(v, str),
 }
+_JSON_TOKENS: dict[BaseType, tuple[str, Callable[[str], Any]]] = {
+    INT: ("0|-?[1-9][0-9]*", int),
+    FLOAT: ("-?[0-9][0-9.e+-]*", float),
+    BOOL: ("true|false", "true".__eq__),
+    TEXT: (r'"[^"\\]*(?:\\.[^"\\]*)*"', lambda token: json.decoder.scanstring(token, 1)[0]),
+}
 
 
-def value_decoder(
-    base: BaseType, records: Mapping[str, RecordDecl] | None = None
-) -> Callable[[bytes], Any]:
+@lru_cache(maxsize=64)
+def _record_coders(decl: RecordDecl) -> tuple[Callable[[Any], bytes], Callable[[bytes], RecordValue]]:
+    """The payload encoder and decoder of one declaration, built at its first use."""
+    name, fields = decl
+    keys = [_json_str(fname) + ":" for fname, _ in fields]
+    template = "{" + ",".join(k.replace("%", "%%") + "%s" for k in keys) + "}"
+    fits, spells = [_IS_PAYLOAD[b] for _, b in fields], [_JSON_SPELLINGS[b] for _, b in fields]
+    tokens, reads = [_JSON_TOKENS[b][0] for _, b in fields], [_JSON_TOKENS[b][1] for _, b in fields]
+    pattern = re.compile(r"\{" + ",".join(f"{re.escape(k)}({t})" for k, t in zip(keys, tokens)) + r"\}")
+
+    def encode(value: Any) -> bytes:
+        if not (type(value) is RecordValue and value.name == name and len(value.values) == len(fields)
+                and all(map(call, fits, value.values))):
+            raise ValueError(f"{quote(value)} is not a value of record '{name}'")
+        return (template % tuple(map(call, spells, value.values))).encode()
+
+    def decode(data: bytes) -> RecordValue:
+        try:
+            match = pattern.fullmatch(data.decode("utf-8"))
+            values = tuple(map(call, reads, match.groups())) if match else None
+        except ValueError:  # invalid UTF-8, or a token its reader refuses
+            values = None
+        if values is None or tuple(map(call, spells, values)) != match.groups():
+            raise _refusal(decl, data)
+        return new_node(RecordValue, (name, values))
+
+    return encode, decode
+
+
+def value_encoder(base: BaseType, records: Mapping[str, RecordDecl] | None = None) -> Callable[[Any], bytes]:
+    """The mirror of ``value_decoder``; a record's encoder raises ValueError on a value unfit for its declaration."""
+    if isinstance(base, RecordRef):
+        return _record_coders(_record_decl(base, records))[0]
+    return _SCALAR_BYTES[base]
+
+
+def value_decoder(base: BaseType, records: Mapping[str, RecordDecl] | None = None) -> Callable[[bytes], Any]:
     """The function that takes one payload of ``base`` to its plain value.
 
     It raises DecodeError on every byte string outside ``encode``'s image.
     Look it up once to decode many payloads of one base.
     """
     if isinstance(base, RecordRef):
-        return partial(_record_value, _record_decl(base, records))
+        return _record_coders(_record_decl(base, records))[1]
     return _SCALAR_VALUES[base]
 
 
-def decode(
-    data: bytes, base: BaseType, records: Mapping[str, RecordDecl] | None = None
-) -> TypedValue:
+def decode(data: bytes, base: BaseType, records: Mapping[str, RecordDecl] | None = None) -> TypedValue:
     """``data`` decoded by ``value_decoder(base, records)``, with its base."""
     return new_node(TypedValue, (base, value_decoder(base, records)(data)))

@@ -1,5 +1,5 @@
 """Naive reference models for the dictionary operations, the lexer, the parser,
-the RESP reply decoder and the record encoder.
+the RESP reply decoder, the record encoder and the record reader.
 
 Written independently of the package implementation, in a deliberately
 different style (index arithmetic and list comprehensions instead of
@@ -7,14 +7,16 @@ first-match recursion; a character-at-a-time scanner that tracks line and
 column as it goes instead of one compiled pattern), so agreement between
 the two is meaningful.  The reference parser is the package's earlier
 token-object parser, the reference reply decoder its earlier
-item-at-a-time decoder and the reference record encoder its earlier
-``json.dumps`` encoder, all kept verbatim.  Kept in its own module
+item-at-a-time decoder, the reference record encoder its earlier
+``json.dumps`` encoder and the reference record reader its earlier JSON
+reader, all kept verbatim.  Kept in its own module
 because both the unit tests and the acceptance sweep drive it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_right
 from typing import Any, Callable, NamedTuple, Sequence, TypeVar
 
@@ -28,11 +30,16 @@ from redtype.parser import (
     _clip,
     tag_text,
 )
+from redtype.codec import DecodeError, RecordValue
 from redtype.resp import CRLF, MAX_ARRAY_LEN, MAX_BULK_LEN, MAX_LINE_LEN, ProtocolError
 from redtype.store import BulkReply, ErrReply, IntReply, MultiBulk, Reply, SimpleStatus
 from redtype.syntax import (
+    BOOL,
     COMMAND_SHAPES,
+    FLOAT,
+    INT,
     OPCODES,
+    TEXT,
     BaseType,
     BoolLit,
     Command,
@@ -665,3 +672,56 @@ class ReplyDecoder:
 def record_bytes(decl: RecordDecl, values: Sequence[Any]) -> bytes:
     obj = {name: val for (name, _), val in zip(decl.fields, values)}
     return json.dumps(obj, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
+# record reader
+#
+# The package's record reader as it was before each declaration got its
+# own pattern: parse the payload as JSON, check the field names and the
+# kinds of their values, then spell the values again and compare that
+# with the text.  Its helper tables are copied from the package as they
+# were then.
+
+_json_str = json.JSONEncoder(ensure_ascii=False).encode
+_json_decode = json.JSONDecoder(object_pairs_hook=list).decode
+_JSON_SPELLINGS: dict[BaseType, Callable[[Any], str]] = {
+    INT: repr,
+    FLOAT: repr,
+    BOOL: lambda b: "true" if b else "false",
+    TEXT: _json_str,
+}
+_IS_PAYLOAD: dict[BaseType, Callable[[Any], bool]] = {
+    INT: lambda v: isinstance(v, int) and not isinstance(v, bool),
+    FLOAT: lambda v: isinstance(v, float) and math.isfinite(v),
+    BOOL: lambda v: isinstance(v, bool),
+    TEXT: lambda v: isinstance(v, str),
+}
+
+
+def _record_text(decl: RecordDecl, values: Sequence[Any]) -> str:
+    """The canonical JSON text of a record with these field values."""
+    pairs = [f"{_json_str(name)}:{_JSON_SPELLINGS[fbase](val)}" for (name, fbase), val in zip(decl.fields, values)]
+    return "{" + ",".join(pairs) + "}"
+
+
+def record_value(decl: RecordDecl, data: bytes) -> RecordValue:
+    try:
+        text = data.decode("utf-8")
+        pairs = _json_decode(text)
+    except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
+        raise DecodeError(decl.name, data, "not a JSON object") from None
+    if not (isinstance(pairs, list) and all(isinstance(p, tuple) for p in pairs)):
+        raise DecodeError(decl.name, data, "not a JSON object")
+    if [p[0] for p in pairs] != [n for n, _ in decl.fields]:
+        raise DecodeError(decl.name, data, "field names or order mismatch")
+    values = tuple(raw for _, raw in pairs)
+    for (fname, fbase), raw in zip(decl.fields, values):
+        if not _IS_PAYLOAD[fbase](raw):
+            raise DecodeError(decl.name, data, f"field '{fname}' has the wrong type")
+    # One canonical byte string per value: reject every other spelling
+    # (whitespace, escapes JSON does not require, exponent variants) by
+    # comparing the text with the canonical spelling of what it parsed to.
+    if _record_text(decl, values) != text:
+        raise DecodeError(decl.name, data, "not canonical")
+    return RecordValue(decl.name, values)

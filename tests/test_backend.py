@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import inspect
 import itertools
+import math
 import random
 
 import pytest
 
-from redtype import backend as backend_module, checker, typedict
+from redtype import backend as backend_module, checker, cli, typedict
 from redtype.backend import (
     MemoryBackend,
     RespBackend,
@@ -18,12 +19,25 @@ from redtype.backend import (
     run_program,
 )
 from redtype.checker import FLOAT_RESULT, INT_RESULT, STATUS, UNIT, CheckOk, MaybeResult, check_program
-from redtype.codec import RecordValue
+from redtype.codec import RecordValue, quote
 from redtype.fuzz import generate_program
 from redtype.parser import parse_program
 from redtype.resp import ProtocolError
 from redtype.store import BulkReply, IntReply, MemoryStore
-from redtype.syntax import FLOAT, INT, HashOf, ListOf, RecordRef, StringOf
+from redtype.syntax import (
+    FLOAT,
+    INT,
+    BoolLit,
+    FloatLit,
+    HashOf,
+    IntLit,
+    ListOf,
+    RecordLit,
+    RecordRef,
+    StringOf,
+    TextLit,
+    Var,
+)
 
 QUEUE_SOURCE = """\
 record Message { body: text, id: int }
@@ -236,7 +250,8 @@ def test_check_ok_records_one_result_type_per_command():
     assert empty.results == () and empty.result == UNIT
 
 
-def test_run_program_makes_no_checker_or_dictionary_calls(monkeypatch):
+def _accepted_corpus():
+    """The queue program and the first 20 accepted programs drawn at seed 7, each with its report."""
     rng = random.Random(7)
     drawn = (generate_program(rng, max_len=12) for _ in range(1000))
     cases = []
@@ -245,6 +260,11 @@ def test_run_program_makes_no_checker_or_dictionary_calls(monkeypatch):
             cases.append((p, r))
             if len(cases) == 21:
                 break
+    return cases
+
+
+def test_run_program_makes_no_checker_or_dictionary_calls(monkeypatch):
+    cases = _accepted_corpus()
     expected = [run_program(p, r, MemoryBackend()) for p, r in cases]
 
     def forbidden(*args, **kwargs):
@@ -256,6 +276,26 @@ def test_run_program_makes_no_checker_or_dictionary_calls(monkeypatch):
         if inspect.isfunction(fn) and fn.__module__ == typedict.__name__:
             monkeypatch.setattr(typedict, name, forbidden)
     assert len(cases) > 20
+    assert [run_program(p, r, MemoryBackend()) for p, r in cases] == expected
+
+
+def test_run_program_does_not_re_infer_argument_types(monkeypatch):
+    binders = parse_program(
+        "program { declare c : string<int>  n <- incr c  b <- setnx d 1.5  x <- incrbyfloat d 1.0"
+        "  set e n  set f b  set g x }"
+    )
+    cases = [*_accepted_corpus(), (binders, check_program(binders))]
+    expected = [run_program(p, r, MemoryBackend()) for p, r in cases]
+    args = [a for p, _ in cases for cmd in p.body for a in cmd.args]
+    # Literals of each base, binders of each base, and record literals with a binder among their fields.
+    assert {type(a) for a in args} == {IntLit, FloatLit, BoolLit, TextLit, Var, RecordLit}
+    assert any(type(f) is Var for a in args if type(a) is RecordLit for f in a.args)
+    assert isinstance(expected[-1], RunValue)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("run_program inferred the type of an accepted argument")
+
+    monkeypatch.setattr(backend_module, "infer_expr", forbidden)
     assert [run_program(p, r, MemoryBackend()) for p, r in cases] == expected
 
 
@@ -319,3 +359,47 @@ def test_an_unfit_reply_names_the_result_type_as_reports_spell_it():
         backend_module._decode_reply(IntReply(1), STATUS, {})
     with pytest.raises(ProtocolError, match=r"does not fit result type maybe<int>$"):
         backend_module._decode_reply(IntReply(1), MaybeResult(INT), {})
+    with pytest.raises(ProtocolError, match=r"^reply BulkReply\(None\) does not fit result type double$"):
+        backend_module._decode_reply(BulkReply(None), FLOAT_RESULT, {})
+
+
+def test_a_record_literal_the_codec_cannot_spell_is_refused_not_written():
+    # The checker types a non-finite float literal as float, which only a
+    # built tree can hold; the run must not store b"inf" where a Point goes.
+    program = parse_program("record Point { x: float, y: float }\nprogram { set k Point{ 1.5, 2.5 } }")
+    cmd = program.body[0]
+    point = RecordLit("Point", (FloatLit(math.inf), FloatLit(1.0)))
+    program = program._replace(body=(cmd._replace(args=(point,)),))
+    report = check_program(program)
+    assert isinstance(report, CheckOk)
+    store = MemoryStore()
+    with pytest.raises(ValueError, match="is not a value of record 'Point'"):
+        run_program(program, report, MemoryBackend(store))
+    assert store.execute([b"GET", b"k"]) == BulkReply(None)
+
+
+class _RpopReplies:
+    """A server whose RPOP replies carry ``data`` instead of the popped element."""
+
+    def __init__(self, data):
+        self.data = data
+        self.inner = MemoryBackend()
+
+    def send(self, argv):
+        reply = self.inner.send(argv)
+        return BulkReply(self.data) if argv[0] == b"RPOP" else reply
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b'{"body":"hello","id":' + b"7" * 5000 + b"}", b'{"body":"hel\nlo","id":1}'],
+    ids=["5000-digit-id", "raw-newline"],
+)
+def test_a_record_reply_the_codec_refuses_exits_4_through_the_cli(data, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "queue.rt"
+    path.write_text(QUEUE_SOURCE, encoding="utf-8")
+    monkeypatch.setattr(cli, "_open_backend", lambda args: _RpopReplies(data))
+    assert cli.main(["run", str(path)]) == cli.EXIT_RUNTIME_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"runtime error at 9:3: DECODE cannot decode {quote(data)} as Message (not a JSON object)\n"

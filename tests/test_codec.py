@@ -6,12 +6,15 @@ import copy
 import math
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracles
-from redtype.codec import DecodeError, RecordValue, TypedValue, decode, encode
+from redtype.codec import DecodeError, RecordValue, TypedValue, decode, encode, value_decoder, value_encoder
 from redtype.fuzz import RECORD_POOL
 from redtype.syntax import BOOL, FLOAT, INT, TEXT, RecordDecl, RecordRef
 
@@ -134,6 +137,8 @@ def test_text_rejects_invalid_utf8():
         b'{"body":"hello","id":1}extra',
         b'{"body":"\\ud800","id":1}',  # escaped lone surrogate
         b'{"body":"\\u0041","id":1}',  # escaped ASCII "A"
+        b'{"body":"hello","id":' + b"1" * 5000 + b"}",  # more digits than int() reads
+        b'{"body":"hel\nlo","id":1}',  # a raw newline
     ],
 )
 def test_record_rejects_non_canonical(data):
@@ -255,3 +260,115 @@ def test_injectivity_within_a_base_type():
         n = rng.randint(-(2**70), 2**70)
         b = encode(TypedValue(INT, n))
         assert seen.setdefault(b, n) == n
+
+
+# ---------------------------------------------------------------------------
+# per-declaration coders
+
+
+POOL = {decl.name: decl for decl in RECORD_POOL}
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("Pair", RecordValue("Pair", ("x",))),  # short: one field of two
+        ("Pair", RecordValue("Pair", ("x", 1, 2))),  # long
+        ("Pair", RecordValue("Pair", (1, 2))),  # an int where the text goes
+        ("Pair", RecordValue("Pair", ("x", True))),  # a bool is not an int
+        ("Pair", RecordValue("Point", ("x", 1))),  # another record's name
+        ("Pair", ("x", 1)),  # no record value at all
+        ("Point", RecordValue("Point", (math.inf, 1.0))),
+        ("Point", RecordValue("Point", (1.0, math.nan))),
+    ],
+)
+def test_a_record_value_unfit_for_its_declaration_is_refused(name, value):
+    with pytest.raises(ValueError, match=f"is not a value of record '{name}'"):
+        encode(TypedValue(RecordRef(name), value), POOL)
+
+
+def test_an_unfit_record_value_is_refused_under_python_o():
+    # The check must not be an assert, which -O strips.
+    probe = """
+from redtype.codec import RecordValue, TypedValue, encode
+from redtype.fuzz import RECORD_POOL
+from redtype.syntax import RecordRef
+print(__debug__)
+for payload in (("x",), (1, 2)):
+    try:
+        encode(TypedValue(RecordRef("Pair"), RecordValue("Pair", payload)), {"Pair": RECORD_POOL[0]})
+    except ValueError as err:
+        print(err)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", probe], capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "False",
+        "RecordValue(name='Pair', values=('x',)) is not a value of record 'Pair'",
+        "RecordValue(name='Pair', values=(1, 2)) is not a value of record 'Pair'",
+    ]
+
+
+def test_coders_are_built_once_per_declaration():
+    ref, fields = RecordRef("Pair"), POOL["Pair"].fields
+    assert value_decoder(ref, POOL) is value_decoder(ref, {"Pair": RecordDecl("Pair", fields)})
+    assert value_encoder(ref, POOL) is value_encoder(ref, {"Pair": RecordDecl("Pair", fields)})
+
+
+# Replacements for one field's JSON token: spellings JSON allows but the
+# codec does not, and spellings JSON does not allow at all.
+_ODD_TOKENS = (
+    '"\\u0041"', '"\\ud800"', '"a\\u00e9"', '"\\/"', '"\x01"', '"a\nb"', '"\t"', '"\\n"',
+    "-0", "007", "1E5", "1e5", "1.0e+16", "1e+16", "-0.0", "0.0", "1.50", "1.", ".5",
+    "NaN", "Infinity", "-Infinity", "1e999", "1" * 5000, "-" + "9" * 5000,
+    "true", "false", "True", "null", "1", "1.0", '"x"', "[]", "{}", '"',
+)
+_BLANKS = (" ", "\n", "\t", "\r", "\x0b", "\u00a0")
+_ESCAPES = ("\\u0041", "\\ud800", '\\"', "\\\\")
+
+
+@st.composite
+def record_payloads(draw):
+    """A declaration of the fuzz pool and a payload for it: canonical, or perturbed."""
+    decl = draw(st.sampled_from(RECORD_POOL))
+    values = draw(st.tuples(*(_FIELD_VALUES[base] for _, base in decl.fields)))
+    # The canonical key:value pair of each field, by the reference encoder.
+    pairs = [
+        oracles.record_bytes(RecordDecl(decl.name, (field,)), (value,)).decode("utf-8")[1:-1]
+        for field, value in zip(decl.fields, values)
+    ]
+    how = draw(st.sampled_from(("same", "blank", "shuffle", "repeat", "drop", "token", "escape")))
+    if how == "shuffle":
+        pairs = draw(st.permutations(pairs))
+    elif how == "repeat":
+        pairs = pairs + [draw(st.sampled_from(pairs))]
+    elif how == "drop":
+        del pairs[draw(st.integers(0, len(pairs) - 1))]
+    elif how == "token":
+        i = draw(st.integers(0, len(pairs) - 1))
+        pairs[i] = f'"{decl.fields[i][0]}":' + draw(st.sampled_from(_ODD_TOKENS))
+    text = "{" + ",".join(pairs) + "}"
+    if how in ("blank", "escape"):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(_BLANKS if how == "blank" else _ESCAPES)) + text[at:]
+    return decl, text.encode("utf-8")
+
+
+@settings(max_examples=1000)
+@given(record_payloads())
+def test_the_record_reader_agrees_with_the_json_reader(decl_data):
+    decl, data = decl_data
+    read = value_decoder(RecordRef(decl.name), {decl.name: decl})
+    try:
+        expected = oracles.record_value(decl, data)
+    except DecodeError as err:
+        with pytest.raises(DecodeError) as got:
+            read(data)
+        assert (str(got.value), got.value.reason) == (str(err), err.reason)
+    else:
+        value = read(data)
+        assert repr(value) == repr(expected)  # repr tells 1 from 1.0 and from True, and -0.0 from 0.0
+        assert data == oracles.record_bytes(decl, value.values)

@@ -316,3 +316,25 @@ def test_an_argument_the_runtime_cannot_type_is_a_violation(monkeypatch):
     kind, message = _trial(parse_program("program { set k nope }"), strict=False)
     assert kind == "unfit"
     assert "UnknownVariable" in message
+
+
+PAIR_DECL = "record Pair { left: text, right: int }\n"
+
+
+@pytest.mark.parametrize(
+    "body, constraint",
+    [
+        ('set k Pair{ "x" }', "ArityMismatch"),
+        ('set k Pair{ "x", 1, 2 }', "ArityMismatch"),
+        ("set k Nope{ 1 }", "UnknownRecord"),
+        ("set k Pair{ 1, 2 }", "ElementTypeMismatch"),
+        ('set k Pair{ "x", true }', "ElementTypeMismatch"),
+        ('set k Pair{ "x", nope }', "UnknownVariable"),
+        ("s <- ping  set k Pair{ s, 1 }", "ElementTypeMismatch"),  # a status binder holds text, but binds no base
+        ("s <- ping  set k s", "ElementTypeMismatch"),
+    ],
+)
+def test_a_record_or_binder_argument_the_runtime_cannot_encode_is_a_violation(monkeypatch, body, constraint):
+    monkeypatch.setattr(checker, "_step", _accepting_everything(checker._step))
+    kind, message = _trial(parse_program(PAIR_DECL + "program { " + body + " }"), strict=False)
+    assert (kind, message.split(":")[0]) == ("unfit", constraint)
