@@ -376,3 +376,70 @@ def test_snapshot_taken_earlier_is_unchanged_by_later_commands():
         {"key": "s", "type": "set", "value": ["a"]},
     ]
     assert store.snapshot()[2] == {"key": "l", "type": "list", "value": ["z", "y"]}
+
+
+def test_keys_fields_values_and_members_that_are_not_utf8():
+    cafe, k, h, f, s = b"caf\xc3\xa9", b"\xff\x00k", b"h\xe9", b"f\xff", b"\xfe"
+    store = MemoryStore()
+    replies = [
+        store.execute(argv)
+        for argv in (
+            [b"SET", k, cafe],
+            [b"GET", k],
+            [b"SETNX", k, s],
+            [b"SETNX", cafe, b"7"],
+            [b"INCR", cafe],
+            [b"HSET", h, f, s],
+            [b"HSET", h, f, cafe],
+            [b"HSET", h, b"f", k],
+            [b"HGET", h, f],
+            [b"HGET", h, b"f\xfe"],
+            [b"SADD", s, k],
+            [b"SADD", s, cafe],
+            [b"SADD", b"t", cafe],
+            [b"SINTER", s, b"t"],
+            [b"SINTER", s, s],
+            [b"LPUSH", f, h],
+            [b"LPUSH", f, s],
+            [b"RPOP", f],
+            [b"LLEN", f],
+            [b"LPUSH", k, s],
+            [b"INCRBYFLOAT", h, b"1.5"],
+            [b"DEL", b"t"],
+            [b"DEL", b"\xff\x00"],
+        )
+    ]
+    assert replies == [
+        SimpleStatus("OK"),
+        BulkReply(cafe),
+        IntReply(0),
+        IntReply(1),
+        IntReply(8),
+        IntReply(1),
+        IntReply(0),
+        IntReply(1),
+        BulkReply(cafe),
+        BulkReply(None),
+        IntReply(1),
+        IntReply(1),
+        IntReply(1),
+        MultiBulk((cafe,)),
+        MultiBulk((cafe, k)),
+        IntReply(1),
+        IntReply(2),
+        BulkReply(h),
+        IntReply(1),
+        ErrReply(WRONGTYPE_MSG),
+        ErrReply(WRONGTYPE_MSG),
+        IntReply(1),
+        IntReply(0),
+    ]
+    # Each stored byte reads as one latin-1 character, and keys, fields and
+    # members sort bytewise.
+    assert store.snapshot() == [
+        {"key": "cafÃ©", "type": "string", "value": "8"},
+        {"key": "fÿ", "type": "list", "value": ["þ"]},
+        {"key": "hé", "type": "hash", "value": {"f": "ÿ\x00k", "fÿ": "cafÃ©"}},
+        {"key": "þ", "type": "set", "value": ["cafÃ©", "ÿ\x00k"]},
+        {"key": "ÿ\x00k", "type": "string", "value": "cafÃ©"},
+    ]
