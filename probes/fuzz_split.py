@@ -12,9 +12,11 @@ reports the minimum of each share: the generator's draws
 calls) and the trials (``fuzz._trial``: check, and run on mem if
 accepted).  The wrapped calls cost a timer each, so the shares add up
 to more than the unwrapped pass; the rest of generation is ``step``'s
-own bookkeeping.  Last, one more pass counts the calls of every
-Python-level ``__new__`` of a named tuple node class; a node built by
-``tuple.__new__`` or taken from a table of shared nodes costs none.
+own bookkeeping.  The same wrappers count, per opcode, the draws and
+the share of them that ``checker._step`` accepts.  Last, one more pass
+counts the calls of every Python-level ``__new__`` of a named tuple node
+class; a node built by ``tuple.__new__`` or taken from a table of shared
+nodes costs none.
 Prints one JSON object.  --src selects the source tree to import
 redtype from, so that two checkouts can be compared with the same probe.
 """
@@ -54,16 +56,18 @@ def main() -> None:
 
     totals = Counter()
     calls = Counter()
+    opcode_draws = Counter()
+    opcode_accepted = Counter()
     in_trial = False
     real_draw, real_step, real_trial = fuzz._Generator.draw, checker._step, fuzz._trial
 
     def draw(self, *a):  # type: ignore[no-untyped-def]
         t0 = clock()
-        try:
-            return real_draw(self, *a)
-        finally:
-            totals["draw_s"] += clock() - t0
-            calls["draws"] += 1
+        cmd = real_draw(self, *a)
+        totals["draw_s"] += clock() - t0
+        calls["draws"] += 1
+        opcode_draws[cmd.opcode] += 1
+        return cmd
 
     def step(*a):  # type: ignore[no-untyped-def]
         if in_trial:
@@ -73,6 +77,7 @@ def main() -> None:
         try:
             result = real_step(*a)
             verdict = "accepted"
+            opcode_accepted[a[3].opcode] += 1
             return result
         finally:
             totals[f"step_{verdict}_s"] += clock() - t0
@@ -93,8 +98,8 @@ def main() -> None:
     fuzz._Generator.draw, checker._step, fuzz._trial = draw, step, trial
     try:
         for _ in range(args.repeat):
-            totals.clear()
-            calls.clear()
+            for counter in (totals, calls, opcode_draws, opcode_accepted):
+                counter.clear()
             t0 = clock()
             fuzz.run_fuzz(config)
             totals["wrapped_pass_s"] = clock() - t0
@@ -137,6 +142,10 @@ def main() -> None:
         "pass_s": round(pass_s, 4),
         **{k: round(v, 4) for k, v in sorted(best.items())},
         "calls": dict(sorted(calls.items())),
+        "opcodes": {
+            op: {"draws": n, "accepted_share": round(opcode_accepted[op] / n, 3)}
+            for op, n in sorted(opcode_draws.items())
+        },
         "python_new_calls": dict(news.most_common()),
     }))
 

@@ -4,7 +4,10 @@ Encodings are canonical: every value has exactly one byte string, and
 ``decode`` accepts exactly the image of ``encode`` (anything else is a
 DecodeError).  Integers use the same signed-decimal form the store's
 INCR produces, so a counter written here can be incremented there and
-read back without ever leaving the codec's image.
+read back without ever leaving the codec's image.  ``encode`` raises
+ValueError on a value outside ``decode``'s image.  The interpreter's
+int/str digit limit (4,300 digits by default) bounds ints: ``encode`` of
+a longer int raises ValueError, and ``decode`` refuses one (DecodeError).
 
   int    -> ASCII signed decimal, no leading zeros, never "-0"
   float  -> shortest round-trip decimal, always with '.' or exponent
@@ -100,7 +103,9 @@ def redis_float(data: bytes) -> float | None:
 
 
 def encode(v: TypedValue, records: Mapping[str, RecordDecl] | None = None) -> bytes:
-    """``v``'s payload, through ``value_encoder(v.base, records)``."""
+    """``v``'s payload, through ``value_encoder(v.base, records)``, after testing that ``v.value`` is of ``v.base``."""
+    if v.base in _IS_PAYLOAD and not _IS_PAYLOAD[v.base](v.value):
+        raise ValueError(f"{quote(v.value)} is not a value of {v.base.name}")
     return value_encoder(v.base, records)(v.value)
 
 
@@ -109,7 +114,7 @@ _json_decode: Callable[[str], Any] = json.JSONDecoder(object_pairs_hook=list).de
 
 
 def int_value(data: bytes) -> int:
-    """The int ``data`` spells in the canonical form above, of any size (INCR reads with ``int64_value``)."""
+    """The int ``data`` spells in the canonical form above, within the digit limit (INCR reads with ``int64_value``)."""
     # int() also reads spaces, '+', '_' and leading zeros; the round trip
     # through the canonical spelling turns all of those away.
     try:

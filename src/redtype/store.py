@@ -12,8 +12,9 @@ output is sorted bytewise, and so on).
 in place: bytes per string, a deque per list (head first), a set per
 set and a dict per hash, so no command copies the state or a value it
 writes to.  ``execute`` never raises; malformed input comes back as
-ErrReply.  ``snapshot`` is the one read-out: a sorted, typed copy that
-later commands do not change.
+ErrReply.  Keys, hash fields and values stay the wire's bytes up to
+``snapshot``, the one read-out and the one place where they turn into
+text: a sorted, typed copy that later commands do not change.
 """
 
 from __future__ import annotations
@@ -65,24 +66,20 @@ PONG = SimpleStatus("PONG")
 ZERO, ONE, NIL = IntReply(0), IntReply(1), BulkReply(None)
 
 
-def _key(argv: Sequence[bytes], i: int) -> str:
-    return argv[i].decode("latin-1")
-
-
 class _WrongType(Exception):
     """A command met a key holding the wrong kind of value."""
 
 
-# Strings are held as bytes, lists as deques (head first), sets as sets
-# and hashes as field dicts.
+# Keys, hash fields and strings are held as the wire's bytes, lists as
+# deques (head first), sets as sets and hashes as field dicts.
 _Value = bytes | deque | set | dict
-_State = dict[str, _Value]
+_State = dict[bytes, _Value]
 
 # The kind of each value class, as the store's TYPE reply names it.
 _KIND_OF: dict[type, str] = {bytes: KINDS[StringOf], deque: KINDS[ListOf], set: KINDS[SetOf], dict: KINDS[HashOf]}
 
 
-def _holding(state: _State, k: str, kind: type) -> _Value | None:
+def _holding(state: _State, k: bytes, kind: type) -> _Value | None:
     """The value at ``k`` if it is of ``kind``, None if ``k`` is absent."""
     v = state.get(k)
     if v is not None and not isinstance(v, kind):
@@ -99,29 +96,28 @@ def _ping(state: _State, argv: Sequence[bytes]) -> Reply:
 
 
 def _set(state: _State, argv: Sequence[bytes]) -> Reply:
-    state[_key(argv, 1)] = bytes(argv[2])
+    state[argv[1]] = argv[2]
     return OK
 
 
 def _setnx(state: _State, argv: Sequence[bytes]) -> Reply:
-    k = _key(argv, 1)
-    if k in state:
+    if argv[1] in state:
         return ZERO
-    state[k] = bytes(argv[2])
+    state[argv[1]] = argv[2]
     return ONE
 
 
 def _get(state: _State, argv: Sequence[bytes]) -> Reply:
-    v = _holding(state, _key(argv, 1), bytes)
+    v = _holding(state, argv[1], bytes)
     return NIL if v is None else new_node(BulkReply, (v,))
 
 
 def _del(state: _State, argv: Sequence[bytes]) -> Reply:
-    return ZERO if state.pop(_key(argv, 1), None) is None else ONE
+    return ZERO if state.pop(argv[1], None) is None else ONE
 
 
 def _incr(state: _State, argv: Sequence[bytes]) -> Reply:
-    k = _key(argv, 1)
+    k = argv[1]
     v = _holding(state, k, bytes)
     try:
         n = int64_value(b"0" if v is None else v)
@@ -134,7 +130,7 @@ def _incr(state: _State, argv: Sequence[bytes]) -> Reply:
 
 
 def _incrbyfloat(state: _State, argv: Sequence[bytes]) -> Reply:
-    k = _key(argv, 1)
+    k = argv[1]
     v = _holding(state, k, bytes)  # the type first, as the real store checks it
     d = redis_float(argv[2])
     old = redis_float(b"0" if v is None else v)
@@ -149,21 +145,21 @@ def _incrbyfloat(state: _State, argv: Sequence[bytes]) -> Reply:
 
 
 def _lpush(state: _State, argv: Sequence[bytes]) -> Reply:
-    k = _key(argv, 1)
+    k = argv[1]
     items = _holding(state, k, deque)
     if items is None:
         items = state[k] = deque()
-    items.appendleft(bytes(argv[2]))
+    items.appendleft(argv[2])
     return new_node(IntReply, (len(items),))
 
 
 def _llen(state: _State, argv: Sequence[bytes]) -> Reply:
-    items = _holding(state, _key(argv, 1), deque)
+    items = _holding(state, argv[1], deque)
     return ZERO if items is None else new_node(IntReply, (len(items),))
 
 
 def _rpop(state: _State, argv: Sequence[bytes]) -> Reply:
-    k = _key(argv, 1)
+    k = argv[1]
     items = _holding(state, k, deque)
     if items is None:
         return NIL
@@ -174,8 +170,7 @@ def _rpop(state: _State, argv: Sequence[bytes]) -> Reply:
 
 
 def _sadd(state: _State, argv: Sequence[bytes]) -> Reply:
-    k = _key(argv, 1)
-    member = bytes(argv[2])
+    k, member = argv[1], argv[2]
     members = _holding(state, k, set)
     if members is None:
         members = state[k] = set()
@@ -186,25 +181,24 @@ def _sadd(state: _State, argv: Sequence[bytes]) -> Reply:
 
 
 def _sinter(state: _State, argv: Sequence[bytes]) -> Reply:
-    a, b = (_holding(state, _key(argv, i), set) for i in (1, 2))
+    a, b = (_holding(state, argv[i], set) for i in (1, 2))
     common = set() if a is None or b is None else a & b
     return new_node(MultiBulk, (tuple(sorted(common)),))
 
 
 def _hset(state: _State, argv: Sequence[bytes]) -> Reply:
-    k = _key(argv, 1)
+    k, f = argv[1], argv[2]
     fields = _holding(state, k, dict)
     if fields is None:
         fields = state[k] = {}
-    f = argv[2].decode("latin-1")
     created = f not in fields
-    fields[f] = bytes(argv[3])
+    fields[f] = argv[3]
     return ONE if created else ZERO
 
 
 def _hget(state: _State, argv: Sequence[bytes]) -> Reply:
-    fields = _holding(state, _key(argv, 1), dict)
-    v = None if fields is None else fields.get(argv[2].decode("latin-1"))
+    fields = _holding(state, argv[1], dict)
+    v = None if fields is None else fields.get(argv[2])
     return NIL if v is None else new_node(BulkReply, (v,))
 
 
@@ -222,7 +216,7 @@ class MemoryStore:
         self._state: _State = {}
 
     def execute(self, argv: Sequence[bytes]) -> Reply:
-        """Run one wire command, updating the store in place; never raises."""
+        """Run one wire command, its ``argv`` bytes kept as given, in place; never raises."""
         if not argv:
             return ErrReply("ERR empty command")
         # Names come upper case from the backend; any other case is looked up again.
@@ -241,15 +235,15 @@ class MemoryStore:
         self._state = {}
 
     def snapshot(self) -> list[dict[str, object]]:
-        """Typed copy sorted by key, unchanged by later commands; --dump-store prints it."""
+        """Typed copy sorted by key, each byte read as one latin-1 character; --dump-store prints it."""
         out: list[dict[str, object]] = []
         for k in sorted(self._state):
             v = self._state[k]
             if isinstance(v, bytes):
                 value: object = v.decode("latin-1")
             elif isinstance(v, dict):
-                value = {f: data.decode("latin-1") for f, data in sorted(v.items())}
+                value = {f.decode("latin-1"): data.decode("latin-1") for f, data in sorted(v.items())}
             else:
                 value = [b.decode("latin-1") for b in (sorted(v) if isinstance(v, set) else v)]
-            out.append({"key": k, "type": _KIND_OF[type(v)], "value": value})
+            out.append({"key": k.decode("latin-1"), "type": _KIND_OF[type(v)], "value": value})
         return out

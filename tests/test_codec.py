@@ -302,7 +302,7 @@ for payload in (("x",), (1, 2)):
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run(
-        [sys.executable, "-O", "-c", probe], capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=60
+        [sys.executable, "-B", "-O", "-c", probe], capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=60
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == [
@@ -310,6 +310,31 @@ for payload in (("x",), (1, 2)):
         "RecordValue(name='Pair', values=('x',)) is not a value of record 'Pair'",
         "RecordValue(name='Pair', values=(1, 2)) is not a value of record 'Pair'",
     ]
+
+
+@pytest.mark.parametrize(
+    "base, value, shown",
+    [
+        (FLOAT, math.inf, "inf"),
+        (FLOAT, math.nan, "nan"),
+        (INT, True, "True"),
+        (BOOL, 1, "1"),
+        (TEXT, 5, "5"),
+    ],
+    ids=["inf", "nan", "bool-as-int", "int-as-bool", "int-as-text"],
+)
+def test_a_scalar_value_outside_the_decoders_image_is_refused(base, value, shown):
+    with pytest.raises(ValueError, match=f"^{shown} is not a value of {base.name}$"):
+        encode(TypedValue(base, value))
+
+
+def test_ints_are_bounded_by_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    assert decode(b"9" * limit, INT).value == 10**limit - 1
+    with pytest.raises(ValueError):
+        encode(TypedValue(INT, 10**limit))
+    with pytest.raises(DecodeError):
+        decode(b"1" + b"0" * limit, INT)
 
 
 def test_coders_are_built_once_per_declaration():
