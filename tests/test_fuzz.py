@@ -45,6 +45,8 @@ _GOLDEN_DRAWS = {
     (7, True): "ed963994ab7b420f8abe5629eb7e770e4e2436076e06013e9f3a6c8db9dedefe",
     (1234, False): "7803350f247318de9f958505748ab8163dad3024373ce84b113df55ebcc7a4dd",
     (1234, True): "1a6bd12ef20520a9d29434258f7060a6295c40b22ac3d352dba4bf7c89b34813",
+    (801, False): "f17b04c9da5f8c896f189f41359a6c992e68bcd383f1dff5b39fe9e07664fb3e",
+    (801, True): "79919e63bcaf0cca84008bb3841ba5e77fa0e047c666f54e5f5624e920cb89bc",
 }
 
 
@@ -55,6 +57,24 @@ def test_a_seed_draws_the_recorded_programs(seed, strict):
     for _ in range(500):
         digest.update(print_program(generate_program(rng, 20, strict)).encode("utf-8"))
     assert digest.hexdigest() == _GOLDEN_DRAWS[seed, strict]
+
+
+# run_fuzz's statistics at the benchmark's seeds (7, and 801 held out), as
+# (accepted, rejected, decode failures); every other count is 0.
+_PASS_STATS = {
+    (7, False): (430, 1570, 1),
+    (7, True): (425, 1575, 0),
+    (801, False): (391, 1609, 1),
+    (801, True): (400, 1600, 0),
+}
+
+
+@pytest.mark.parametrize("seed, strict", _PASS_STATS)
+def test_a_benchmark_pass_gives_the_recorded_stats(seed, strict):
+    result = run_fuzz(FuzzConfig(2000, seed, 20, strict))
+    accepted, rejected, decode_failures = _PASS_STATS[seed, strict]
+    assert result.stats == FuzzStats(2000, accepted, rejected, 0, 0, decode_failures, 0)
+    assert result.counterexample is None and result.failure is None
 
 
 def test_run_fuzz_is_deterministic():
