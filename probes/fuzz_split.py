@@ -19,40 +19,59 @@ class; a node built by ``tuple.__new__`` or taken from a table of shared
 nodes costs none.
 Prints one JSON object.  --src selects the source tree to import
 redtype from, so that two checkouts can be compared with the same probe.
+
+--against OTHER_SRC compares two trees in one process, because standalone
+timings of one tree drift more between runs on a shared host than the
+ratio of two trees timed side by side.  The package imports its own
+modules relatively only, so OTHER_SRC's redtype is imported a second
+time under another package name.  The probe then runs --repeat pairs of
+whole unwrapped passes, one of each tree, alternating which goes first,
+and adds "against": the median and quartiles of OTHER_SRC's pass time over
+--src's (above 1 when --src is faster), the number of pairs --src won, and
+whether both trees drew the same per-opcode draw and accept counts.  It
+exits 1 if they did not.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
+import importlib.util
 import inspect
 import json
+import statistics
 import sys
 import time
 from collections import Counter
+from pathlib import Path
+from types import SimpleNamespace
+
+MODULES = ("backend", "checker", "codec", "fuzz", "store", "syntax", "typedict")
+clock = time.perf_counter
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--iterations", type=int, default=2000)
-    ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--strict", action="store_true")
-    ap.add_argument("--repeat", type=int, default=5)
-    ap.add_argument("--src", default="src")
-    args = ap.parse_args()
-    sys.path.insert(0, args.src)
+def load(src: str, package: str) -> SimpleNamespace:
+    """The redtype package under ``src``, imported as ``package``, and its modules."""
+    root = Path(src, "redtype")
+    spec = importlib.util.spec_from_file_location(package, root / "__init__.py", submodule_search_locations=[str(root)])
+    assert spec is not None and spec.loader is not None
+    sys.modules[package] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sys.modules[package])
+    return SimpleNamespace(**{m: importlib.import_module(f"{package}.{m}") for m in MODULES})
 
-    from redtype import backend, checker, codec, fuzz, store, syntax, typedict
 
-    config = fuzz.FuzzConfig(args.iterations, args.seed, strict=args.strict)
-    clock = time.perf_counter
+def timed_pass(rt: SimpleNamespace, config: object) -> float:
+    t0 = clock()
+    rt.fuzz.run_fuzz(config)
+    return clock() - t0
 
-    def one_pass() -> float:
-        t0 = clock()
-        fuzz.run_fuzz(config)
-        return clock() - t0
 
-    one_pass()  # warm up
-    pass_s = min(one_pass() for _ in range(args.repeat))
+def split(rt: SimpleNamespace, iterations: int, seed: int, strict: bool, repeat: int) -> dict:
+    """One tree's figures, as the module docstring lists them."""
+    backend, checker, codec, fuzz, store, syntax, typedict = (getattr(rt, m) for m in MODULES)
+    config = fuzz.FuzzConfig(iterations, seed, strict=strict)
+    timed_pass(rt, config)  # warm up
+    pass_s = min(timed_pass(rt, config) for _ in range(repeat))
 
     totals = Counter()
     calls = Counter()
@@ -97,7 +116,7 @@ def main() -> None:
     best: dict[str, float] = {}
     fuzz._Generator.draw, checker._step, fuzz._trial = draw, step, trial
     try:
-        for _ in range(args.repeat):
+        for _ in range(repeat):
             for counter in (totals, calls, opcode_draws, opcode_accepted):
                 counter.clear()
             t0 = clock()
@@ -135,10 +154,10 @@ def main() -> None:
             else:
                 cls.__new__ = own
 
-    print(json.dumps({
-        "iterations": args.iterations,
-        "seed": args.seed,
-        "strict": args.strict,
+    return {
+        "iterations": iterations,
+        "seed": seed,
+        "strict": strict,
         "pass_s": round(pass_s, 4),
         **{k: round(v, 4) for k, v in sorted(best.items())},
         "calls": dict(sorted(calls.items())),
@@ -147,7 +166,49 @@ def main() -> None:
             for op, n in sorted(opcode_draws.items())
         },
         "python_new_calls": dict(news.most_common()),
-    }))
+    }
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--iterations", type=int, default=2000)
+    ap.add_argument("--seed", type=int, default=7)
+    ap.add_argument("--strict", action="store_true")
+    ap.add_argument("--repeat", type=int, default=5)
+    ap.add_argument("--src", default="src")
+    ap.add_argument("--against", metavar="OTHER_SRC")
+    args = ap.parse_args()
+    shape = (args.iterations, args.seed, args.strict)
+    make_config = lambda rt: rt.fuzz.FuzzConfig(args.iterations, args.seed, strict=args.strict)
+
+    rt = load(args.src, "redtype")
+    report = split(rt, *shape, args.repeat)
+    if args.against is None:
+        print(json.dumps(report))
+        return
+    other = load(args.against, "redtype_against")
+    same = split(other, *shape, args.repeat)["opcodes"] == report["opcodes"]
+    config, other_config = make_config(rt), make_config(other)
+    ratios = []
+    for i in range(args.repeat):
+        if i % 2:
+            theirs, ours = timed_pass(other, other_config), timed_pass(rt, config)
+        else:
+            ours, theirs = timed_pass(rt, config), timed_pass(other, other_config)
+        ratios.append(theirs / ours)
+    q1, median, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
+    report["against"] = {
+        "src": args.against,
+        "pairs": len(ratios),
+        "ratio_median": round(median, 3),
+        "ratio_q1": round(q1, 3),
+        "ratio_q3": round(q3, 3),
+        "wins": sum(r > 1 for r in ratios),
+        "opcodes_equal": same,
+    }
+    print(json.dumps(report))
+    if not same:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -296,7 +296,9 @@ def _step(
     """
     op = cmd.opcode
     k = cmd.keys[0] if cmd.keys else ""
-    a = infer_expr(env, records, cmd.args[0]) if cmd.args else None
+    args = cmd.args
+    # a literal's base without a call: most arguments are literals
+    a = (_LITERAL_BASES.get(type(args[0])) or infer_expr(env, records, args[0])) if args else None
     match op:
         case "ping":
             return STATUS

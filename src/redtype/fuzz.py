@@ -13,7 +13,10 @@ type the checker gave.  A violation is shrunk by command removal before
 being reported.
 
 Generation is driven entirely by one seeded Random, so equal configs
-give byte-identical statistics and programs.
+give byte-identical statistics and programs.  The tests pin the programs
+of several seeds by digest, so the generator may get faster only while it
+calls the same public Random methods with the same arguments in the same
+order.
 """
 
 from __future__ import annotations
@@ -122,7 +125,9 @@ class FuzzResult(Node, _ResultFields):
 # or rejects everything cannot hang generation.
 _DRAW_CAP = 64
 
-_OPCODES = tuple(COMMAND_SHAPES)
+_SHAPES = tuple(COMMAND_SHAPES.items())
+# draw spells out the layouts there are: at most two keys and one value
+assert all(n_keys <= 2 and n_values <= 1 for n_keys, _, n_values, _ in COMMAND_SHAPES.values())
 # the tags whose base an argument mostly takes
 _ELEMENT_TAGS = (StringOf, ListOf, SetOf)
 
@@ -134,6 +139,20 @@ _MALFORMED: tuple[Expr, ...] = (
     RecordLit("Pair", (IntLit(1),)),
     RecordLit("Pair", (IntLit(0), IntLit(0))),
 )
+
+# The pool's records as bases, one shared node each, in RECORD_POOL's order,
+# and each record's field bases in order.
+_POOL_BASES = tuple(new_node(RecordRef, (r.name,)) for r in RECORD_POOL)
+_FIELD_BASES = {r.name: tuple(fb for _, fb in r.fields) for r in RECORD_POOL}
+
+# A scalar base's literal maker.  A table lookup, not a chain of ``base ==``
+# tests, each of which runs Node.__eq__.
+_LITERALS: dict[BaseType, Callable[[random.Random], Expr]] = {
+    INT: lambda rng: new_node(IntLit, (rng.randint(-(10**9), 10**9),)),
+    FLOAT: lambda rng: new_node(FloatLit, (round(rng.uniform(-1e6, 1e6), rng.randint(0, 6)),)),
+    BOOL: lambda rng: new_node(BoolLit, (rng.random() < 0.5,)),
+    TEXT: lambda rng: new_node(TextLit, ("".join(rng.choices(_TEXT_ALPHABET, k=rng.randint(0, 8))),)),
+}
 
 
 class _Generator:
@@ -163,9 +182,7 @@ class _Generator:
     # ---- small pieces ----
 
     def any_base(self) -> BaseType:
-        if self.rng.random() < 0.25:
-            return new_node(RecordRef, (self.rng.choice(RECORD_POOL).name,))
-        return self.rng.choice(SCALARS)
+        return self.rng.choice(_POOL_BASES if self.rng.random() < 0.25 else SCALARS)
 
     def value(self, base: BaseType) -> Expr:
         """Expression of the given base type: a usable binder or a literal."""
@@ -174,17 +191,11 @@ class _Generator:
             usable = self.binders.get(base)
             if usable:
                 return rng.choice(usable)
-        if base == INT:
-            return new_node(IntLit, (rng.randint(-(10**9), 10**9),))
-        if base == FLOAT:
-            return new_node(FloatLit, (round(rng.uniform(-1e6, 1e6), rng.randint(0, 6)),))
-        if base == BOOL:
-            return new_node(BoolLit, (rng.random() < 0.5,))
-        if base == TEXT:
-            return new_node(TextLit, ("".join(rng.choices(_TEXT_ALPHABET, k=rng.randint(0, 8))),))
+        make = _LITERALS.get(base)
+        if make is not None:
+            return make(rng)
         assert isinstance(base, RecordRef)
-        decl = self.records[base.name]
-        return new_node(RecordLit, (base.name, tuple([self.value(fb) for _, fb in decl.fields])))
+        return new_node(RecordLit, (base.name, tuple(map(self.value, _FIELD_BASES[base.name]))))
 
     def random_tag(self) -> TypeTag:
         kind = self.rng.choices((StringOf, ListOf, SetOf, HashOf), cum_weights=(4, 7, 10, 12))[0]
@@ -195,11 +206,6 @@ class _Generator:
         if kind is StringOf and self.rng.random() < 0.4:
             return StringOf(INT)
         return kind(self.any_base())
-
-    def field(self, tag: TypeTag | None) -> str:
-        if isinstance(tag, HashOf) and tag.fields and self.rng.random() < 0.75:
-            return self.rng.choice(tag.fields)[0]
-        return self.rng.choice(_FIELDS)
 
     def arg(self, tag: TypeTag | None) -> Expr:
         """An argument, mostly of ``tag``'s base type; now and then a malformed one."""
@@ -215,21 +221,33 @@ class _Generator:
     def draw(self, d: dict[str, TypeTag], tracked: list[str], span: Span) -> Command:
         """A random command laid out as COMMAND_SHAPES says, aimed at the keys in ``d``, listed in ``tracked``."""
         rng = self.rng
-        op = rng.choice(_OPCODES)
-        n_keys, has_field, n_values, takes_tag = COMMAND_SHAPES[op]
-        # keys mostly among those the dictionary tracks
-        keys = tuple([rng.choice(tracked if tracked and rng.random() < 0.75 else _KEYS) for _ in range(n_keys)])
-        if n_keys > 1 and rng.random() < 0.5:
-            keys = (keys[0], keys[0])
-        tag = d.get(keys[0]) if keys else None
-        field = self.field(tag) if has_field else None
-        if field is not None and isinstance(tag, HashOf):
-            tag = dict(tag.fields).get(field)
+        op, (n_keys, has_field, n_values, takes_tag) = rng.choice(_SHAPES)
+        keys: tuple[str, ...] = ()
+        tag = None
+        if n_keys:
+            # keys mostly among those the dictionary tracks
+            k = rng.choice(tracked if tracked and rng.random() < 0.75 else _KEYS)
+            keys = (k,)
+            if n_keys == 2:  # sinter, on one key twice half the time
+                k2 = rng.choice(tracked if tracked and rng.random() < 0.75 else _KEYS)
+                keys = (k, k) if rng.random() < 0.5 else (k, k2)
+            tag = d.get(k)
+        field = None
+        if has_field:
+            # mostly a field the hash tracks
+            if isinstance(tag, HashOf):
+                if tag.fields and rng.random() < 0.75:
+                    field, tag = rng.choice(tag.fields)
+                else:
+                    field = rng.choice(_FIELDS)
+                    tag = dict(tag.fields).get(field)
+            else:
+                field = rng.choice(_FIELDS)
         # the fields in Command's order, drawn in that order
         return new_node(Command, (
             op,
             keys,
-            (self.arg(tag),) if n_values == 1 else tuple([self.arg(tag) for _ in range(n_values)]),
+            (self.arg(tag),) if n_values else (),
             field,
             self.random_tag() if takes_tag else None,
             f"v{self.steps}" if rng.random() < 0.4 else None,
@@ -246,19 +264,21 @@ class _Generator:
         """
         self.steps += 1
         span = new_node(Span, (self.steps + 1, 3))
-        after = dict(self.xs)
+        draw, classify = self.draw, checker._step
+        xs, env, records, strict = self.xs, self.env, self.records, self.strict
+        after = dict(xs)
         tracked = list(after)
         for _ in range(_DRAW_CAP):
-            cmd = self.draw(after, tracked, span)
+            cmd = draw(after, tracked, span)
             try:
-                self.accepted = after, checker._step(after, self.env, self.records, cmd, self.strict)
+                self.accepted = after, classify(after, env, records, cmd, strict)
                 rejected = False
             except CheckError:
                 rejected = True
             if rejected == ill_typed:
                 break
             if not rejected:  # the checker changed ``after``; a rejected draw leaves it as it was
-                after = dict(self.xs)
+                after = dict(xs)
         return cmd, rejected
 
 

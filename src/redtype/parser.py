@@ -151,7 +151,8 @@ def _atom(kind: str, text: str) -> Expr | None:
     if kind == "IDENT":
         return _BOOLS.get(text) or new_node(Var, (text,))
     if kind == "STRING":
-        return new_node(TextLit, (_text(text),))
+        value = _text(text)
+        return None if value is None else new_node(TextLit, (value,))
     return _number(kind, text)
 
 

@@ -249,6 +249,25 @@ def test_float_text_always_relexes_as_float():
         assert p.body[0].args[0] == FloatLit(v)
 
 
+def test_text_literal_with_a_surrogate_rejected_at_the_literal():
+    # a plain set, which the statement path reads
+    with pytest.raises(ParseError) as exc:
+        parse_program('program { set k "\ud800"  get k }')
+    assert (exc.value.line, exc.value.column) == (1, 17)
+    assert exc.value.expected == "text that UTF-8 can encode"
+    assert exc.value.found == "surrogate code point U+D800"
+    # inside a nested record literal, which only the token path reads
+    with pytest.raises(ParseError) as exc:
+        parse_program('record Pair { left: text, right: int }\nprogram {\n  set k Pair{ Pair{ "a\\n\udfff", 1 }, 1 } }')
+    assert (exc.value.line, exc.value.column) == (3, 21)
+    assert exc.value.found == "surrogate code point U+DFFF"
+
+
+def test_text_literals_beyond_ascii_parse():
+    p = parse_program('program { set k "é日\U0001f600\uffff"  set j "\\n\U0010ffff" }')
+    assert [c.args[0] for c in p.body] == [TextLit("é日\U0001f600\uffff"), TextLit("\n\U0010ffff")]
+
+
 def test_text_literal_escapes():
     assert text_literal('a"b') == '"a\\"b"'
     assert text_literal("a\\b") == '"a\\\\b"'
