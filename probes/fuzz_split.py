@@ -3,6 +3,7 @@
 Usage, from the repository root:
 
   python3 probes/fuzz_split.py [--iterations 2000] [--seed 7] [--strict] [--repeat 5] [--src src]
+                               [--against OTHER_SRC]
 
 First times the pass unwrapped (minimum over --repeat passes).  Then
 runs it --repeat more times with three names wrapped in timers, and
@@ -13,8 +14,8 @@ calls) and the trials (``fuzz._trial``: check, and run on mem if
 accepted).  The wrapped calls cost a timer each, so the shares add up
 to more than the unwrapped pass; the rest of generation is ``step``'s
 own bookkeeping.  The same wrappers count, per opcode, the draws and
-the share of them that ``checker._step`` accepts.  Last, one more pass
-counts the calls of every Python-level ``__new__`` of a named tuple node
+the number and share of them that ``checker._step`` accepts.  Last, one
+more pass counts the calls of every Python-level ``__new__`` of a named tuple node
 class; a node built by ``tuple.__new__`` or taken from a table of shared
 nodes costs none.
 Prints one JSON object.  --src selects the source tree to import
@@ -66,10 +67,9 @@ def timed_pass(rt: SimpleNamespace, config: object) -> float:
     return clock() - t0
 
 
-def split(rt: SimpleNamespace, iterations: int, seed: int, strict: bool, repeat: int) -> dict:
-    """One tree's figures, as the module docstring lists them."""
+def split(rt: SimpleNamespace, config: object, repeat: int) -> dict:
+    """One tree's figures for one FuzzConfig of that tree, as the module docstring lists them."""
     backend, checker, codec, fuzz, store, syntax, typedict = (getattr(rt, m) for m in MODULES)
-    config = fuzz.FuzzConfig(iterations, seed, strict=strict)
     timed_pass(rt, config)  # warm up
     pass_s = min(timed_pass(rt, config) for _ in range(repeat))
 
@@ -155,14 +155,14 @@ def split(rt: SimpleNamespace, iterations: int, seed: int, strict: bool, repeat:
                 cls.__new__ = own
 
     return {
-        "iterations": iterations,
-        "seed": seed,
-        "strict": strict,
+        "iterations": config.iterations,
+        "seed": config.seed,
+        "strict": config.strict,
         "pass_s": round(pass_s, 4),
         **{k: round(v, 4) for k, v in sorted(best.items())},
         "calls": dict(sorted(calls.items())),
         "opcodes": {
-            op: {"draws": n, "accepted_share": round(opcode_accepted[op] / n, 3)}
+            op: {"draws": n, "accepted": opcode_accepted[op], "accepted_share": round(opcode_accepted[op] / n, 3)}
             for op, n in sorted(opcode_draws.items())
         },
         "python_new_calls": dict(news.most_common()),
@@ -178,17 +178,16 @@ def main() -> None:
     ap.add_argument("--src", default="src")
     ap.add_argument("--against", metavar="OTHER_SRC")
     args = ap.parse_args()
-    shape = (args.iterations, args.seed, args.strict)
-    make_config = lambda rt: rt.fuzz.FuzzConfig(args.iterations, args.seed, strict=args.strict)
 
     rt = load(args.src, "redtype")
-    report = split(rt, *shape, args.repeat)
+    config = rt.fuzz.FuzzConfig(args.iterations, args.seed, strict=args.strict)
+    report = split(rt, config, args.repeat)
     if args.against is None:
         print(json.dumps(report))
         return
     other = load(args.against, "redtype_against")
-    same = split(other, *shape, args.repeat)["opcodes"] == report["opcodes"]
-    config, other_config = make_config(rt), make_config(other)
+    other_config = other.fuzz.FuzzConfig(args.iterations, args.seed, strict=args.strict)
+    same = split(other, other_config, args.repeat)["opcodes"] == report["opcodes"]
     ratios = []
     for i in range(args.repeat):
         if i % 2:

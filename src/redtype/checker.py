@@ -296,9 +296,7 @@ def _step(
     """
     op = cmd.opcode
     k = cmd.keys[0] if cmd.keys else ""
-    args = cmd.args
-    # a literal's base without a call: most arguments are literals
-    a = (_LITERAL_BASES.get(type(args[0])) or infer_expr(env, records, args[0])) if args else None
+    a = infer_expr(env, records, cmd.args[0]) if cmd.args else None
     match op:
         case "ping":
             return STATUS
