@@ -9,6 +9,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from redtype import backend as backend_module, checker, cli, typedict
 from redtype.backend import (
@@ -20,18 +21,23 @@ from redtype.backend import (
 )
 from redtype.checker import FLOAT_RESULT, INT_RESULT, STATUS, UNIT, CheckOk, MaybeResult, check_program
 from redtype.codec import RecordValue, quote
-from redtype.fuzz import generate_program
+from redtype.fuzz import _GATING, _trial, generate_program
 from redtype.parser import parse_program
 from redtype.resp import ProtocolError
-from redtype.store import BulkReply, IntReply, MemoryStore
+from redtype.store import NONFINITE_MSG, OVERFLOW_MSG, BulkReply, IntReply, MemoryStore
 from redtype.syntax import (
+    COMMAND_SHAPES,
     FLOAT,
     INT,
+    INT64_MAX,
+    INT64_MIN,
     BoolLit,
+    Command,
     FloatLit,
     HashOf,
     IntLit,
     ListOf,
+    Program,
     RecordLit,
     RecordRef,
     StringOf,
@@ -403,3 +409,41 @@ def test_a_record_reply_the_codec_refuses_exits_4_through_the_cli(data, tmp_path
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"runtime error at 9:3: DECODE cannot decode {quote(data)} as Message (not a JSON object)\n"
+
+
+# Literals at the edges of each base's domain, as the literal constructors build them.
+_EDGE_FLOATS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 1e16]),
+    st.floats(allow_nan=False, allow_infinity=False),
+).map(FloatLit)
+_EDGE_LITERALS = st.one_of(
+    st.sampled_from([INT64_MIN, INT64_MAX, -1, 0, 1]).map(IntLit),
+    st.integers(INT64_MIN, INT64_MAX).map(IntLit),
+    _EDGE_FLOATS,
+    st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x7f", "\U0001f600", 'a"b\\c\n\td\x1b']).map(TextLit),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6).map(TextLit),
+    st.booleans().map(BoolLit),
+)
+_TWO_KEYS = st.sampled_from(["a", "b"])
+
+
+@st.composite
+def _edge_command(draw):
+    op = draw(st.sampled_from(["set", "get", "lpush", "rpop", "sadd", "sinter", "hset", "hget", "incr", "incrbyfloat"]))
+    n_keys, has_field, n_values, _ = COMMAND_SHAPES[op]
+    keys = tuple(draw(_TWO_KEYS) for _ in range(n_keys))
+    field = draw(st.sampled_from(["f", "g"])) if has_field else None
+    args = tuple(draw(_EDGE_FLOATS if op == "incrbyfloat" else _EDGE_LITERALS) for _ in range(n_values))
+    return Command(op, keys, args, field)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_edge_command(), min_size=1, max_size=5), st.booleans())
+def test_accepted_programs_of_edge_literals_run_clean_on_mem(body, strict):
+    # Redis's own overflow replies are not failures of the guarantee; every other
+    # error reply, a DECODE in strict mode and any exception are.
+    kind, message = _trial(Program((), tuple(body)), strict)
+    if kind == "other":
+        assert message in (OVERFLOW_MSG, NONFINITE_MSG)
+    else:
+        assert kind not in _GATING[strict], message

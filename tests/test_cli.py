@@ -6,6 +6,7 @@ import contextlib
 import json
 import socket
 import threading
+import time
 
 import pytest
 
@@ -374,6 +375,19 @@ def test_assume_key_with_a_lone_surrogate_is_exit_2(tmp_path, capsys):
     assert "entry 1: the key is not valid UTF-8 text" in captured.err
 
 
+def test_assume_key_spelled_as_a_surrogate_pair_is_one_code_point(tmp_path, capsys):
+    # JSON's "\ud83d\ude00" decodes to U+1F600, which UTF-8 encodes; a lone low surrogate decodes to itself.
+    program = write(tmp_path, "p.rt", "program { ping }")
+    pair = write(tmp_path, "pair.json", '[{"key": "\\ud83d\\ude00", "tag": "string<int>"}]')
+    assert main(["check", "--json", "--assume", pair, program]) == 0
+    assert json.loads(capsys.readouterr().out)["final_dict"] == [{"key": "\U0001f600", "tag": "string<int>"}]
+    low = write(tmp_path, "low.json", '[{"key": "\\udfff", "tag": "string<int>"}]')
+    assert main(["check", "--assume", low, program]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "entry 0: the key is not valid UTF-8 text" in captured.err
+
+
 def test_assume_errors_quote_at_most_40_characters_of_a_name(tmp_path, capsys):
     program = write(tmp_path, "p.rt", "program { ping }")
     for entries, quoted in [
@@ -487,6 +501,32 @@ def test_run_overlong_server_header_line_exit_5(tmp_path, capsys):
         server.join(timeout=5)
         listener.close()
     assert "longer than" in capsys.readouterr().err
+
+
+def test_run_against_a_server_that_never_answers_times_out(tmp_path, capsys):
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(5)
+    port = listener.getsockname()[1]
+
+    def serve() -> None:
+        conn, _ = listener.accept()
+        with conn:
+            conn.settimeout(5)
+            with contextlib.suppress(OSError):
+                while conn.recv(4096):  # read the request and what follows, never answer
+                    pass
+
+    server = threading.Thread(target=serve, daemon=True)
+    server.start()
+    f = write(tmp_path, "p.rt", "program { ping }")
+    started = time.monotonic()
+    try:
+        assert main(["run", "--backend", "resp", "--timeout", "0.3", "--addr", f"127.0.0.1:{port}", f]) == 5
+        assert time.monotonic() - started < 3
+    finally:
+        server.join(timeout=5)
+        listener.close()
+    assert capsys.readouterr().err == "redtype: connection failed: timed out\n"
 
 
 # ---------------------------------------------------------------------------
