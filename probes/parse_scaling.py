@@ -4,10 +4,12 @@ Usage, from the repository root:
 
   python3 probes/parse_scaling.py [--sizes 10000 40000 160000] [--repeat 3] [--src src]
 
-After one untimed parse, for each size n and each of two shapes, parses a
+After one untimed parse, for each size n and each of three shapes, parses a
 program of n commands, one per line, --repeat times after ``gc.collect()``
-and keeps the best wall time; then does the same with the garbage
-collector disabled during each timed parse.  The shapes are ``set``, n
+and keeps the best wall time, once with the garbage collector on and once
+with it off.  ``parse_program`` turns the collector off for its parse, so
+the "on" column times ``parser._parse``, the same parse without that
+pause, and the "off" column times ``parse_program`` itself.  The shapes are ``set``, n
 ``set k<i> <i>`` commands, and ``queue``, the quick-start queue: a binder
 ``incr``, an ``lpush`` of a record literal, an ``hset`` and an ``rpop`` per
 four commands, after one ``declare``; and ``declare``, ``set k<i> 1``
@@ -17,7 +19,7 @@ parser's statement path hands to the token path shows as a higher cost
 per command.  Prints one JSON object per size and shape, with
 microseconds per command;
 the collector's runs and seconds per generation (0, 1, 2) during one more
-parse with it enabled, taken from ``gc.callbacks``; and the ``tracemalloc``
+parse with it on (through ``parser._parse``), taken from ``gc.callbacks``; and the ``tracemalloc``
 peak of one parse, and the part of it the returned program keeps, in bytes
 per source byte.  A last object gives what a parsed command keeps alive:
 the objects the collector tracks after ``gc.collect()`` (reachable from
@@ -147,7 +149,12 @@ def main() -> None:
     ap.add_argument("--src", default="src")
     args = ap.parse_args()
     sys.path.insert(0, args.src)
+    from redtype import parser
     from redtype.parser import parse_program
+
+    def collecting_parse(source: str):
+        """The parse of ``parse_program`` without its pause of the collector."""
+        return parser._parse(source, parser._Parser.program)
 
     for build in SHAPES.values():
         parse_program(build(args.sizes[0]))  # so that the first size pays no warm-up
@@ -155,7 +162,7 @@ def main() -> None:
         for shape, build in SHAPES.items():
             source = build(size)
             n = len(parse_program(source).body)
-            on = best_parse_s(parse_program, source, args.repeat, collector=True)
+            on = best_parse_s(collecting_parse, source, args.repeat, collector=True)
             off = best_parse_s(parse_program, source, args.repeat, collector=False)
             peak, kept = traced_bytes(parse_program, source)
             print(json.dumps({
@@ -164,7 +171,7 @@ def main() -> None:
                 "bytes": len(source),
                 "gc_on_us_per_cmd": round(on / n * 1e6, 2),
                 "gc_off_us_per_cmd": round(off / n * 1e6, 2),
-                **collector_work(parse_program, source),
+                **collector_work(collecting_parse, source),
                 "peak_bytes_per_source_byte": round(peak / len(source), 1),
                 "kept_bytes_per_source_byte": round(kept / len(source), 1),
             }))

@@ -18,7 +18,6 @@ from typing import Any, Callable, Mapping, NamedTuple, Protocol
 
 from . import codec
 from .checker import (
-    _LITERAL_BASES,
     BOOL_RESULT,
     FLOAT_RESULT,
     INT_RESULT,
@@ -46,6 +45,7 @@ from .store import (
 )
 from .syntax import (
     FLOAT,
+    LITERAL_BASES,
     WIRE_ARITIES,
     Expr,
     Node,
@@ -78,7 +78,6 @@ class RespBackend:
 
     def __init__(self, host: str, port: int, timeout: float = 5.0):
         self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._sock.settimeout(timeout)
         self._decoder = ReplyDecoder()
 
     def send(self, argv: list[bytes]) -> Reply:
@@ -120,10 +119,10 @@ RunOutcome = RunValue | RunError
 
 
 _WIRE_NAMES: dict[str, bytes] = {name.lower(): name.encode("ascii") for name in WIRE_ARITIES}
-_LITERAL_BYTES = {cls: codec.value_encoder(base) for cls, base in _LITERAL_BASES.items()}
+_LITERAL_BYTES = {cls: codec.value_encoder(base) for cls, base in LITERAL_BASES.items()}
 
 
-def _argument(e: Expr, env: dict[str, ResultType], values: dict[str, Any], records: dict[str, RecordDecl]) -> bytes:
+def _argument(e: Expr, binders: dict[str, tuple[ResultType, Any]], records: dict[str, RecordDecl]) -> bytes:
     """A value argument's payload, encoded at the base the checker proved for it.
 
     That base is a literal's class's, a binder's recorded result type's, or
@@ -135,15 +134,17 @@ def _argument(e: Expr, env: dict[str, ResultType], values: dict[str, Any], recor
         return encode(e.value)
     try:
         if type(e) is Var:  # a binder that binds no base (None) has no encoder: KeyError
-            return codec.value_encoder(env[e.name].binds, records)(values[e.name])
+            rt, value = binders[e.name]
+            return codec.value_encoder(rt.binds, records)(value)
         # A field holds a literal's value, or a binder's if it binds a base; else None, which no field takes.
         fields = [
-            values[a.name] if type(a) is Var and env[a.name].binds else getattr(a, "value", None) for a in e.args
+            binders[a.name][1] if type(a) is Var and binders[a.name][0].binds else getattr(a, "value", None)
+            for a in e.args
         ]
         encode = codec.value_encoder(new_node(RecordRef, (e.name,)), records)
         return encode(new_node(RecordValue, (e.name, tuple(fields))))
     except (KeyError, ValueError):
-        infer_expr(env, records, e)
+        infer_expr({name: rt for name, (rt, _) in binders.items()}, records, e)
         raise
 
 
@@ -198,8 +199,7 @@ def run_program(program: Program, report: CheckOk, backend: Backend) -> RunOutco
     """
     assert len(report.results) == len(program.body), "report is not for this program"
     records = record_table(program)
-    env: dict[str, ResultType] = {}
-    values: dict[str, Any] = {}
+    binders: dict[str, tuple[ResultType, Any]] = {}  # binder -> its result type and value
     rt: ResultType = UNIT  # the last command's result type and value
     value: Any = None
     for cmd, rt in zip(program.body, report.results):
@@ -210,7 +210,7 @@ def run_program(program: Program, report: CheckOk, backend: Backend) -> RunOutco
             argv = [name, *[k.encode("utf-8") for k in cmd.keys]]
             if cmd.field_name is not None:
                 argv.append(cmd.field_name.encode("utf-8"))
-            argv += [_argument(arg, env, values, records) for arg in cmd.args]
+            argv += [_argument(arg, binders, records) for arg in cmd.args]
             reply = backend.send(argv)
             if isinstance(reply, ErrReply):
                 return RunError(reply.message, cmd.span)
@@ -219,6 +219,5 @@ def run_program(program: Program, report: CheckOk, backend: Backend) -> RunOutco
             except codec.DecodeError as err:
                 return RunError(f"DECODE {err}", cmd.span)
         if cmd.binder is not None:
-            env[cmd.binder] = rt
-            values[cmd.binder] = value
+            binders[cmd.binder] = rt, value
     return RunValue(rt, value)

@@ -38,14 +38,11 @@ from .syntax import (
     FLOAT,
     INT,
     KINDS,
-    TEXT,
+    LITERAL_BASES,
     BaseType,
-    BoolLit,
     Command,
     Expr,
-    FloatLit,
     HashOf,
-    IntLit,
     ListOf,
     Node,
     Program,
@@ -55,7 +52,6 @@ from .syntax import (
     SetOf,
     Span,
     StringOf,
-    TextLit,
     TypeTag,
     Var,
     new_node,
@@ -155,16 +151,13 @@ CheckReport = CheckOk | CheckError
 
 # ---- expressions ------------------------------------------------------------
 
-_LITERAL_BASES: dict[type, BaseType] = {IntLit: INT, FloatLit: FLOAT, BoolLit: BOOL, TextLit: TEXT}
-
-
 def infer_expr(
     env: Mapping[str, ResultType],
     records: Mapping[str, RecordDecl],
     e: Expr,
 ) -> BaseType:
     """Base type of a value expression; raises CheckError (span-less)."""
-    base = _LITERAL_BASES.get(type(e))
+    base = LITERAL_BASES.get(type(e))
     if base is not None:
         return base
     if isinstance(e, Var):
@@ -396,11 +389,14 @@ def check_program(
 ) -> CheckReport:
     """Check a whole program; total, returns CheckOk or the first CheckError.
 
-    Raises ValueError if ``initial`` tracks a key twice.
+    Raises ValueError if ``initial`` tracks a key twice or names a record the program does not declare.
     """
     records = record_table(program)
     start: TypeDict = list(initial) if initial else []
     xs = _as_dict(start)
+    for k, tag in start:
+        if bad := undeclared_record(tag, records):
+            raise ValueError(f"the tag assumed for key '{_clip(k)}' names record '{_clip(bad)}', which is not declared")
     env: dict[str, ResultType] = {}
     results: list[ResultType] = []
     for cmd in program.body:

@@ -30,7 +30,7 @@ from .codec import RecordValue
 from .fuzz import FuzzConfig, run_fuzz
 from .parser import ParseError, _clip, parse_program, parse_type_tag, print_program, scalar_text, tag_text
 from .resp import ProtocolError
-from .syntax import Program, RecordDecl, record_table
+from .syntax import Program, RecordDecl, record_table, utf8_text
 from .typedict import TypeDict
 
 EXIT_OK = 0
@@ -88,10 +88,8 @@ def _load_assumption(path: str | None, program: Program) -> TypeDict:
         if not (isinstance(entry, dict) and isinstance(entry.get("key"), str) and isinstance(entry.get("tag"), str)):
             raise _Bail(EXIT_PARSE_ERROR, f"{path}: entry {i} must be {{\"key\": ..., \"tag\": ...}}")
         key = entry["key"]
-        try:
-            key.encode("utf-8")
-        except UnicodeEncodeError:
-            raise _Bail(EXIT_PARSE_ERROR, f"{path}: entry {i}: the key is not valid UTF-8 text") from None
+        if not utf8_text(key):
+            raise _Bail(EXIT_PARSE_ERROR, f"{path}: entry {i}: the key is not valid UTF-8 text")
         if key in seen:
             raise _Bail(EXIT_PARSE_ERROR, f"{path}: entry {i}: key '{_clip(key)}' is already assumed by entry {seen[key]}")
         seen[key] = i

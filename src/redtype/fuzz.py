@@ -168,8 +168,6 @@ class _Generator:
         self.binders: dict[BaseType, list[Var]] = {}
         self.malformed: list[Expr] = list(_MALFORMED)
         self.steps = 0
-        # the last accepted draw's dictionary after it, and its result type
-        self.accepted: tuple[dict[str, TypeTag], ResultType] | None = None
 
     def bind(self, name: str, rt: ResultType) -> None:
         self.env[name] = rt
@@ -254,13 +252,13 @@ class _Generator:
             span,
         ))
 
-    def step(self, ill_typed: bool) -> tuple[Command, bool]:
+    def step(self, ill_typed: bool) -> tuple[Command, tuple[dict[str, TypeTag], ResultType] | None]:
         """Draw until the checker rejects (``ill_typed``) or accepts a command.
 
-        Returns (command, rejected); ``.xs`` is left as is.  After at most
-        _DRAW_CAP draws the last is kept, whatever its verdict.  The checker
-        is reached through the module so that a wrapped ``checker._step`` is
-        what classifies the draws.
+        Returns the command with the dictionary after it and its result type, or with
+        None if it was rejected; ``.xs`` is left as is.  After at most _DRAW_CAP draws
+        the last is kept, whatever its verdict.  The checker is reached through the
+        module so that a wrapped ``checker._step`` is what classifies the draws.
         """
         self.steps += 1
         span = new_node(Span, (self.steps + 1, 3))
@@ -271,15 +269,14 @@ class _Generator:
         for _ in range(_DRAW_CAP):
             cmd = draw(after, tracked, span)
             try:
-                self.accepted = after, classify(after, env, records, cmd, strict)
-                rejected = False
+                accepted = after, classify(after, env, records, cmd, strict)
             except CheckError:
-                rejected = True
-            if rejected == ill_typed:
+                accepted = None
+            if (accepted is None) == ill_typed:
                 break
-            if not rejected:  # the checker changed ``after``; a rejected draw leaves it as it was
+            if accepted is not None:  # the checker changed ``after``; a rejected draw leaves it as it was
                 after = dict(xs)
-        return cmd, rejected
+        return cmd, accepted
 
 
 def generate_program(
@@ -291,12 +288,11 @@ def generate_program(
     gen = _Generator(rng, strict)
     body: list[Command] = []
     for _ in range(rng.randint(1, max_len)):
-        cmd, rejected = gen.step(rng.random() < ill_typed_rate)
+        cmd, accepted = gen.step(rng.random() < ill_typed_rate)
         body.append(cmd)
-        if rejected:
+        if accepted is None:
             break
-        assert gen.accepted is not None
-        gen.xs, rt = gen.accepted
+        gen.xs, rt = accepted
         if cmd.binder is not None:
             gen.bind(cmd.binder, rt)
     return new_node(Program, (RECORD_POOL, tuple(body)))

@@ -3,15 +3,15 @@
 The lexer's ``_TOKEN`` and the parser's statement patterns are built from
 the fragments here, so each token is spelled once.  ``_text`` and
 ``_number`` read a literal token's value for both of the parser's paths,
-so the escape rules, the refusal of surrogate code points, the int64
-bound and the finite-float check each have one owner.
+so the escape rules, the int64 bound and the finite-float check each have
+one owner; ``_text`` refuses surrogate code points by ``syntax.utf8_text``.
 """
 
 from __future__ import annotations
 
 import re
 
-from .syntax import INT64_MAX, INT64_MIN, FloatLit, IntLit, new_node
+from .syntax import INT64_MAX, INT64_MIN, SURROGATE, FloatLit, IntLit, new_node, utf8_text
 
 
 class ParseError(Exception):
@@ -80,13 +80,9 @@ def _bad_token(source: str, pos: int) -> ParseError:
 _Token = tuple[str, str, re.Match[str]]
 
 
-# UTF-8 encodes every code point but these, so a store cannot hold them.
-_SURROGATE = re.compile("[\ud800-\udfff]").search
-
-
 def _text(token: str) -> str | None:
     """The value of a well-formed text literal token, or None if it holds a surrogate code point."""
-    if not token.isascii() and _SURROGATE(token):
+    if not utf8_text(token):
         return None
     text = token[1:-1]
     return _ESCAPE.sub(_unescape, text) if "\\" in text else text
@@ -128,7 +124,7 @@ def _token(source: str, pos: int) -> _Token:
     if kind == "STRING":
         value = _text(text)
         if value is None:
-            found = ord(_SURROGATE(text)[0])
+            found = ord(SURROGATE.search(text)[0])
             raise _located(source, m.start(kind), "text that UTF-8 can encode", f"surrogate code point U+{found:04X}")
         text = value
     elif kind == "FLOAT" and text[-1] in "eE+-":  # an exponent without digits

@@ -39,15 +39,14 @@ from .lexer import (
 from .syntax import (
     COMMAND_SHAPES,
     KINDS,
+    LITERAL_BASES,
     OPCODES,
     SCALARS,
     BaseType,
     BoolLit,
     Command,
     Expr,
-    FloatLit,
     HashOf,
-    IntLit,
     Program,
     RecordDecl,
     RecordLit,
@@ -468,7 +467,7 @@ def scalar_text(value: bool | int | float | str) -> str:
 
 
 def expr_text(e: Expr) -> str:
-    if isinstance(e, (IntLit, FloatLit, BoolLit, TextLit)):
+    if type(e) in LITERAL_BASES:
         return scalar_text(e.value)
     if isinstance(e, Var):
         return e.name

@@ -18,6 +18,7 @@ test; sharing is a fast path only, and equality stays structural.
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple, TypeVar
 
 
@@ -72,6 +73,14 @@ SCALARS = (INT, FLOAT, BOOL, TEXT)
 # and of RESP header integers.  Two names, not a range(): membership in
 # a range also subtracts and takes a remainder, about 0.1 us per test.
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+# UTF-8 encodes every code point but these, so no store holds text with one.
+SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def utf8_text(text: str) -> bool:
+    """Whether UTF-8 encodes ``text``, that is, whether it holds no surrogate code point."""
+    return text.isascii() or SURROGATE.search(text) is None
 
 
 _N = TypeVar("_N", bound=Node)
@@ -160,6 +169,10 @@ class BoolLit(Expr, NamedTuple("BoolLit", [("value", bool)])):
 
 class TextLit(Expr, NamedTuple("TextLit", [("value", str)])):
     __slots__ = ()
+
+
+# Each literal class's base, by which the checker types it and the run encodes it.
+LITERAL_BASES: dict[type[Expr], Scalar] = {IntLit: INT, FloatLit: FLOAT, BoolLit: BOOL, TextLit: TEXT}
 
 
 class Var(Expr, NamedTuple("Var", [("name", str)])):

@@ -560,6 +560,14 @@ def test_duplicate_keyed_dictionary_raises_value_error():
         check1(twice, Command("ping"))
 
 
+@pytest.mark.parametrize("tag", [StringOf(RecordRef("Ghost")), hash_of(("f", StringOf(RecordRef("Ghost"))))])
+def test_a_dictionary_naming_an_undeclared_record_raises_value_error(tag):
+    # Accepting it would let the run reach the record's coder and fail with a KeyError.
+    program = parse_program("program { x <- get k }")
+    with pytest.raises(ValueError, match=r"^the tag assumed for key 'k' names record 'Ghost', which is not declared$"):
+        check_program(program, [("j", StringOf(INT)), ("k", tag)])
+
+
 def test_duplicate_key_named_is_the_earliest_that_occurs_again():
     xs = [("a", StringOf(INT)), ("b", StringOf(INT)), ("b", StringOf(INT)), ("a", StringOf(INT))]
     with pytest.raises(ValueError, match="key 'a' occurs twice"):
