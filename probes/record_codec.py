@@ -9,11 +9,13 @@ each), ``codec.encode`` and ``codec.decode`` on the quick-start queue's
 ``Message{ "hello", 1 }`` record, ``{"body":"hello","id":1}`` on the
 wire, on the fuzz pool's ``Point{ 1.5, -0.25 }`` and ``Flag{ "on", true }``
 records, and on the int 1992.  Also times ``INT == INT``, the base test
-the codec and the run loop make, and ``run_program`` of the quick-start
-queue program on a fresh mem backend, per command it sends (--number /
-100 runs per round).  Prints one JSON object, in nanoseconds.  --src
-selects the source tree to import redtype from, so that two checkouts
-can be compared with the same probe.
+the codec and the run loop make, and ``run_program`` on a fresh mem
+backend, per command it sends: of the quick-start queue program
+(--number / 100 runs per round), and of a wide program in the shape of
+the wide-keys workload, 256 ``set k<i> <i>`` commands then one ``get``
+or ``incr`` of each key (--number / 1000 runs per round).  Prints one
+JSON object, in nanoseconds.  --src selects the source tree to import
+redtype from, so that two checkouts can be compared with the same probe.
 """
 
 from __future__ import annotations
@@ -35,6 +37,14 @@ program {
   rpop queue
 }
 """
+
+WIDE_KEYS = 256
+WIDE_SOURCE = (
+    "program {\n"
+    + "".join(f"  set k{i} {i}\n" for i in range(WIDE_KEYS))
+    + "".join(f"  {'get' if i % 2 else 'incr'} k{i}\n" for i in range(WIDE_KEYS))
+    + "}\n"
+)
 
 RECORDS = {
     "message": ("Message", ("hello", 1), b'{"body":"hello","id":1}'),
@@ -72,19 +82,21 @@ def main() -> None:
         env[row] = TypedValue(RecordRef(name), RecordValue(name, values))
         env[f"{row}_bytes"] = encode(env[row], records)
         assert env[f"{row}_bytes"] == data, env[f"{row}_bytes"]
-    program = parse_program(QUEUE_SOURCE)
-    report = check_program(program)
-    sent = sum(cmd.opcode != "declare" for cmd in program.body)
-    run = {"run": lambda: run_program(program, report, MemoryBackend())}
-    best = {key: float("inf") for key in [*STATEMENTS, "run_queue_ns_per_cmd"]}
+    # Per timed run: the call that makes it, the commands it sends, and runs per round.
+    runs = {}
+    for key, source, per_round in [("run_queue_ns_per_cmd", QUEUE_SOURCE, 100), ("run_wide_ns_per_cmd", WIDE_SOURCE, 1000)]:
+        program = parse_program(source)
+        sent = sum(cmd.opcode != "declare" for cmd in program.body)
+        run = lambda p=program, r=check_program(program): run_program(p, r, MemoryBackend())  # noqa: E731
+        runs[key] = (run, sent, max(1, args.number // per_round))
+    best = {key: float("inf") for key in [*STATEMENTS, *runs]}
     # Rounds interleave the statements, so a slow spell of the host falls
     # on all of them rather than on one.
     for _ in range(args.repeat):
         for key, stmt in STATEMENTS.items():
             best[key] = min(best[key], timeit.timeit(stmt, globals=env, number=args.number) / args.number)
-        runs = max(1, args.number // 100)
-        per_cmd = timeit.timeit("run()", globals=run, number=runs) / runs / sent
-        best["run_queue_ns_per_cmd"] = min(best["run_queue_ns_per_cmd"], per_cmd)
+        for key, (run, sent, number) in runs.items():
+            best[key] = min(best[key], timeit.timeit(run, number=number) / number / sent)
     print(json.dumps({key: round(t * 1e9, 1) for key, t in best.items()}))
 
 

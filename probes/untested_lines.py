@@ -12,7 +12,11 @@ Everything after ``--`` goes to pytest; the default selection is
 ``tests`` minus acceptance criteria 4 and 5, whose exhaustive sweep
 and 10k fuzz runs would take most of the time under the tracer.  Under
 ``trace`` the default selection runs for a few minutes, and a test with
-a wall-clock budget may fail; its lines still count as run.  Needs
+a wall-clock budget may fail; its lines still count as run.  An
+exception inside the trace callback (a RecursionError in a deeply
+recursive test) unsets the tracer, and every line run after it would
+read as untested; if the tracer is gone after some test, the probe
+prints that test's node id instead of the report and exits 2.  Needs
 pytest, as the suite does; no coverage package.
 """
 
@@ -36,6 +40,17 @@ DEFAULT_PYTEST_ARGS = [
 ]
 
 
+class _TracerWatch:
+    """A pytest plugin that notes the first test after which no tracer is set."""
+
+    def __init__(self) -> None:
+        self.lost_after: str | None = None
+
+    def pytest_runtest_logfinish(self, nodeid: str) -> None:
+        if self.lost_after is None and sys.gettrace() is None:
+            self.lost_after = nodeid
+
+
 def untested(src: str, pytest_args: list[str]) -> dict[str, list[tuple[int, str]]]:
     """Per file of ``src``/redtype, the (line number, text) of each line the selection never runs."""
     import pytest  # imported before tracing starts, so that only the run is traced
@@ -45,10 +60,14 @@ def untested(src: str, pytest_args: list[str]) -> dict[str, list[tuple[int, str]
     # trace caches whether to ignore a module by its bare name, so without this the
     # package's __init__ would be skipped like the first ignored __init__ it meets.
     tracer.ignore._ignore["__init__"] = 0  # type: ignore[attr-defined]
-    run = {"pytest": pytest, "args": pytest_args}
+    watch = _TracerWatch()
+    run = {"pytest": pytest, "args": pytest_args, "plugins": [watch]}
     with contextlib.redirect_stdout(sys.stderr):  # stdout is for the report
-        tracer.runctx("status = pytest.main(args)", run, run)
+        tracer.runctx("status = pytest.main(args, plugins=plugins)", run, run)
     print(f"pytest exit status: {run['status']}", file=sys.stderr)
+    if watch.lost_after is not None:
+        print(f"tracer lost by the end of {watch.lost_after}: no report")
+        sys.exit(2)
     # Some tests import the package afresh under another spelling of its path,
     # so lines are matched by real path; trace's --missing would write one
     # report per spelling under a single module name.

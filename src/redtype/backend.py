@@ -123,15 +123,13 @@ _LITERAL_BYTES = {cls: codec.value_encoder(base) for cls, base in LITERAL_BASES.
 
 
 def _argument(e: Expr, binders: dict[str, tuple[ResultType, Any]], records: dict[str, RecordDecl]) -> bytes:
-    """A value argument's payload, encoded at the base the checker proved for it.
+    """A binder's or a record literal's payload, encoded at the base the checker proved for it.
 
-    That base is a literal's class's, a binder's recorded result type's, or
-    a record literal's declaration.  Only an argument the run cannot encode
+    That base is a binder's recorded result type's, or a record literal's
+    declaration; ``run_program`` encodes a literal through
+    ``_LITERAL_BYTES`` itself.  Only an argument the run cannot encode
     reaches ``infer_expr``, which raises the checker's CheckError for it.
     """
-    encode = _LITERAL_BYTES.get(type(e))
-    if encode is not None:
-        return encode(e.value)
     try:
         if type(e) is Var:  # a binder that binds no base (None) has no encoder: KeyError
             rt, value = binders[e.name]
@@ -202,22 +200,27 @@ def run_program(program: Program, report: CheckOk, backend: Backend) -> RunOutco
     binders: dict[str, tuple[ResultType, Any]] = {}  # binder -> its result type and value
     rt: ResultType = UNIT  # the last command's result type and value
     value: Any = None
-    for cmd, rt in zip(program.body, report.results):
-        name = _WIRE_NAMES.get(cmd.opcode)
+    send = backend.send  # bound once per run: a wrapper put on the class's send before the run sees every call
+    for (opcode, keys, args, field_name, _, binder, span), rt in zip(program.body, report.results):
+        name = _WIRE_NAMES.get(opcode)
         if name is None:  # declare: static only
             value = None
         else:
-            argv = [name, *[k.encode("utf-8") for k in cmd.keys]]
-            if cmd.field_name is not None:
-                argv.append(cmd.field_name.encode("utf-8"))
-            argv += [_argument(arg, binders, records) for arg in cmd.args]
-            reply = backend.send(argv)
-            if isinstance(reply, ErrReply):
-                return RunError(reply.message, cmd.span)
+            argv = [name]
+            for k in keys:
+                argv.append(k.encode())
+            if field_name is not None:
+                argv.append(field_name.encode())
+            for arg in args:
+                encode = _LITERAL_BYTES.get(type(arg))
+                argv.append(_argument(arg, binders, records) if encode is None else encode(arg.value))
+            reply = send(argv)
+            if type(reply) is ErrReply:
+                return RunError(reply.message, span)
             try:
                 value = _decode_reply(reply, rt, records)
             except codec.DecodeError as err:
-                return RunError(f"DECODE {err}", cmd.span)
-        if cmd.binder is not None:
-            binders[cmd.binder] = rt, value
+                return RunError(f"DECODE {err}", span)
+        if binder is not None:
+            binders[binder] = rt, value
     return RunValue(rt, value)

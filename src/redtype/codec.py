@@ -104,9 +104,12 @@ def redis_float(data: bytes) -> float | None:
 
 def encode(v: TypedValue, records: Mapping[str, RecordDecl] | None = None) -> bytes:
     """``v``'s payload, through ``value_encoder(v.base, records)``, after testing that ``v.value`` is of ``v.base``."""
-    if v.base in _IS_PAYLOAD and not _IS_PAYLOAD[v.base](v.value):
-        raise ValueError(f"{quote(v.value)} is not a value of {v.base.name}")
-    return value_encoder(v.base, records)(v.value)
+    if v.base not in _IS_PAYLOAD or _IS_PAYLOAD[v.base](v.value):
+        try:
+            return value_encoder(v.base, records)(v.value)
+        except UnicodeEncodeError:  # text with a lone surrogate, which UTF-8 cannot spell
+            pass
+    raise ValueError(f"{quote(v.value)} is not a value of {v.base.name}")
 
 
 _json_str: Callable[[str], str] = json.encoder.encode_basestring  # as json.dumps(s, ensure_ascii=False)
@@ -230,10 +233,13 @@ def _record_coders(decl: RecordDecl) -> tuple[Callable[[Any], bytes], Callable[[
     pattern = re.compile(r"\{" + ",".join(f"{re.escape(k)}({t})" for k, t in zip(keys, tokens)) + r"\}")
 
     def encode(value: Any) -> bytes:
-        if not (type(value) is RecordValue and value.name == name and len(value.values) == len(fields)
+        if (type(value) is RecordValue and value.name == name and len(value.values) == len(fields)
                 and all(map(call, fits, value.values))):
-            raise ValueError(f"{quote(value)} is not a value of record '{name}'")
-        return (template % tuple(map(call, spells, value.values))).encode()
+            try:
+                return (template % tuple(map(call, spells, value.values))).encode()
+            except UnicodeEncodeError:  # a text field with a lone surrogate
+                pass
+        raise ValueError(f"{quote(value)} is not a value of record '{name}'")
 
     def decode(data: bytes) -> RecordValue:
         try:

@@ -11,7 +11,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from redtype import backend as backend_module, checker, cli, typedict
+from redtype import backend as backend_module, checker, cli, codec, typedict
 from redtype.backend import (
     MemoryBackend,
     RespBackend,
@@ -20,17 +20,19 @@ from redtype.backend import (
     run_program,
 )
 from redtype.checker import FLOAT_RESULT, INT_RESULT, STATUS, UNIT, CheckOk, MaybeResult, check_program
-from redtype.codec import RecordValue, quote
+from redtype.codec import RecordValue, TypedValue, quote
 from redtype.fuzz import _GATING, _trial, generate_program
 from redtype.parser import parse_program
 from redtype.resp import ProtocolError
-from redtype.store import NONFINITE_MSG, OVERFLOW_MSG, BulkReply, IntReply, MemoryStore
+from redtype.store import NONFINITE_MSG, OVERFLOW_MSG, BulkReply, ErrReply, IntReply, MemoryStore
 from redtype.syntax import (
     COMMAND_SHAPES,
     FLOAT,
     INT,
     INT64_MAX,
     INT64_MIN,
+    LITERAL_BASES,
+    TEXT,
     BoolLit,
     Command,
     FloatLit,
@@ -40,9 +42,11 @@ from redtype.syntax import (
     Program,
     RecordLit,
     RecordRef,
+    Span,
     StringOf,
     TextLit,
     Var,
+    record_table,
 )
 
 QUEUE_SOURCE = """\
@@ -303,6 +307,118 @@ def test_run_program_does_not_re_infer_argument_types(monkeypatch):
 
     monkeypatch.setattr(backend_module, "infer_expr", forbidden)
     assert [run_program(p, r, MemoryBackend()) for p, r in cases] == expected
+
+
+
+class _Recording:
+    """A mem backend that keeps every argv it is sent."""
+
+    def __init__(self):
+        self.sent = []
+        self.inner = MemoryBackend()
+
+    def send(self, argv):
+        self.sent.append(list(argv))
+        return self.inner.send(argv)
+
+
+def _reference_payload(e, binders, records):
+    # Each argument through codec.encode at the base the checker proved for it.
+    if type(e) is Var:
+        rt, value = binders[e.name]
+        return codec.encode(TypedValue(rt.binds, value), records)
+    if type(e) is RecordLit:
+        fields = tuple(binders[a.name][1] if type(a) is Var else a.value for a in e.args)
+        return codec.encode(TypedValue(RecordRef(e.name), RecordValue(e.name, fields)), records)
+    return codec.encode(TypedValue(LITERAL_BASES[type(e)], e.value))
+
+
+def _reference_run(program, report):
+    """The argv lists and the outcome of running ``program`` on a fresh mem store, spelled out command by command."""
+    records, binders, sent = record_table(program), {}, []
+    backend = MemoryBackend()
+    rt, value = UNIT, None
+    for cmd, rt in zip(program.body, report.results):
+        value = None
+        if cmd.opcode != "declare":
+            field = [] if cmd.field_name is None else [cmd.field_name.encode("utf-8")]
+            keys = [k.encode("utf-8") for k in cmd.keys]
+            argv = [cmd.opcode.upper().encode("ascii"), *keys, *field]
+            argv += [_reference_payload(a, binders, records) for a in cmd.args]
+            sent.append(argv)
+            reply = backend.send(argv)
+            if type(reply) is ErrReply:
+                return sent, RunError(reply.message, cmd.span)
+            try:
+                value = backend_module._decode_reply(reply, rt, records)
+            except codec.DecodeError as err:
+                return sent, RunError(f"DECODE {err}", cmd.span)
+        if cmd.binder is not None:
+            binders[cmd.binder] = rt, value
+    return sent, RunValue(rt, value)
+
+
+# Each program with the exact argv lists its run sends and its outcome.
+_WIRE_CASES = {
+    "overflow-stops-the-run": (
+        "program {\n  set k 9223372036854775807\n  n <- incr k\n  set after 1\n}",
+        [[b"SET", b"k", b"9223372036854775807"], [b"INCR", b"k"]],
+        RunError(OVERFLOW_MSG, Span(3, 8)),
+    ),
+    "decode-failure-stops-the-run": (
+        'program {\n  lpush q "pear"\n  lpush q 5\n  rpop q\n  set after 1\n}',
+        [[b"LPUSH", b"q", b"pear"], [b"LPUSH", b"q", b"5"], [b"RPOP", b"q"]],
+        RunError("DECODE cannot decode b'pear' as int", Span(4, 3)),
+    ),
+    "binder-into-argument-and-record-field": (
+        "record Message { body: text, id: int }\n"
+        'program { declare c : string<int>  n <- incr c  set copy n  lpush q Message{ "hi", n }  rpop q }',
+        [[b"INCR", b"c"], [b"SET", b"copy", b"1"], [b"LPUSH", b"q", b'{"body":"hi","id":1}'], [b"RPOP", b"q"]],
+        RunValue(MaybeResult(RecordRef("Message")), RecordValue("Message", ("hi", 1))),
+    ),
+    "hash-field-name": (
+        'program { b <- hset user name "banacorn"  hset user born 1.5  hget user name }',
+        [[b"HSET", b"user", b"name", b"banacorn"], [b"HSET", b"user", b"born", b"1.5"], [b"HGET", b"user", b"name"]],
+        RunValue(MaybeResult(TEXT), "banacorn"),
+    ),
+    "non-ascii-text": (
+        'program { set k "é日"  b <- setnx k "x"  get k }',
+        [[b"SET", b"k", "é日".encode("utf-8")], [b"SETNX", b"k", b"x"], [b"GET", b"k"]],
+        RunValue(MaybeResult(TEXT), "é日"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_WIRE_CASES))
+def test_a_run_sends_exactly_these_argv_lists(name):
+    source, argvs, outcome = _WIRE_CASES[name]
+    program = parse_program(source)
+    report = check_program(program)
+    assert isinstance(report, CheckOk), report
+    backend = _Recording()
+    assert run_program(program, report, backend) == outcome
+    assert backend.sent == argvs
+    assert _reference_run(program, report) == (argvs, outcome)
+
+
+def test_a_run_sends_the_reference_wire_traffic_on_the_accepted_corpus():
+    cases = _accepted_corpus()
+    cases += [(p, check_program(p)) for p in (parse_program(source) for source, _, _ in _WIRE_CASES.values())]
+    for program, report in cases:
+        backend = _Recording()
+        outcome = run_program(program, report, backend)
+        assert (backend.sent, outcome) == _reference_run(program, report), program
+    assert sum(len(_reference_run(p, r)[0]) for p, r in cases) > 100
+
+
+def test_an_unfit_reply_from_the_backend_raises_protocol_error():
+    class Unfit:
+        def send(self, argv):
+            return IntReply(1)
+
+    program = parse_program("program { set k 1  ping }")
+    with pytest.raises(ProtocolError, match=r"^reply IntReply\(1\) does not fit result type status$"):
+        run_program(program, check_program(program), Unfit())
 
 
 def test_run_from_an_assumed_dictionary_decodes_by_its_types():

@@ -6,6 +6,7 @@ import copy
 import math
 import pickle
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -280,6 +281,7 @@ POOL = {decl.name: decl for decl in RECORD_POOL}
         ("Pair", ("x", 1)),  # no record value at all
         ("Point", RecordValue("Point", (math.inf, 1.0))),
         ("Point", RecordValue("Point", (1.0, math.nan))),
+        ("Pair", RecordValue("Pair", ("\udfff", 1))),  # a lone surrogate, which UTF-8 cannot spell
     ],
 )
 def test_a_record_value_unfit_for_its_declaration_is_refused(name, value):
@@ -320,11 +322,12 @@ for payload in (("x",), (1, 2)):
         (INT, True, "True"),
         (BOOL, 1, "1"),
         (TEXT, 5, "5"),
+        (TEXT, "\ud800", "'\\ud800'"),
     ],
-    ids=["inf", "nan", "bool-as-int", "int-as-bool", "int-as-text"],
+    ids=["inf", "nan", "bool-as-int", "int-as-bool", "int-as-text", "lone-surrogate-as-text"],
 )
 def test_a_scalar_value_outside_the_decoders_image_is_refused(base, value, shown):
-    with pytest.raises(ValueError, match=f"^{shown} is not a value of {base.name}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(shown)} is not a value of {base.name}$"):
         encode(TypedValue(base, value))
 
 
