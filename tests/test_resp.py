@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -369,6 +371,66 @@ def test_array_items_are_read_in_bounded_work(monkeypatch):
     # the incomplete one; re-reading from the array's start would cost
     # about items * chunks / 2.
     assert calls <= items + chunks + 2
+
+
+
+def _timed_in_chunks(wire: bytes, size: int) -> tuple[list, float]:
+    t0 = time.perf_counter()
+    out = _decode_in_chunks(wire, size)
+    return out, time.perf_counter() - t0
+
+
+@pytest.mark.parametrize(
+    "items",
+    [
+        # A first item that spans 2,048 chunks: re-scanning the buffer at each poll costs its size squared.
+        (b"x" * (8 << 20), b"a\r\nb" * 100_000, b"tail"),
+        # Every item holds CRLF, so no item can be read by splitting on CRLF alone.
+        tuple(b"a\r\nb%d" % i for i in range(40_000)),
+    ],
+    ids=["huge-first-item", "crlf-in-every-item"],
+)
+def test_array_decoding_in_4k_chunks_is_linear(items):
+    wire = encode_reply(MultiBulk(items))
+    out, seconds = _timed_in_chunks(wire, 4096)
+    assert out == _decode_in_chunks(wire, len(wire)) == [MultiBulk(items)]
+    assert seconds < 1.0  # about 0.03-0.09 s on a 2-vCPU host; quadratic variants take many seconds
+
+
+def test_many_small_arrays_in_one_feed_decode_in_bounded_work():
+    # 50,000 replies buffered at once: a poll that copies or scans the
+    # bytes past its own reply costs their total size squared.
+    replies = [MultiBulk((b"a", b"bb", b"%d" % i)) for i in range(50_000)]
+    out, seconds = _timed_in_chunks(b"".join(map(encode_reply, replies)), 1 << 30)
+    assert out == replies
+    assert seconds < 2.0  # about 0.45 s on a 2-vCPU host
+
+
+def test_non_canonical_headers_inside_an_array_decode_at_every_split():
+    wire = b"*4\r\n$1\r\na\r\n$-0\r\n\r\n$01\r\nb\r\n$3\r\nc\r\n\r\n"
+    for size in range(1, len(wire) + 1):
+        assert _decode_in_chunks(wire, size) == [MultiBulk((b"a", b"", b"b", b"c\r\n"))], size
+    assert _events(oracles.ReplyDecoder(), [wire]) == [(MultiBulk((b"a", b"", b"b", b"c\r\n")), 0), ("wait", 0)]
+
+
+# Array elements for the agreement test below: canonical bulk strings,
+# strings that hold CR, LF or CRLF, and valid headers that are not the
+# canonical spelling of their length.
+_array_elements_st = st.one_of(
+    st.binary(max_size=6).map(lambda x: encode_reply(BulkReply(x))),
+    st.sampled_from([b"\r\n", b"a\r\nb", b"\r", b"\n", b"x\r", b"\ny"]).map(lambda x: encode_reply(BulkReply(x))),
+    st.sampled_from([b"$01\r\nb\r\n", b"$00\r\n\r\n", b"$-0\r\n\r\n", b"$003\r\na\r\n\r\n"]),
+)
+
+
+@given(st.lists(_array_elements_st, min_size=2, max_size=64), st.none() | _bad_elements_st, st.data())
+def test_long_arrays_agree_with_the_reference_at_random_splits(elements, bad, data):
+    if bad is not None:  # one element the decoder rejects, anywhere in the array
+        elements.insert(data.draw(st.integers(0, len(elements))), bad)
+    wire = b"*%d\r\n" % len(elements) + b"".join(elements) + b"+OK\r\n"
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(wire)), max_size=12)))
+    chunks = [wire[i:j] for i, j in zip([0, *cuts], [*cuts, len(wire)])]
+    assert _events(ReplyDecoder(), chunks) == _events(oracles.ReplyDecoder(), chunks)
 
 
 # ---------------------------------------------------------------------------
