@@ -45,6 +45,7 @@ from .store import (
 )
 from .syntax import (
     FLOAT,
+    INT,
     LITERAL_BASES,
     WIRE_ARITIES,
     Expr,
@@ -165,7 +166,8 @@ _READERS: dict[Any, tuple[type, Callable[..., Any]]] = {
     BOOL_RESULT: (IntReply, lambda r, rt, recs: r.value != 0),
     FLOAT_RESULT: (BulkReply, _float_reply),
     MaybeResult: (BulkReply, lambda r, rt, recs: None if r.data is None else codec.decode(r.data, rt.base, recs).value),
-    ListResult: (MultiBulk, lambda r, rt, recs: list(map(codec.value_decoder(rt.base, recs), r.items))),
+    ListResult: (MultiBulk, lambda r, rt, recs: (
+        codec.int_values(r.items) if rt.base == INT else list(map(codec.value_decoder(rt.base, recs), r.items)))),
 }
 
 

@@ -61,10 +61,13 @@ class ReplyDecoder:
 
     poll() returns None while the buffered data is still a prefix of a
     reply; it consumes exactly one reply's bytes otherwise.  Each byte
-    is parsed once: a partial array resumes from a cursor (the items so
-    far and how many are still due), each poll reads all the buffered
-    items in one loop, and the bytes it read leave the buffer once, at
-    its end.
+    is read a bounded number of times: a partial array resumes from a
+    cursor (the items so far and how many are still due), each poll
+    reads all the buffered items in one loop, and the bytes it read
+    leave the buffer once, at its end.  Once a poll has read one whole
+    array item, it splits the bytes after it once on CRLF and takes the
+    leading items whose header is the canonical spelling of their
+    length in bulk; the item-by-item walk reads the rest.
     """
 
     def __init__(self) -> None:
@@ -144,6 +147,7 @@ class ReplyDecoder:
         """
         buf = self._buf
         size = len(buf)
+        split = True  # this poll has not split yet
         while due and at < size:
             # Checked before reading on, so nested arrays cannot recurse.
             if buf[at] != _BULK:
@@ -170,6 +174,23 @@ class ReplyDecoder:
                 start = end + 2
             at = start
             due -= 1
+            if split and due > 1:
+                # The rest in bulk: one split on CRLF, of at most 64 bytes per due item (so bytes past
+                # the array cost no more than it, and no piece exceeds MAX_BULK_LEN).  A (header, data)
+                # pair whose header is b"$%d" % len(data) is exactly the item the walk would read.
+                split = False
+                pieces = bytes(buf[at : at + min(64 * due, MAX_BULK_LEN)]).split(CRLF, 2 * due)
+                k = (len(pieces) - 1) // 2  # the pairs whose data ends in CRLF
+                if not k or pieces[0] != b"$%d" % len(pieces[1]):
+                    continue  # the walk reads on
+                heads, data = pieces[0 : 2 * k : 2], pieces[1 : 2 * k : 2]
+                canonical = list(map(b"$%d".__mod__, map(len, data)))
+                if heads != canonical:
+                    k = list(map(bytes.__eq__, heads, canonical)).index(False)
+                    del data[k:]
+                out += data
+                at += sum(map(len, pieces[: 2 * k])) + 4 * k
+                due -= k
         return at, due
 
     def _line_end(self, at: int) -> int:

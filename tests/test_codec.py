@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from redtype.codec import DecodeError, RecordValue, TypedValue, decode, encode, value_decoder, value_encoder
+from redtype.codec import DecodeError, RecordValue, TypedValue, decode, encode, int_value, int_values, value_decoder, value_encoder
 from redtype.fuzz import RECORD_POOL
 from redtype.syntax import BOOL, FLOAT, INT, TEXT, RecordDecl, RecordRef
 
@@ -338,6 +338,26 @@ def test_ints_are_bounded_by_the_digit_limit():
         encode(TypedValue(INT, 10**limit))
     with pytest.raises(DecodeError):
         decode(b"1" + b"0" * limit, INT)
+
+
+def _outcome(read, items):
+    try:
+        return read(items)
+    except DecodeError as err:
+        return "DecodeError", err.base_name, err.data, str(err)
+
+
+_canonical_int_st = st.integers().map(b"%d".__mod__)
+# Spellings int() reads but int_value refuses, and lengths at and past the digit limit.
+_int_items_st = _canonical_int_st | st.sampled_from(
+    [b"007", b"+5", b" 5", b"5 ", b"1_0", b"-0", b"", b"x", b"1" * 5000, b"9" * 4300]
+)
+
+
+@given(st.lists(_canonical_int_st, max_size=20) | st.lists(_int_items_st, max_size=20))
+def test_int_values_reads_a_list_as_int_value_reads_each_item(items):
+    items = tuple(items)  # as MultiBulk holds them
+    assert _outcome(int_values, items) == _outcome(lambda xs: list(map(int_value, xs)), items)
 
 
 def test_coders_are_built_once_per_declaration():
