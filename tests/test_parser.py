@@ -767,3 +767,72 @@ def test_a_parse_compiles_the_statement_tails_of_the_opcodes_it_meets(monkeypatc
     parse_program("program {\n  set a 1\n  get a\n  declare b : string<int>\n  set b 2\n}\n")
     assert sorted(parser._STATEMENTS) == ["get", "set"]
 
+
+
+# ---------------------------------------------------------------------------
+# line tracking on the statement path, and int literals on both paths
+
+_LINE_ENDS = ["\r\n", "\n\n", "\n\n\n", "\n  # note\n", "\t", " \r\n\t", "\n# c\n\n"]
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 2**32), st.lists(st.sampled_from(_LINE_ENDS), min_size=1, max_size=8), st.booleans())
+def test_spans_agree_with_the_reference_whatever_ends_the_lines(seed, ends, final_newline):
+    """Printed generated programs with each newline replaced by another line end, in turn from ``ends``."""
+    rng = random.Random(seed)
+    text = print_program(generate_program(rng, max_len=12, ill_typed_rate=0.3))
+    lines = (text if final_newline else text[:-1]).split("\n")
+    source = lines[0] + "".join(ends[i % len(ends)] + line for i, line in enumerate(lines[1:]))
+    _assert_parses_like_the_reference(source)
+
+
+@pytest.mark.parametrize("command", ["set k 1", "declare k : string<int>"])
+@pytest.mark.parametrize(
+    "gap, lines, seconds",
+    [("\n" * 4_000_000, 4_000_000, 0.3), ("# c\n" * 1_000_000, 1_000_000, 5.0)],
+    ids=["4M-blank-lines", "1M-comment-lines"],
+)
+def test_a_command_after_a_long_gap_of_lines_parses_in_bounded_time(command, gap, lines, seconds):
+    source = "program {\n  ping\n" + gap + "  " + command + "\n}\n"
+    program = _parse_within(source, seconds)
+    assert [c.span for c in program.body] == [Span(2, 3), Span(lines + 3, 3)]
+
+
+_INT_EDGES = [
+    "999999999999999999",
+    "-99999999999999999",
+    "-999999999999999999",
+    "000000000000000007",
+    "-0",
+    str(2**63 - 1),
+    str(-(2**63)),
+    str(2**63),
+    str(-(2**63) - 1),
+]
+
+
+@pytest.mark.parametrize("literal", _INT_EDGES)
+@pytest.mark.parametrize(
+    "body, read, token_path",
+    [
+        ("set k {}", lambda c: c.args[0], False),
+        ("set k Message{{{}, 1}}", lambda c: c.args[0].args[0], False),
+        ("set k Message{{Message{{{}}}, 2}}", lambda c: c.args[0].args[0].args[0], True),
+    ],
+    ids=["plain", "flat-record", "nested-record"],
+)
+def test_int_literals_at_the_edge_of_18_characters_parse_alike_on_both_paths(monkeypatch, literal, body, read, token_path):
+    source = _QUEUE_RECORD + "program {\n  " + body.format(literal) + "\n}\n"
+    _assert_parses_like_the_reference(source)
+    value = int(literal)
+    if not -(2**63) <= value < 2**63:
+        with pytest.raises(ParseError) as exc:
+            parse_program(source)
+        assert (exc.value.expected, exc.value.found) == ("a signed 64-bit integer", "literal out of range")
+        return
+    read_by_token_path = []
+    command = parser._Parser.command
+    monkeypatch.setattr(parser._Parser, "command", lambda p, b: read_by_token_path.append(1) or command(p, b))
+    literal_node = read(parse_program(source).body[0])
+    assert literal_node == IntLit(value) and type(literal_node.value) is int
+    assert bool(read_by_token_path) == token_path
