@@ -3,6 +3,7 @@
 Usage, from the repository root:
 
   python3 probes/parse_scaling.py [--sizes 10000 40000 160000] [--repeat 3] [--src src]
+                                  [--against OTHER_SRC]
 
 After one untimed parse, for each size n and each of three shapes, parses a
 program of n commands, one per line, --repeat times after ``gc.collect()``
@@ -14,7 +15,9 @@ pause, and the "off" column times ``parse_program`` itself.  The shapes are ``se
 ``incr``, an ``lpush`` of a record literal, an ``hset`` and an ``rpop`` per
 four commands, after one ``declare``; and ``declare``, ``set k<i> 1``
 lines alternating with ``declare d<i> : string<int>``, so that the
-parser moves between its two paths at every command.  A shape that the
+parser moves between its two paths at every command; and ``wide``, the
+wide-keys workload's shape: n/2 ``set k<i> <v>`` with values of up to ten
+digits, then a ``get`` or an ``incr`` of each key.  A shape that the
 parser's statement path hands to the token path shows as a higher cost
 per command.  Prints one JSON object per size and shape, with
 microseconds per command;
@@ -30,17 +33,35 @@ milliseconds, best and all of --repeat interpreters: the cost of a
 one-shot ``redtype check`` that the in-process sizes above never see.
 --src selects the source tree to import redtype from, so that two
 checkouts can be compared with the same probe.
+
+--against OTHER_SRC compares two trees in one process, because standalone
+timings drift more between runs on a shared host than the ratio of two
+trees timed side by side.  OTHER_SRC's redtype is imported a second time
+under another package name.  For each size and shape, the probe runs
+--repeat pairs of ``parse_program`` calls, collector off, one of each tree,
+alternating which goes first, and adds "against": the median and quartiles
+of OTHER_SRC's parse time over --src's (above 1 when --src is faster) and
+the pairs --src won.  The first-parse object gains OTHER_SRC's runs,
+interleaved with --src's.  Both trees' parses of each program must agree
+in printed text and in every command's span; the probe exits 1 if they do
+not.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import importlib
+import importlib.util
 import json
+import random
+import statistics
 import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
+from types import ModuleType
 
 
 def best_parse_s(parse, source: str, repeat: int, collector: bool) -> float:
@@ -120,7 +141,49 @@ def declare_program(n: int) -> str:
     return "program {\n" + "".join(pairs) + "}\n"
 
 
-SHAPES = {"set": set_program, "queue": queue_program, "declare": declare_program}
+def wide_program(n: int) -> str:
+    rng = random.Random(7)
+    keys = [f"k{i}" for i in range(n // 2)]
+    sets = [f"  set {k} {rng.randint(-(10**9), 10**9)}\n" for k in keys]
+    touches = [f"  {rng.choice(('get', 'incr'))} {k}\n" for k in rng.sample(keys, len(keys))]
+    return "program {\n" + "".join(sets + touches) + "}\n"
+
+
+SHAPES = {"set": set_program, "queue": queue_program, "declare": declare_program, "wide": wide_program}
+
+
+def load(src: str, package: str) -> ModuleType:
+    """The parser of the redtype package under ``src``, imported as ``package``."""
+    root = Path(src, "redtype")
+    spec = importlib.util.spec_from_file_location(package, root / "__init__.py", submodule_search_locations=[str(root)])
+    assert spec is not None and spec.loader is not None
+    sys.modules[package] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sys.modules[package])
+    return importlib.import_module(f"{package}.parser")
+
+
+def parsed(parser: ModuleType, source: str) -> tuple[str, list]:
+    """What two trees' parses must agree on: the printed program and every command's span."""
+    program = parser.parse_program(source)
+    return parser.print_program(program), [tuple(c.span) for c in program.body]
+
+
+def against(ours: ModuleType, theirs: ModuleType, source: str, pairs: int) -> dict:
+    """Interleaved parses of ``source`` by both trees, collector off, as the module docstring says."""
+    ratios = []
+    for i in range(pairs):
+        times = {}
+        for parser in (ours, theirs) if i % 2 == 0 else (theirs, ours):
+            times[parser] = best_parse_s(parser.parse_program, source, 1, collector=False)
+        ratios.append(times[theirs] / times[ours])
+    q1, median, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
+    return {
+        "pairs": pairs,
+        "ratio_median": round(median, 3),
+        "ratio_q1": round(q1, 3),
+        "ratio_q3": round(q3, 3),
+        "wins": sum(r > 1 for r in ratios),
+    }
 
 # Imports the parser, then times its first parse of a small program.
 _FIRST_PARSE = """
@@ -133,12 +196,13 @@ print(time.perf_counter() - t0)
 """
 
 
-def first_parse_ms(src: str, repeat: int) -> list[float]:
-    """The first parse of a 3-command program in each of ``repeat`` fresh interpreters."""
-    runs = []
-    for _ in range(repeat):
-        out = subprocess.run([sys.executable, "-c", _FIRST_PARSE, src], check=True, capture_output=True, text=True)
-        runs.append(round(float(out.stdout) * 1e3, 3))
+def first_parse_ms(srcs: list[str], repeat: int) -> dict[str, list[float]]:
+    """The first parse of a 3-command program in each of ``repeat`` fresh interpreters per tree, interleaved."""
+    runs: dict[str, list[float]] = {src: [] for src in srcs}
+    for i in range(repeat):
+        for src in srcs if i % 2 == 0 else srcs[::-1]:
+            out = subprocess.run([sys.executable, "-c", _FIRST_PARSE, src], check=True, capture_output=True, text=True)
+            runs[src].append(round(float(out.stdout) * 1e3, 3))
     return runs
 
 
@@ -147,17 +211,20 @@ def main() -> None:
     ap.add_argument("--sizes", type=int, nargs="+", default=[10_000, 40_000, 160_000])
     ap.add_argument("--repeat", type=int, default=3)
     ap.add_argument("--src", default="src")
+    ap.add_argument("--against", metavar="OTHER_SRC")
     args = ap.parse_args()
-    sys.path.insert(0, args.src)
-    from redtype import parser
-    from redtype.parser import parse_program
+    parser = load(args.src, "redtype")
+    parse_program = parser.parse_program
+    other = None if args.against is None else load(args.against, "redtype_against")
+    agree = True
 
     def collecting_parse(source: str):
         """The parse of ``parse_program`` without its pause of the collector."""
         return parser._parse(source, parser._Parser.program)
 
     for build in SHAPES.values():
-        parse_program(build(args.sizes[0]))  # so that the first size pays no warm-up
+        for tree in (parser, other) if other else (parser,):
+            tree.parse_program(build(args.sizes[0]))  # so that the first size pays no warm-up
     for size in args.sizes:
         for shape, build in SHAPES.items():
             source = build(size)
@@ -165,6 +232,11 @@ def main() -> None:
             on = best_parse_s(collecting_parse, source, args.repeat, collector=True)
             off = best_parse_s(parse_program, source, args.repeat, collector=False)
             peak, kept = traced_bytes(parse_program, source)
+            report = {}
+            if other is not None:
+                same = parsed(parser, source) == parsed(other, source)
+                agree = agree and same
+                report["against"] = {"src": args.against, "same_parse": same, **against(parser, other, source, args.repeat)}
             print(json.dumps({
                 "shape": shape,
                 "commands": n,
@@ -174,6 +246,7 @@ def main() -> None:
                 **collector_work(collecting_parse, source),
                 "peak_bytes_per_source_byte": round(peak / len(source), 1),
                 "kept_bytes_per_source_byte": round(kept / len(source), 1),
+                **report,
             }))
 
     n = args.sizes[0]
@@ -191,8 +264,13 @@ def main() -> None:
         "retained_bytes_per_cmd": round(retained / len(program.body)),
         "commands": n,
     }))
-    runs = first_parse_ms(args.src, args.repeat)
-    print(json.dumps({"first_parse_ms": min(runs), "runs": runs}))
+    runs = first_parse_ms([args.src] + ([args.against] if other else []), args.repeat)
+    first = {"first_parse_ms": min(runs[args.src]), "runs": runs[args.src]}
+    if other is not None:
+        first["against"] = {"src": args.against, "first_parse_ms": min(runs[args.against]), "runs": runs[args.against]}
+    print(json.dumps(first))
+    if not agree:
+        sys.exit(1)
 
 
 if __name__ == "__main__":
