@@ -94,6 +94,8 @@ _INF = float("inf")
 def _number(kind: str, text: str) -> IntLit | FloatLit | None:
     """The literal of an INT or FLOAT token, or None if it is out of range or malformed."""
     if kind == "INT":
+        if len(text) <= 18:  # below 10**18 in magnitude, so an int64 whatever its digits
+            return new_node(IntLit, (int(text),))
         # counting digits first keeps int() off unbounded text, leading
         # zeros included
         digits = text.lstrip("-0")

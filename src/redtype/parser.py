@@ -14,6 +14,9 @@ Everything else, ``declare``, record declarations and any text the
 statement path does not accept, is read by recursive descent over the
 tokens of ``lexer``, one at a time from that statement on; the token path
 builds every ParseError, so the first bad token in the source still wins.
+Both paths take a command's line from the previous command's: a command
+on the same line costs no search, one on the next line one ``str.find``,
+and one past a run of newlines a ``count`` and an ``rfind``.
 """
 
 from __future__ import annotations
@@ -145,35 +148,46 @@ def _statement(op: str) -> _Statement | None:
     return statement
 
 
-def _atom(kind: str, text: str) -> Expr | None:
-    """The node of a value token the statement path read, or None if the token path must judge it."""
-    if kind == "IDENT":
-        return _BOOLS.get(text) or new_node(Var, (text,))
-    if kind == "STRING":
-        value = _text(text)
-        return None if value is None else new_node(TextLit, (value,))
-    return _number(kind, text)
+# The reader of each kind of value token the statement path reads: the
+# token's node, or None if the token path must judge the token.
+_READERS: dict[str, Callable[[str, str], Expr | None]] = {
+    "FLOAT": _number,
+    "INT": _number,
+    "STRING": lambda kind, text: None if (value := _text(text)) is None else new_node(TextLit, (value,)),
+    "IDENT": lambda kind, text: _BOOLS.get(text) or new_node(Var, (text,)),
+}
 
 
-def _args(source: str, m: re.Match[str]) -> tuple[Expr, ...] | None:
-    """The value arguments a tail match read, or None if the token path must judge them."""
-    kind = m.lastgroup  # None if the shape takes no value
-    if kind is None:
-        return ()
+def _args(source: str, m: re.Match[str], kind: str) -> tuple[Expr, ...] | None:
+    """The value argument a tail match read, a ``kind`` token, or None if the token path must judge it."""
     if kind != "args":
-        node = _atom(kind, m[kind])
+        node = _READERS[kind](kind, m[kind])
         return None if node is None else (node,)
     name = m["IDENT"]
     if name in _BOOLS:  # a bool, then a brace that starts no command
         return None
     args = []
-    for a in _ARG(source, *m.span(kind)):
+    for a in _ARG(source, *m.span("args")):
         kind = a.lastgroup
-        node = _atom(kind, a[kind])
+        node = _READERS[kind](kind, a[kind])
         if node is None:
             return None
         args.append(node)
     return (new_node(RecordLit, (name, tuple(args))),)
+
+
+def _line_at(source: str, line: int, end: int, pos: int) -> tuple[int, int, int]:
+    """The line of offset ``pos``, past ``end``, the newline that ends ``line``: its number, start and end."""
+    start = end + 1
+    end = source.find("\n", start)
+    if end < pos:  # no newline after, or more than one before pos
+        if end >= 0:
+            line += source.count("\n", end, pos)
+            start = source.rfind("\n", end, pos) + 1
+            end = source.find("\n", pos)
+        if end < 0:
+            end = len(source)
+    return line + 1, start, end
 
 
 class _Parser:
@@ -184,14 +198,16 @@ class _Parser:
     on and leaves ``tok`` at the first one it does not accept; the token
     productions read that statement or the body's end, and build every
     ParseError.
-    A command's line is counted from the newlines since the previous
-    command's opcode: ``line`` is that opcode's line, ``line_start`` the
-    offset that line starts at and ``last`` the opcode's offset.
+    ``line`` is the line of the previous command's opcode, ``line_start``
+    the offset it starts at and ``line_end`` the offset of the newline that
+    ends it, or the source's length on the last line; before the first
+    command they describe a line 0 that ends at -1.  An opcode before
+    ``line_end`` is on ``line``, and one past it moves them on (``_line_at``).
     """
 
     def __init__(self, source: str):
         self.source = source
-        self.line, self.line_start, self.last = 1, 0, 0
+        self.line, self.line_start, self.line_end = 0, 0, -1
         self.tok = _token(source, 0)
 
     def next(self) -> _Token:
@@ -234,11 +250,8 @@ class _Parser:
 
     def span(self, pos: int) -> Span:
         """The span of the opcode at offset ``pos``, which follows the previous command's."""
-        newlines = self.source.count("\n", self.last, pos)
-        if newlines:
-            self.line += newlines
-            self.line_start = self.source.rfind("\n", self.last, pos) + 1
-        self.last = pos
+        if pos > self.line_end:
+            self.line, self.line_start, self.line_end = _line_at(self.source, self.line, self.line_end, pos)
         return new_node(Span, (self.line, pos - self.line_start + 1))
 
     # ---- grammar productions ------------------------------------------
@@ -268,23 +281,34 @@ class _Parser:
         """Reads plain commands from ``tok`` on into ``body``, two matches each."""
         source = self.source
         table = _STATEMENTS
+        line, line_start, line_end = self.line, self.line_start, self.line_end
         start = pos = self.tok[2].start(self.tok[0])
         while (head := _HEAD(source, pos)) is not None:
             binder, op = head.groups()
             statement = table.get(op) or _statement(op)
-            if statement is None or binder in RESERVED or binder in binders:
+            if statement is None or binder is not None and (binder in RESERVED or binder in binders):
                 break
             opcode, tail, n_keys, has_field = statement
-            m = tail(source, head.end())
-            if m is None or (args := _args(source, m)) is None:
+            at, end = head.span(2)
+            if (m := tail(source, end)) is None:
+                break
+            kind = m.lastgroup  # None if the shape takes no value
+            if kind is None:
+                args = ()
+            elif (args := _args(source, m, kind)) is None:
                 break
             if binder is not None:
                 binders.add(binder)
             words = m.groups()
-            field_name = words[n_keys] if has_field else None
-            span = self.span(head.start(2))
-            body.append(new_node(Command, (opcode, words[:n_keys], args, field_name, None, binder, span)))
+            if at > line_end:  # _line_at, inlined for a command on the next line
+                if (newline := source.find("\n", line_end + 1)) > at:
+                    line, line_start, line_end = line + 1, line_end + 1, newline
+                else:
+                    line, line_start, line_end = _line_at(source, line, line_end, at)
+            span = new_node(Span, (line, at - line_start + 1))
+            body.append(new_node(Command, (opcode, words[:n_keys], args, words[n_keys] if has_field else None, None, binder, span)))
             pos = m.end()
+        self.line, self.line_start, self.line_end = line, line_start, line_end
         if pos != start:
             self.tok = _token(source, pos)
 
