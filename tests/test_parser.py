@@ -768,7 +768,6 @@ def test_a_parse_compiles_the_statement_tails_of_the_opcodes_it_meets(monkeypatc
     assert sorted(parser._STATEMENTS) == ["get", "set"]
 
 
-
 # ---------------------------------------------------------------------------
 # line tracking on the statement path, and int literals on both paths
 
