@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 type error, 2 parse error, 3 I/O error,
 4 runtime error reply, 5 connection failure, 6 fuzzer found a
-soundness violation.
+soundness violation, 7 internal error (an uncaught exception: a bug).
 """
 
 from __future__ import annotations
@@ -27,10 +27,9 @@ from .checker import (
     undeclared_record,
 )
 from .codec import RecordValue
-from .fuzz import FuzzConfig, run_fuzz
 from .parser import ParseError, _clip, parse_program, parse_type_tag, print_program, scalar_text, tag_text
 from .resp import ProtocolError
-from .syntax import Program, RecordDecl, record_table, utf8_text
+from .syntax import Program, RecordDecl, collector_paused, record_table, utf8_text
 from .typedict import TypeDict
 
 EXIT_OK = 0
@@ -40,6 +39,7 @@ EXIT_IO_ERROR = 3
 EXIT_RUNTIME_ERROR = 4
 EXIT_CONNECT_ERROR = 5
 EXIT_UNSOUND = 6
+EXIT_INTERNAL_ERROR = 7
 
 DEFAULT_ADDR = "127.0.0.1:6379"
 
@@ -156,6 +156,9 @@ def _load_and_check(args: argparse.Namespace) -> tuple[Program, CheckOk | CheckE
     return program, check_program(program, initial, strict=args.strict)
 
 
+# check and run keep the collector paused from the parse to their end: what
+# they build holds no cycle (see collector_paused).  fuzz keeps it on.
+@collector_paused()
 def _cmd_check(args: argparse.Namespace) -> int:
     _, report = _load_and_check(args)
     if args.json:
@@ -185,6 +188,7 @@ def _open_backend(args: argparse.Namespace) -> Backend:
         raise _Bail(EXIT_CONNECT_ERROR, f"cannot connect to {addr}: {err}") from None
 
 
+@collector_paused()
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.dump_store and args.backend != "mem":  # a usage error, refused before the file is read
         raise _Bail(EXIT_PARSE_ERROR, "--dump-store needs the mem backend")
@@ -213,6 +217,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
+    from .fuzz import FuzzConfig, run_fuzz  # loaded by this command alone
+
     config = FuzzConfig(
         iterations=args.iterations,
         seed=args.seed,
@@ -291,6 +297,9 @@ def main(argv: list[str] | None = None) -> int:
     except _Bail as bail:
         print(f"redtype: {bail}", file=sys.stderr)
         return bail.code
+    except Exception as err:  # a bug; exit 1 would read as "rejected by the checker"
+        print(f"redtype: internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

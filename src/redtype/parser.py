@@ -21,7 +21,6 @@ and one past a run of newlines a ``count`` and an ``rfind``.
 
 from __future__ import annotations
 
-import gc
 import re
 from typing import Callable, TypeVar
 
@@ -59,6 +58,7 @@ from .syntax import (
     TextLit,
     TypeTag,
     Var,
+    collector_paused,
     new_node,
 )
 
@@ -437,15 +437,11 @@ def _parse(source: str, production: Callable[[_Parser], _T]) -> _T:
 
 def parse_program(source: str) -> Program:
     """Parse a full source file.  Raises ParseError with line/column."""
-    # The tree holds no cycles, so the cyclic collector can find nothing
-    # in it; paused, it does not rescan the growing tree as it is built.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
+    # Paused, the collector does not rescan the tree as it grows.  Under the
+    # pause of ``redtype check`` and ``run``, which lasts the whole command,
+    # this one is a no-op; it stays for callers of the library.
+    with collector_paused():
         return _parse(source, _Parser.program)
-    finally:
-        if collecting:
-            gc.enable()
 
 
 def parse_type_tag(text: str) -> TypeTag:

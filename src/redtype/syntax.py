@@ -18,8 +18,10 @@ test; sharing is a fast path only, and equality stays structural.
 
 from __future__ import annotations
 
+import gc
 import re
-from typing import NamedTuple, TypeVar
+from contextlib import contextmanager
+from typing import Iterator, NamedTuple, TypeVar
 
 
 class Node:
@@ -38,6 +40,22 @@ class Node:
 # under timeit on a 2-vCPU host, so the parser, the generator, the store and
 # the codec build the nodes that vary per command this way.
 new_node = tuple.__new__
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Keep the cyclic garbage collector off for the block; nested, a no-op.
+
+    A node is a tuple of finished fields, so a tree of nodes holds no cycle
+    the collector could free, yet each of its runs would rescan the tree.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------

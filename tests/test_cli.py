@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import json
 import socket
 import threading
@@ -10,7 +11,7 @@ import time
 
 import pytest
 
-from redtype import checker
+from redtype import checker, cli
 from redtype.checker import STATUS
 from redtype.cli import main
 from redtype.resp import ReplyDecoder, encode_reply
@@ -645,3 +646,107 @@ def test_a_non_numeric_iteration_count_is_a_usage_error(capsys):
         main(["fuzz", "--iterations", "abc"])
     assert exit_info.value.code == 2
     assert "argument --iterations: 'abc' is not an integer of at least 1" in capsys.readouterr().err
+
+
+def test_an_uncaught_exception_is_exit_7_with_one_line(monkeypatch, queue_file, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("the checker fell over")
+
+    monkeypatch.setattr(cli, "check_program", broken)
+    assert main(["check", queue_file]) == 7
+    assert main(["run", queue_file]) == 7
+    captured = capsys.readouterr()
+    assert captured.err == "redtype: internal error: RuntimeError: the checker fell over\n" * 2
+    assert captured.out == ""
+
+
+# ---------------------------------------------------------------------------
+# the cyclic collector: check and run keep it off, because they leave no cycles
+
+
+def queue_program(cycles: int) -> str:
+    """The quick-start queue grown to ``4 * cycles + 2`` commands."""
+    lines = QUEUE_SOURCE.splitlines()[:4]  # the record and the two declares
+    for i in range(cycles):
+        lines += [
+            f"  i{i} <- incr counter",
+            f'  lpush queue Message{{ "m{i}", i{i} }}',
+            f"  hset h f{i % 8} {i}",
+            "  rpop queue",
+        ]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def rejected_twin(source: str) -> str:
+    """``source`` with one more, ill-typed, last command."""
+    return source.rstrip().removesuffix("}") + '  sadd counter "x"\n}\n'
+
+
+COMMANDS = {
+    "check": (["check"], 0),
+    "check-rejected": (["check"], 1),
+    "check-json": (["check", "--json"], 0),
+    "check-json-rejected": (["check", "--json"], 1),
+    "run-mem": (["run"], 0),
+    "run-resp": (["run", "--backend", "resp", "--addr", "{addr}"], 0),
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("source", [QUEUE_SOURCE, queue_program(1000)], ids=["quick-start", "4002-commands"])
+def test_check_and_run_leave_no_cyclic_garbage(command, source, resp_server, tmp_path, capsys):
+    """The premise of their pause: with the collector off, nothing the command built needs it."""
+    host, port, store = resp_server
+    store.reset()
+    flags, code = COMMANDS[command]
+    f = write(tmp_path, "p.rt", rejected_twin(source) if code else source)
+    argv = [flag.format(addr=f"{host}:{port}") for flag in flags] + [f]
+    cli._build_parser()  # built once per process, before any pause; its help formatters hold cycles
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == code
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
+
+
+# Each exit of main: the program (None: no file), the flags before the file, and what main does.
+EXITS = {
+    "0": ("program { ping }", ["check"], 0),
+    "1": ('program { set s "foo"  sadd s "bar" }', ["check"], 1),
+    "2": ("program { set }", ["check"], 2),
+    "3": (None, ["check"], 3),
+    "4": ("program {\n  set k 9223372036854775807\n  incr k\n}", ["run"], 4),
+    "5": ("program { ping }", ["run", "--backend", "resp", "--addr", "127.0.0.1:{port}"], 5),
+    "usage": ("program { ping }", ["run", "--timeout", "0"], SystemExit),
+    "exception": ("program { ping }", ["check"], 7),
+    "interrupt": ("program { ping }", ["check"], KeyboardInterrupt),
+}
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("case", EXITS)
+def test_main_leaves_the_collector_as_it_found_it(case, collecting, free_port, monkeypatch, tmp_path, capsys):
+    source, flags, outcome = EXITS[case]
+    f = write(tmp_path, "p.rt", source) if source else str(tmp_path / "missing.rt")
+    argv = [flag.format(port=free_port) for flag in flags] + [f]
+    error = {"exception": RuntimeError("bug"), "interrupt": KeyboardInterrupt()}.get(case)
+    if error is not None:
+
+        def broken(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "check_program", broken)
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        if isinstance(outcome, int):
+            assert main(argv) == outcome
+        else:
+            with pytest.raises(outcome):
+                main(argv)
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()

@@ -1,8 +1,13 @@
-"""The runtime imports nothing outside the standard library, uses what it imports, and exports only what it has."""
+"""The runtime imports nothing outside the standard library, uses what it imports, and exports only what it has.
+
+Importing one layer loads only that layer and the layers it imports.
+"""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -52,3 +57,29 @@ def test_every_imported_name_is_used(path):
 def test_every_exported_name_resolves_once():
     assert [name for name in redtype.__all__ if not hasattr(redtype, name)] == []
     assert len(set(redtype.__all__)) == len(redtype.__all__)
+
+
+def test_dir_lists_every_exported_name():
+    assert set(redtype.__all__) <= set(dir(redtype))
+
+
+def loaded_after(code: str) -> set[str]:
+    """The redtype modules a fresh interpreter holds after running ``code``."""
+    report = "import sys; print(' '.join(m for m in sys.modules if m.startswith('redtype')))"
+    env = {**os.environ, "PYTHONPATH": str(SOURCES[0].parent.parent)}
+    out = subprocess.run([sys.executable, "-c", f"{code}\n{report}"], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return set(out.stdout.splitlines()[-1].split())
+
+
+def test_the_store_and_the_wire_codec_load_no_other_layer():
+    loaded = loaded_after("import redtype.store, redtype.resp")
+    assert "redtype.store" in loaded and "redtype.resp" in loaded
+    assert loaded.isdisjoint({"redtype.checker", "redtype.parser", "redtype.backend", "redtype.fuzz", "redtype.cli"})
+
+
+def test_check_does_not_load_the_fuzzer(tmp_path):
+    f = tmp_path / "p.rt"
+    f.write_text("program { set k 1  incr k }")
+    loaded = loaded_after(f"from redtype import cli\nassert cli.main(['check', {str(f)!r}]) == 0")
+    assert "redtype.checker" in loaded and "redtype.fuzz" not in loaded
