@@ -26,39 +26,26 @@ timings of one tree drift more between runs on a shared host than the
 ratio of two trees timed side by side.  The package imports its own
 modules relatively only, so OTHER_SRC's redtype is imported a second
 time under another package name.  The probe then runs --repeat pairs of
-whole unwrapped passes, one of each tree, alternating which goes first,
-and adds "against": the median and quartiles of OTHER_SRC's pass time over
---src's (above 1 when --src is faster), the number of pairs --src won, and
-whether both trees drew the same per-opcode draw and accept counts.  It
-exits 1 if they did not.
+whole unwrapped passes, one of each tree, alternating which goes first
+(``_trees.paired``), and adds "against": the median and quartiles of
+OTHER_SRC's pass time over --src's (above 1 when --src is faster), the
+number of pairs --src won, and whether both trees drew the same
+per-opcode draw and accept counts.  It exits 1 if they did not.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib
-import importlib.util
 import inspect
 import json
-import statistics
 import sys
 import time
 from collections import Counter
-from pathlib import Path
 from types import SimpleNamespace
 
-MODULES = ("backend", "checker", "codec", "fuzz", "store", "syntax", "typedict")
+from _trees import against, load, paired
+
 clock = time.perf_counter
-
-
-def load(src: str, package: str) -> SimpleNamespace:
-    """The redtype package under ``src``, imported as ``package``, and its modules."""
-    root = Path(src, "redtype")
-    spec = importlib.util.spec_from_file_location(package, root / "__init__.py", submodule_search_locations=[str(root)])
-    assert spec is not None and spec.loader is not None
-    sys.modules[package] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sys.modules[package])
-    return SimpleNamespace(**{m: importlib.import_module(f"{package}.{m}") for m in MODULES})
 
 
 def timed_pass(rt: SimpleNamespace, config: object) -> float:
@@ -69,7 +56,9 @@ def timed_pass(rt: SimpleNamespace, config: object) -> float:
 
 def split(rt: SimpleNamespace, config: object, repeat: int) -> dict:
     """One tree's figures for one FuzzConfig of that tree, as the module docstring lists them."""
-    backend, checker, codec, fuzz, store, syntax, typedict = (getattr(rt, m) for m in MODULES)
+    backend, checker, codec, fuzz, store, syntax, typedict = (
+        rt.backend, rt.checker, rt.codec, rt.fuzz, rt.store, rt.syntax, rt.typedict
+    )
     timed_pass(rt, config)  # warm up
     pass_s = min(timed_pass(rt, config) for _ in range(repeat))
 
@@ -188,23 +177,8 @@ def main() -> None:
     other = load(args.against, "redtype_against")
     other_config = other.fuzz.FuzzConfig(args.iterations, args.seed, strict=args.strict)
     same = split(other, other_config, args.repeat)["opcodes"] == report["opcodes"]
-    ratios = []
-    for i in range(args.repeat):
-        if i % 2:
-            theirs, ours = timed_pass(other, other_config), timed_pass(rt, config)
-        else:
-            ours, theirs = timed_pass(rt, config), timed_pass(other, other_config)
-        ratios.append(theirs / ours)
-    q1, median, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
-    report["against"] = {
-        "src": args.against,
-        "pairs": len(ratios),
-        "ratio_median": round(median, 3),
-        "ratio_q1": round(q1, 3),
-        "ratio_q3": round(q3, 3),
-        "wins": sum(r > 1 for r in ratios),
-        "opcodes_equal": same,
-    }
+    ours, theirs = paired([lambda: timed_pass(rt, config), lambda: timed_pass(other, other_config)], args.repeat)
+    report["against"] = {"src": args.against, **against(ours, theirs), "opcodes_equal": same}
     print(json.dumps(report))
     if not same:
         sys.exit(1)

@@ -39,29 +39,27 @@ timings drift more between runs on a shared host than the ratio of two
 trees timed side by side.  OTHER_SRC's redtype is imported a second time
 under another package name.  For each size and shape, the probe runs
 --repeat pairs of ``parse_program`` calls, collector off, one of each tree,
-alternating which goes first, and adds "against": the median and quartiles
-of OTHER_SRC's parse time over --src's (above 1 when --src is faster) and
-the pairs --src won.  The first-parse object gains OTHER_SRC's runs,
-interleaved with --src's.  Both trees' parses of each program must agree
-in printed text and in every command's span; the probe exits 1 if they do
-not.
+alternating which goes first (``_trees.paired``), and adds "against": the
+median and quartiles of OTHER_SRC's parse time over --src's (above 1 when
+--src is faster) and the pairs --src won.  The first-parse object gains
+OTHER_SRC's runs, interleaved with --src's.  Both trees' parses of each
+program must agree in printed text and in every command's span; the
+probe exits 1 if they do not.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import importlib
-import importlib.util
 import json
 import random
-import statistics
 import subprocess
 import sys
 import time
 import tracemalloc
-from pathlib import Path
 from types import ModuleType
+
+from _trees import against, load, paired
 
 
 def best_parse_s(parse, source: str, repeat: int, collector: bool) -> float:
@@ -152,38 +150,17 @@ def wide_program(n: int) -> str:
 SHAPES = {"set": set_program, "queue": queue_program, "declare": declare_program, "wide": wide_program}
 
 
-def load(src: str, package: str) -> ModuleType:
-    """The parser of the redtype package under ``src``, imported as ``package``."""
-    root = Path(src, "redtype")
-    spec = importlib.util.spec_from_file_location(package, root / "__init__.py", submodule_search_locations=[str(root)])
-    assert spec is not None and spec.loader is not None
-    sys.modules[package] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sys.modules[package])
-    return importlib.import_module(f"{package}.parser")
-
-
 def parsed(parser: ModuleType, source: str) -> tuple[str, list]:
     """What two trees' parses must agree on: the printed program and every command's span."""
     program = parser.parse_program(source)
     return parser.print_program(program), [tuple(c.span) for c in program.body]
 
 
-def against(ours: ModuleType, theirs: ModuleType, source: str, pairs: int) -> dict:
+def interleaved(ours: ModuleType, theirs: ModuleType, source: str, pairs: int) -> dict:
     """Interleaved parses of ``source`` by both trees, collector off, as the module docstring says."""
-    ratios = []
-    for i in range(pairs):
-        times = {}
-        for parser in (ours, theirs) if i % 2 == 0 else (theirs, ours):
-            times[parser] = best_parse_s(parser.parse_program, source, 1, collector=False)
-        ratios.append(times[theirs] / times[ours])
-    q1, median, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
-    return {
-        "pairs": pairs,
-        "ratio_median": round(median, 3),
-        "ratio_q1": round(q1, 3),
-        "ratio_q3": round(q3, 3),
-        "wins": sum(r > 1 for r in ratios),
-    }
+    calls = [lambda p=parser: best_parse_s(p.parse_program, source, 1, collector=False) for parser in (ours, theirs)]
+    return against(*paired(calls, pairs))
+
 
 # Imports the parser, then times its first parse of a small program.
 _FIRST_PARSE = """
@@ -198,12 +175,12 @@ print(time.perf_counter() - t0)
 
 def first_parse_ms(srcs: list[str], repeat: int) -> dict[str, list[float]]:
     """The first parse of a 3-command program in each of ``repeat`` fresh interpreters per tree, interleaved."""
-    runs: dict[str, list[float]] = {src: [] for src in srcs}
-    for i in range(repeat):
-        for src in srcs if i % 2 == 0 else srcs[::-1]:
-            out = subprocess.run([sys.executable, "-c", _FIRST_PARSE, src], check=True, capture_output=True, text=True)
-            runs[src].append(round(float(out.stdout) * 1e3, 3))
-    return runs
+
+    def first_ms(src: str) -> float:
+        out = subprocess.run([sys.executable, "-c", _FIRST_PARSE, src], check=True, capture_output=True, text=True)
+        return round(float(out.stdout) * 1e3, 3)
+
+    return dict(zip(srcs, paired([lambda s=src: first_ms(s) for src in srcs], repeat)))
 
 
 def main() -> None:
@@ -213,9 +190,9 @@ def main() -> None:
     ap.add_argument("--src", default="src")
     ap.add_argument("--against", metavar="OTHER_SRC")
     args = ap.parse_args()
-    parser = load(args.src, "redtype")
+    parser = load(args.src, "redtype").parser
     parse_program = parser.parse_program
-    other = None if args.against is None else load(args.against, "redtype_against")
+    other = None if args.against is None else load(args.against, "redtype_against").parser
     agree = True
 
     def collecting_parse(source: str):
@@ -236,7 +213,8 @@ def main() -> None:
             if other is not None:
                 same = parsed(parser, source) == parsed(other, source)
                 agree = agree and same
-                report["against"] = {"src": args.against, "same_parse": same, **against(parser, other, source, args.repeat)}
+                timed = interleaved(parser, other, source, args.repeat)
+                report["against"] = {"src": args.against, "same_parse": same, **timed}
             print(json.dumps({
                 "shape": shape,
                 "commands": n,

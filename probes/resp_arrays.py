@@ -24,41 +24,30 @@ second one has no item a split alone can read.  Prints one JSON object.
 --against OTHER_SRC times a second tree in the same process, because
 standalone timings drift more between runs on a shared host than the
 ratio of two trees timed side by side.  OTHER_SRC's redtype is imported
-a second time under another package name, and each round times every
-figure on both trees, alternating which goes first.  The output then
-holds both trees' figures and, per figure, the median of OTHER_SRC's
-time over --src's (above 1 when --src is faster) and the rounds --src
-won.  Every decode is checked against the one-shot decode of the same
-bytes, and the int read against the members; the probe exits 1 if
-either tree reads a reply wrongly.
+a second time under another package name, and each figure is timed
+--repeat times on both trees, alternating which goes first
+(``_trees.paired``).  The output then holds both trees' figures and, per
+figure, the median and quartiles of OTHER_SRC's time over --src's (above
+1 when --src is faster) and the rounds --src won.  Every decode is
+checked against the one-shot decode of the same bytes, and the int read
+against the members; the probe exits 1 if either tree reads a reply
+wrongly.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib
-import importlib.util
 import json
 import random
-import statistics
 import sys
 import time
-from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable
 
+from _trees import against, load, paired
+
 CHUNK = 4096
 clock = time.perf_counter
-
-
-def load(src: str, package: str) -> SimpleNamespace:
-    """The redtype package under ``src``, imported as ``package``, and the modules the probe uses."""
-    root = Path(src, "redtype")
-    spec = importlib.util.spec_from_file_location(package, root / "__init__.py", submodule_search_locations=[str(root)])
-    assert spec is not None and spec.loader is not None
-    sys.modules[package] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sys.modules[package])
-    return SimpleNamespace(**{m: importlib.import_module(f"{package}.{m}") for m in ("backend", "checker", "resp", "store", "syntax")})
 
 
 def decode_in_chunks(rt: SimpleNamespace, wire: bytes, size: int) -> list:
@@ -91,12 +80,6 @@ def figures(rt: SimpleNamespace, members: list[int]) -> dict[str, Callable[[], b
     }
 
 
-def timed(read: Callable[[], bool]) -> tuple[float, bool]:
-    t0 = clock()
-    ok = read()
-    return (clock() - t0) * 1000, ok
-
-
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--repeat", type=int, default=9)
@@ -110,30 +93,29 @@ def main() -> None:
     if args.against is not None:
         trees[args.against] = load(args.against, "redtype_against")
     reads = {src: figures(rt, members) for src, rt in trees.items()}
-    times: dict[str, dict[str, list[float]]] = {src: {name: [] for name in reads[src]} for src in trees}
     correct = True
-    for i in range(args.repeat):
-        order = list(trees) if i % 2 == 0 else list(trees)[::-1]
-        for name in reads[args.src]:
-            for src in order:
-                ms, ok = timed(reads[src][name])
-                times[src][name].append(ms)
-                correct = correct and ok
+
+    def read_ms(read: Callable[[], bool]) -> float:
+        nonlocal correct
+        t0 = clock()
+        correct = read() and correct
+        return (clock() - t0) * 1000
+
+    times: dict[str, dict[str, list[float]]] = {src: {} for src in trees}
+    for name in reads[args.src]:
+        runs = paired([lambda r=reads[src][name]: read_ms(r) for src in trees], args.repeat)
+        for src, ms in zip(trees, runs):
+            times[src][name] = ms
 
     def best(src: str) -> dict[str, float]:
         return {name: round(min(ms), 3) for name, ms in times[src].items()}
 
     report: dict = {"repeat": args.repeat, "correct": correct, **best(args.src)}
     if args.against is not None:
-        ratios = {
-            name: [theirs / ours for ours, theirs in zip(times[args.src][name], times[args.against][name])]
-            for name in times[args.src]
-        }
         report["against"] = {
             "src": args.against,
             **best(args.against),
-            "ratio_median": {name: round(statistics.median(r), 3) for name, r in ratios.items()},
-            "wins": {name: sum(x > 1 for x in r) for name, r in ratios.items()},
+            "ratios": {name: against(times[args.src][name], times[args.against][name]) for name in times[args.src]},
         }
     print(json.dumps(report))
     if not correct:
